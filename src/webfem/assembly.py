@@ -1,10 +1,11 @@
 """Sparse Galerkin operators and load vectors over the web basis.
 
 Assembly is table-driven: the weighted tensor-product basis (w * b_k) and
-its first partials are tabulated once per quadrature rule, after which
-every operator (including each Newton/Picard reassembly) reduces to
-vectorized products over the point tables. Systems are assembled in the
-full relevant basis and reduced to the web basis with the coupling matrix
+its first partials are tabulated once per quadrature rule, together with a
+sparsity plan of the per-cell blocks. Every operator (including each
+Newton/Picard reassembly) then reduces to batched per-cell matrix products
+scattered into the fixed pattern. Systems are assembled in the full
+relevant basis and reduced to the web basis with the coupling matrix
 ``Ebar = diag(1/w(x_i)) E``:  A_web = Ebar A Ebar^T.
 """
 
@@ -24,7 +25,97 @@ class CoercivityError(AssemblyError):
     """Coefficient failed the positivity requirement at a quadrature point."""
 
 
-_CHUNK = 40000  # quadrature points per COO block
+# ---------------------------------------------------------------------------
+# per-cell segments and sparsity plans
+# ---------------------------------------------------------------------------
+
+class CellSegments:
+    """Quadrature points grouped into per-cell runs, batched by run length.
+
+    A quadrature rule lists its points cell by cell, so each grid cell is
+    one contiguous run. ``perm`` reorders the points so that runs of equal
+    length sit next to each other. Each batch is a tuple
+    ``(first_run, end_run, first_point, end_point, run_length)`` in that
+    order, so its points reshape to (runs, run_length, ...) without a copy.
+    """
+
+    def __init__(self, cell_ids):
+        cell_ids = np.asarray(cell_ids)
+        n = cell_ids.size
+        self.starts = np.flatnonzero(np.diff(cell_ids, prepend=cell_ids[:1] - 1))
+        self.counts = np.diff(np.append(self.starts, n))
+        self.order = np.argsort(self.counts, kind="stable")
+        counts = self.counts[self.order]
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        self.perm = np.arange(n) + np.repeat(
+            self.starts[self.order] - offsets[:-1], counts)
+        first = np.flatnonzero(np.diff(counts, prepend=-1))
+        ends = np.append(first[1:], counts.size)
+        self.batches = [(lo, hi, offsets[lo], offsets[hi], counts[lo])
+                        for lo, hi in zip(first.tolist(), ends.tolist())]
+
+    @property
+    def num_cells(self):
+        return self.starts.size
+
+
+class SparsityPlan:
+    """CSR pattern of per-cell blocks and the scatter of local entries into it.
+
+    ``rows`` (n_cells, nr) and ``cols`` (n_cells, nc) hold the global row
+    and column of each cell's local matrix, one line per run of
+    ``segments``. Every matrix assembled with the plan shares its read-only
+    ``indices`` and ``indptr``; ``scatter`` maps each local entry
+    (cell, a, b), cells in batch order, to its slot in ``data``.
+    """
+
+    def __init__(self, segments, rows, cols, shape):
+        self.segments = segments
+        self.shape = shape
+        rows = rows[segments.order]
+        cols = cols[segments.order]
+        keys = (rows[:, :, None] * shape[1] + cols[:, None, :]).ravel()
+        slots, self.scatter = np.unique(keys, return_inverse=True)
+        self.nnz = slots.size
+        dtype = np.int32 if max(self.nnz, *shape) < 2 ** 31 else np.int64
+        self.indices = (slots % shape[1]).astype(dtype)
+        per_row = np.bincount(slots // shape[1], minlength=shape[0])
+        self.indptr = np.concatenate([[0], np.cumsum(per_row)]).astype(dtype)
+        self.indices.setflags(write=False)
+        self.indptr.setflags(write=False)
+
+
+def bilinear_form(plan, qw, terms):
+    """Sparse matrix  sum_q qw_q * sum_t c_t(q) Fa_t(q,a) Fb_t(q,b).
+
+    ``terms`` is an iterable of (c, Fa, Fb) with c of shape (N,) or a
+    scalar, and Fa, Fb of shapes (N, nr), (N, nc) matching the row and
+    column blocks of ``plan``. The local matrices sum_t (c_t qw Fa_t)^T Fb_t
+    of all cells with the same point count come from one batched matmul;
+    the scatter into the shared pattern is a deterministic bincount.
+    """
+    seg = plan.segments
+    local = None
+    for c, fa, fb in terms:
+        wa = ((qw * c)[:, None] * fa)[seg.perm]
+        wb = fb[seg.perm]
+        if local is None:
+            local = np.zeros((seg.num_cells, wa.shape[1], wb.shape[1]))
+        for lo, hi, p0, p1, k in seg.batches:
+            a = wa[p0:p1].reshape(hi - lo, k, -1)
+            b = wb[p0:p1].reshape(hi - lo, k, -1)
+            local[lo:hi] += np.matmul(a.transpose(0, 2, 1), b)
+    data = np.bincount(plan.scatter, weights=local.ravel(), minlength=plan.nnz)
+    return sp.csr_matrix((data, plan.indices, plan.indptr), shape=plan.shape)
+
+
+def linear_form(idx, qw, terms, n_cols):
+    """Vector  sum_q qw_q * sum_t c_t(q) F_t(q, a) scattered to columns."""
+    acc = None
+    for c, fa in terms:
+        contrib = (qw * c)[:, None] * fa
+        acc = contrib if acc is None else acc + contrib
+    return np.bincount(idx.ravel(), weights=acc.ravel(), minlength=n_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +132,11 @@ class BasisTables:
     wb, wbx, wby : (N, na)
         Weighted basis values and first partials.
     qw : (N,) quadrature weights; points : (N, 2); cell_ids : (N,).
+    segments : :class:`CellSegments` of the points.
+    cell_idx : (n_cells, na) int
+        The basis row shared by all points of each cell.
+    plan : :class:`SparsityPlan`
+        Full-basis pattern, reused by every operator on these tables.
     """
 
     def __init__(self, basis, quad, nderiv=1):
@@ -73,6 +169,17 @@ class BasisTables:
         self.cell_ids = quad.cell_ids
         self.n_cols = basis.n_relevant
         self.basis = basis
+        # all points of a cell activate the same basis row, which makes the
+        # pattern a union of dense per-cell blocks fixed for the table's life
+        self.segments = CellSegments(quad.cell_ids)
+        self.cell_idx = self.idx[self.segments.starts]
+        if np.any(self.idx != np.repeat(self.cell_idx, self.segments.counts,
+                                        axis=0)):
+            raise AssemblyError(
+                "points of one quadrature cell activate different basis "
+                "rows; cell ids do not match the points")
+        self.plan = SparsityPlan(self.segments, self.cell_idx, self.cell_idx,
+                                 (self.n_cols, self.n_cols))
 
     @property
     def num_points(self):
@@ -87,42 +194,6 @@ class BasisTables:
         gx = np.einsum("na,na->n", cw, self.wbx)
         gy = np.einsum("na,na->n", cw, self.wby)
         return vals, np.column_stack([gx, gy])
-
-
-def bilinear_form(row_idx, col_idx, qw, terms, shape):
-    """Sparse matrix  sum_q qw_q * sum_t c_t(q) Fa_t(q,a) Fb_t(q,b).
-
-    ``terms`` is an iterable of (c, Fa, Fb) with c of shape (N,) or a
-    scalar, Fa of shape (N, nra) matching ``row_idx`` and Fb matching
-    ``col_idx``. Deterministic: fixed chunk boundaries and coo->csr
-    duplicate summation.
-    """
-    n = qw.size
-    out = sp.csr_matrix(shape)
-    for start in range(0, n, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n))
-        data = None
-        for c, fa, fb in terms:
-            cq = (qw[sl] * c) if np.isscalar(c) else (qw[sl] * c[sl])
-            contrib = np.einsum("n,na,nb->nab", cq, fa[sl], fb[sl])
-            data = contrib if data is None else data + contrib
-        rows = np.broadcast_to(row_idx[sl][:, :, None], data.shape)
-        cols = np.broadcast_to(col_idx[sl][:, None, :], data.shape)
-        block = sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
-                              shape=shape).tocsr()
-        out = out + block  # fixed chunk order keeps the sum deterministic
-    return out
-
-
-def linear_form(idx, qw, terms, n_cols):
-    """Vector  sum_q qw_q * sum_t c_t(q) F_t(q, a) scattered to columns."""
-    out = np.zeros(n_cols)
-    acc = None
-    for c, fa in terms:
-        contrib = (qw * c)[:, None] * fa
-        acc = contrib if acc is None else acc + contrib
-    np.add.at(out, idx.ravel(), acc.ravel())
-    return out
 
 
 def web_reduce(basis, A_full=None, F_full=None):
@@ -157,10 +228,9 @@ def assemble_vcpe(basis, a, f, tables):
         raise CoercivityError(
             f"diffusion coefficient nonpositive at quadrature point {tuple(where)}")
     f_vals = f(tables.points) if callable(f) else np.full(tables.num_points, float(f))
-    A_full = bilinear_form(tables.idx, tables.idx, tables.qw,
+    A_full = bilinear_form(tables.plan, tables.qw,
                            [(a_vals, tables.wbx, tables.wbx),
-                            (a_vals, tables.wby, tables.wby)],
-                           (tables.n_cols, tables.n_cols))
+                            (a_vals, tables.wby, tables.wby)])
     F_full = linear_form(tables.idx, tables.qw, [(f_vals, tables.wb)], tables.n_cols)
     A, F = web_reduce(basis, A_full, F_full)
     return AssembledSystem(matrix=A, rhs=F, basis=basis, kind="vcpe")
@@ -170,17 +240,15 @@ def assemble_mass(basis, tables, coefficient=1.0):
     """Web-basis mass matrix (optionally with a variable coefficient)."""
     c = (coefficient(tables.points) if callable(coefficient)
          else float(coefficient))
-    M_full = bilinear_form(tables.idx, tables.idx, tables.qw,
-                           [(c, tables.wb, tables.wb)],
-                           (tables.n_cols, tables.n_cols))
+    M_full = bilinear_form(tables.plan, tables.qw,
+                           [(c, tables.wb, tables.wb)])
     return web_reduce(basis, M_full)
 
 
 def raw_weighted_gram(tables):
     """Gram matrix of the raw weighted basis {w b_k, k in K} (no extension)."""
-    return bilinear_form(tables.idx, tables.idx, tables.qw,
-                         [(1.0, tables.wb, tables.wb)],
-                         (tables.n_cols, tables.n_cols))
+    return bilinear_form(tables.plan, tables.qw,
+                         [(1.0, tables.wb, tables.wb)])
 
 
 def gram_condition_estimate(basis, tables):
@@ -260,12 +328,11 @@ def assemble_plap_jacobian_and_residual(basis, tables, coeffs, p, eps, f_vals):
     kappa[pos] = (p - 2.0) * base[pos] ** (0.5 * (p - 4.0))
     # directional factor t_a = grad u . grad wb_a
     t = g[:, 0][:, None] * tables.wbx + g[:, 1][:, None] * tables.wby
-    J_full = bilinear_form(tables.idx, tables.idx, tables.qw,
+    J_full = bilinear_form(tables.plan, tables.qw,
                            [(mu, tables.wbx, tables.wbx),
                             (mu, tables.wby, tables.wby),
                             (kappa, t, t),
-                            (1.0, tables.wb, tables.wb)],
-                           (tables.n_cols, tables.n_cols))
+                            (1.0, tables.wb, tables.wb)])
     R_full = linear_form(tables.idx, tables.qw,
                          [(mu * g[:, 0], tables.wbx),
                           (mu * g[:, 1], tables.wby),
@@ -306,6 +373,8 @@ class PressureSpace:
         self.macro = int(macro)
         nx, ny = grid.num_cells
         ids, inv = np.unique(quad.cell_ids, return_inverse=True)
+        if ids.size == 0:
+            raise AssemblyError("pressure space is empty: no active cells")
         cell_area = np.bincount(inv, weights=quad.weights)
         bx = grid.kvs[0].breakpoints
         by = grid.kvs[1].breakpoints
@@ -342,80 +411,95 @@ class PressureSpace:
         roots = sorted({assign[c] for c in assign})
         self.cells = roots
         root_pos = {c: r for r, c in enumerate(roots)}
-        self.cell_pos = {}
-        self._host_patch = {}
-        for cid in ids.tolist():
-            jx, jy = divmod(int(cid), ny)
-            root = assign[(jx // self.macro, jy // self.macro)]
-            self.cell_pos[cid] = root_pos[root]
-            self._host_patch[cid] = root
+        # per grid cell: dof position of its host patch (-1: no dofs) and
+        # the host patch's center and half widths
+        hosts = np.array([assign[(c // ny // self.macro, c % ny // self.macro)]
+                          for c in ids.tolist()])
+        self._pos = np.full(nx * ny, -1, dtype=np.int64)
+        self._pos[ids] = [root_pos[tuple(h)] for h in hosts.tolist()]
+        x0 = bx[hosts[:, 0] * self.macro]
+        x1 = bx[np.minimum((hosts[:, 0] + 1) * self.macro, nx)]
+        y0 = by[hosts[:, 1] * self.macro]
+        y1 = by[np.minimum((hosts[:, 1] + 1) * self.macro, ny)]
+        self._center = np.zeros((nx * ny, 2))
+        self._half = np.ones((nx * ny, 2))
+        self._center[ids] = np.column_stack([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
+        self._half[ids] = np.column_stack([0.5 * (x1 - x0), 0.5 * (y1 - y0)])
         self.ndof_cell = (degree + 1) ** 2
         self.n_dofs = len(self.cells) * self.ndof_cell
-        if self.n_dofs == 0:
-            raise AssemblyError("pressure space is empty: no active cells")
+        self._tabulated = None  # (quad, cols, vals) of the last rule
+        self._blocks = None     # (tables, quad, B, Mp, g) of the last pair
 
-    def _patch_bounds(self, patch):
-        grid = self.grid
-        bx = grid.kvs[0].breakpoints
-        by = grid.kvs[1].breakpoints
-        x0 = bx[patch[0] * self.macro]
-        x1 = bx[min((patch[0] + 1) * self.macro, grid.num_cells[0])]
-        y0 = by[patch[1] * self.macro]
-        y1 = by[min((patch[1] + 1) * self.macro, grid.num_cells[1])]
-        return x0, x1, y0, y1
-
-    def _local_coords(self, pts, cell_ids):
-        """Host-patch scaled coordinates of points given their grid cell ids."""
-        bounds = np.array([self._patch_bounds(self._host_patch[int(c)])
-                           for c in cell_ids])
-        x0, x1, y0, y1 = bounds[:, 0], bounds[:, 1], bounds[:, 2], bounds[:, 3]
-        xi = (pts[:, 0] - 0.5 * (x0 + x1)) / (0.5 * (x1 - x0))
-        eta = (pts[:, 1] - 0.5 * (y0 + y1)) / (0.5 * (y1 - y0))
-        return xi, eta
+    def _tabulate(self, pts, cell_ids):
+        """Dof position and basis values of points given their grid cell ids."""
+        d = self.degree
+        local = (pts - self._center[cell_ids]) / self._half[cell_ids]
+        px = np.stack([local[:, 0] ** a for a in range(d + 1)], axis=1)
+        py = np.stack([local[:, 1] ** b for b in range(d + 1)], axis=1)
+        vals = (px[:, :, None] * py[:, None, :]).reshape(-1, self.ndof_cell)
+        return self._pos[cell_ids], vals
 
     def tables(self, quad):
-        """Per-point values and global dof columns, shapes (N, ndof_cell)."""
-        d = self.degree
-        pts = quad.points
-        n = pts.shape[0]
-        pos = np.array([self.cell_pos[int(c)] for c in quad.cell_ids])
-        xi, eta = self._local_coords(pts, quad.cell_ids)
-        px = np.stack([xi ** a for a in range(d + 1)], axis=1)
-        py = np.stack([eta ** b for b in range(d + 1)], axis=1)
-        vals = (px[:, :, None] * py[:, None, :]).reshape(n, self.ndof_cell)
-        base = pos * self.ndof_cell
-        cols = base[:, None] + np.arange(self.ndof_cell)[None, :]
-        return cols, vals
+        """Per-point values and global dof columns, shapes (N, ndof_cell).
+
+        Tabulated once per rule: repeated calls with the same ``quad``
+        return the same read-only arrays.
+        """
+        if self._tabulated is None or self._tabulated[0] is not quad:
+            pos, vals = self._tabulate(quad.points, quad.cell_ids)
+            if np.any(pos < 0):
+                raise AssemblyError(
+                    "quadrature point in a cell without pressure dofs")
+            cols = pos[:, None] * self.ndof_cell + np.arange(self.ndof_cell)
+            cols.setflags(write=False)
+            vals.setflags(write=False)
+            self._tabulated = (quad, cols, vals)
+        return self._tabulated[1:]
 
     def evaluate(self, coeffs, pts):
         """Point values of a pressure field (zero outside active cells)."""
         grid = self.grid
-        d = self.degree
-        ny = grid.num_cells[1]
         pts = np.asarray(pts, dtype=float)
-        cids = np.array([grid.kvs[0].find_cell(x) * ny + grid.kvs[1].find_cell(y)
-                         for x, y in pts])
-        active = np.array([int(c) in self.cell_pos for c in cids])
+        cids = np.zeros(pts.shape[0], dtype=np.int64)
+        for ax, kv in enumerate(grid.kvs):
+            # KnotVector.find_cell: right-continuous, last cell closed
+            j = np.searchsorted(kv.breakpoints, pts[:, ax], side="right") - 1
+            cids = cids * grid.num_cells[ax] + np.clip(j, 0, kv.num_cells - 1)
+        active = self._pos[cids] >= 0
         out = np.zeros(pts.shape[0])
-        if not np.any(active):
-            return out
-        sub = pts[active]
-        sub_ids = cids[active]
-        pos = np.array([self.cell_pos[int(c)] for c in sub_ids])
-        xi, eta = self._local_coords(sub, sub_ids)
-        px = np.stack([xi ** a for a in range(d + 1)], axis=1)
-        py = np.stack([eta ** b for b in range(d + 1)], axis=1)
-        vals = (px[:, :, None] * py[:, None, :]).reshape(sub.shape[0], self.ndof_cell)
+        pos, vals = self._tabulate(pts[active], cids[active])
         loc = coeffs.reshape(-1, self.ndof_cell)[pos]
         out[active] = np.einsum("nd,nd->n", loc, vals)
         return out
+
+    def blocks(self, tables, quad):
+        """Divergence block B (n_dofs x 2 n_inner), pressure mass and integrals.
+
+        None of them depends on the velocity iterate, so they are assembled
+        once per (tables, quad) pair and shared by every Picard step.
+        """
+        if self._blocks is None or self._blocks[0] is not tables \
+                or self._blocks[1] is not quad:
+            pcols, pvals = self.tables(quad)
+            seg = tables.segments
+            plan = SparsityPlan(seg, pcols[seg.starts], tables.cell_idx,
+                                (self.n_dofs, tables.n_cols))
+            Et = tables.basis.coupling_matrix().T
+            Bx = bilinear_form(plan, tables.qw, [(-1.0, pvals, tables.wbx)])
+            By = bilinear_form(plan, tables.qw, [(-1.0, pvals, tables.wby)])
+            B = sp.hstack([(Bx @ Et).tocsr(), (By @ Et).tocsr()], format="csr")
+            Mp, g = pressure_mass_and_integral(self, quad)
+            self._blocks = (tables, quad, B, Mp, g)
+        return self._blocks[2:]
 
 
 def pressure_mass_and_integral(pspace, quad):
     """Block-diagonal pressure mass matrix and the vector of basis integrals."""
     cols, vals = pspace.tables(quad)
-    M = bilinear_form(cols, cols, quad.weights, [(1.0, vals, vals)],
-                      (pspace.n_dofs, pspace.n_dofs))
+    seg = CellSegments(quad.cell_ids)
+    plan = SparsityPlan(seg, cols[seg.starts], cols[seg.starts],
+                        (pspace.n_dofs, pspace.n_dofs))
+    M = bilinear_form(plan, quad.weights, [(1.0, vals, vals)])
     g = linear_form(cols, quad.weights, [(1.0, vals)], pspace.n_dofs)
     return M, g
 
@@ -463,15 +547,14 @@ def assemble_mixed(basis, pspace, a_fn, coeffs_prev, phi, tables, quad):
     if np.any(a_vals <= 0.0) or not np.all(np.isfinite(a_vals)):
         raise CoercivityError("viscosity must be positive and finite")
 
-    shape = (tables.n_cols, tables.n_cols)
-    A11 = bilinear_form(tables.idx, tables.idx, tables.qw,
+    A11 = bilinear_form(tables.plan, tables.qw,
                         [(a_vals, tables.wbx, tables.wbx),
-                         (0.5 * a_vals, tables.wby, tables.wby)], shape)
-    A22 = bilinear_form(tables.idx, tables.idx, tables.qw,
+                         (0.5 * a_vals, tables.wby, tables.wby)])
+    A22 = bilinear_form(tables.plan, tables.qw,
                         [(a_vals, tables.wby, tables.wby),
-                         (0.5 * a_vals, tables.wbx, tables.wbx)], shape)
-    A12 = bilinear_form(tables.idx, tables.idx, tables.qw,
-                        [(0.5 * a_vals, tables.wby, tables.wbx)], shape)
+                         (0.5 * a_vals, tables.wbx, tables.wbx)])
+    A12 = bilinear_form(tables.plan, tables.qw,
+                        [(0.5 * a_vals, tables.wby, tables.wbx)])
     A11, A22 = web_reduce(basis, A11), web_reduce(basis, A22)
     A12 = (E @ A12 @ E.T).tocsr()
     A = sp.bmat([[A11, A12], [A12.T, A22]], format="csr")
@@ -484,14 +567,7 @@ def assemble_mixed(basis, pspace, a_fn, coeffs_prev, phi, tables, quad):
         tables.idx, tables.qw, [(phi_vals[:, 1], tables.wb)], tables.n_cols))
     Fv = np.concatenate([F1, F2])
 
-    pcols, pvals = pspace.tables(quad)
-    Bx = bilinear_form(pcols, tables.idx, tables.qw,
-                       [(-1.0, pvals, tables.wbx)], (pspace.n_dofs, tables.n_cols))
-    By = bilinear_form(pcols, tables.idx, tables.qw,
-                       [(-1.0, pvals, tables.wby)], (pspace.n_dofs, tables.n_cols))
-    B = sp.hstack([(Bx @ E.T).tocsr(), (By @ E.T).tocsr()], format="csr")
-
-    Mp, g = pressure_mass_and_integral(pspace, quad)
+    B, Mp, g = pspace.blocks(tables, quad)
     return A, B, Fv, Mp, g
 
 

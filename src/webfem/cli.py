@@ -305,16 +305,16 @@ def evaluate_floors(cfg, report):
     return failures
 
 
-def run(cfg, out_dir=None, check=False, dump_matrices=False, threads=1):
+def run(cfg, out_dir=None, check=False, dump_matrices=False):
     """Execute one study; returns (exit_code, report)."""
     case = _build_case(cfg)
     study = _study_from_config(cfg)
     opts = SolveOptions(**cfg["solver"])
-    if threads != 1:
-        # cell work is vectorized; the flag caps the BLAS pool used by the
-        # dense eigen/solve kernels
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
-            os.environ[var] = str(threads)
+    dump_matrices = dump_matrices or cfg["output"]["dump_matrices"]
+    if dump_matrices and case.kind != "vcpe":
+        raise ConfigError(
+            "the matrix dump writes the Poisson (vcpe) stiffness matrix; it "
+            f"is not available for {case.kind!r} problems")
     t0 = time.perf_counter()
     report = run_convergence(case, study, solver_opts=opts)
     wall = time.perf_counter() - t0
@@ -331,7 +331,7 @@ def run(cfg, out_dir=None, check=False, dump_matrices=False, threads=1):
         fh.write(level_csv(report))
     with open(stem + ".txt", "w") as fh:
         fh.write(report.text_table() + "\n")
-    if dump_matrices or cfg["output"]["dump_matrices"]:
+    if dump_matrices:
         _dump_matrices(case, study, opts, stem)
     failures = evaluate_floors(cfg, report) if check else []
     for line in report.text_table().splitlines():
@@ -362,7 +362,7 @@ def bundled_config_dir():
     return resources.files("webfem") / "configs"
 
 
-def check_suite(suite_dir=None, out_dir=None, threads=1):
+def check_suite(suite_dir=None, out_dir=None):
     """Run every config in the suite directory against its floors."""
     if suite_dir is None:
         paths = sorted(str(p) for p in bundled_config_dir().iterdir()
@@ -382,7 +382,7 @@ def check_suite(suite_dir=None, out_dir=None, threads=1):
         t0 = time.perf_counter()
         try:
             cfg = load_config(path)
-            code, report = run(cfg, out_dir=out_dir, check=True, threads=threads)
+            code, report = run(cfg, out_dir=out_dir, check=True)
             failures = evaluate_floors(cfg, report)
         except ConfigError as exc:
             print(exc, file=sys.stderr)
@@ -414,13 +414,11 @@ def main(argv=None):
                        help="enforce the config's embedded EOC floors")
     p_run.add_argument("--describe", action="store_true",
                        help="print basis statistics without solving")
-    p_run.add_argument("--threads", type=int, default=1)
     p_run.add_argument("--dump-matrices", action="store_true")
     p_run.add_argument("--out", default=None, help="output directory")
 
     p_check = sub.add_parser("check", help="run the acceptance suite")
     p_check.add_argument("suite_dir", nargs="?", default=None)
-    p_check.add_argument("--threads", type=int, default=1)
     p_check.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
@@ -431,11 +429,9 @@ def main(argv=None):
                 print(json.dumps(describe(cfg), sort_keys=True, indent=2))
                 return EXIT_OK
             code, _ = run(cfg, out_dir=args.out, check=args.check,
-                          dump_matrices=args.dump_matrices,
-                          threads=args.threads)
+                          dump_matrices=args.dump_matrices)
             return code
-        return check_suite(args.suite_dir, out_dir=args.out,
-                           threads=args.threads)
+        return check_suite(args.suite_dir, out_dir=args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

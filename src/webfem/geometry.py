@@ -9,6 +9,7 @@ inside, zero on the boundary and negative outside; the weight is
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -316,12 +317,14 @@ class IndexSets:
     center_cell: dict = field(default_factory=dict)
     alpha: dict = field(default_factory=dict)
 
-    @property
+    @cached_property
     def kmap(self):
+        """Relevant index -> its position in ``relevant``."""
         return {k: c for c, k in enumerate(self.relevant)}
 
-    @property
+    @cached_property
     def imap(self):
+        """Inner index -> its position in ``inner``."""
         return {i: r for r, i in enumerate(self.inner)}
 
 

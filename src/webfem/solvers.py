@@ -294,10 +294,9 @@ def solve_quasi_newtonian(basis, pspace, a_fn, phi, tables, quad, opts=None):
 
 def velocity_seminorm_gram(basis, tables):
     """H1-seminorm Gram of the two stacked velocity blocks."""
-    S_full = bilinear_form(tables.idx, tables.idx, tables.qw,
+    S_full = bilinear_form(tables.plan, tables.qw,
                            [(1.0, tables.wbx, tables.wbx),
-                            (1.0, tables.wby, tables.wby)],
-                           (tables.n_cols, tables.n_cols))
+                            (1.0, tables.wby, tables.wby)])
     S = web_reduce(basis, S_full)
     return sp.block_diag([S, S], format="csc")
 

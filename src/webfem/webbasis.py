@@ -41,9 +41,6 @@ class ExtensionTable:
     def max_abs(self):
         return max((abs(v) for v in self.entries.values()), default=0.0)
 
-    def coefficients_for(self, i):
-        return {j: e for (ii, j), e in self.entries.items() if ii == i}
-
 
 def build_extension(grid, idx):
     """Extension coefficients for all (inner, outer) couplings in ``idx``."""
@@ -98,8 +95,8 @@ class WebBasis:
     def extension_matrix(self):
         """Sparse E (n_inner x n_relevant): identity on inner columns plus
         the extension coefficients on outer columns."""
-        kmap = {k: c for c, k in enumerate(self.idx.relevant)}
-        imap = {i: r for r, i in enumerate(self.idx.inner)}
+        kmap = self.idx.kmap
+        imap = self.idx.imap
         rows, cols, data = [], [], []
         for r, i in enumerate(self.idx.inner):
             rows.append(r)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import webfem.assembly as assembly
 from webfem.assembly import (
-    AssemblyError, BasisTables, CoercivityError, PressureSpace,
+    AssemblyError, BasisTables, CoercivityError, PressureSpace, SparsityPlan,
     assemble_dipole_rhs, assemble_mass, assemble_mixed,
     assemble_plap_jacobian_and_residual, assemble_plap_residual, assemble_vcpe,
     export_coo, plap_energy, pressure_mass_and_integral, project_pressure,
@@ -271,12 +274,144 @@ class TestMixed:
                                          c, np.zeros(2), tables, quad)
         assert np.max(np.abs(B @ c)) <= 1e-6
 
+    def test_pressure_blocks_assembled_once(self):
+        # B, Mp and g do not depend on the iterate: later Picard steps reuse
+        # them while the velocity block follows the viscosity
+        basis, quad, tables = disk_setup(n_cells=8)
+        ps = PressureSpace(basis.grid, quad, 0)
+        a_fn = lambda s: 1.0 + s
+        c = np.random.default_rng(45).normal(size=2 * basis.n_inner)
+        first = assemble_mixed(basis, ps, a_fn, np.zeros_like(c), np.zeros(2),
+                               tables, quad)
+        second = assemble_mixed(basis, ps, a_fn, c, np.zeros(2), tables, quad)
+        for k in (1, 3, 4):
+            assert second[k] is first[k]
+        assert np.max(np.abs((second[0] - first[0]).toarray())) > 0.0
+
     def test_viscosity_positivity_enforced(self):
         basis, quad, tables = disk_setup(n_cells=6)
         ps = PressureSpace(basis.grid, quad, 0)
         with pytest.raises(CoercivityError):
             assemble_mixed(basis, ps, lambda s: 0.0 * s, np.zeros(2 * basis.n_inner),
                            np.zeros(2), tables, quad)
+
+
+def dense_form(row_idx, col_idx, qw, terms, shape):
+    """Per-point reference of bilinear_form: every point's outer product
+    added into a dense array."""
+    out = np.zeros(shape)
+    for c, fa, fb in terms:
+        local = np.einsum("n,na,nb->nab", qw * c, fa, fb)
+        np.add.at(out, (row_idx[:, :, None], col_idx[:, None, :]), local)
+    return out
+
+
+def assert_close(actual, reference):
+    actual = actual.toarray() if sp.issparse(actual) else actual
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(actual - reference)) <= 1e-12 * scale
+
+
+class TestSparsityPlan:
+    def test_operators_match_dense_pointwise_reference(self):
+        basis, quad, t = disk_setup(n_cells=6)
+        E = basis.coupling_matrix().toarray()
+        shape = (t.n_cols, t.n_cols)
+
+        def web(terms):
+            return E @ dense_form(t.idx, t.idx, t.qw, terms, shape) @ E.T
+
+        a = lambda p: 1.0 + p[:, 0] ** 2
+        av = a(t.points)
+        assert_close(assemble_vcpe(basis, a, 0.0, t).matrix,
+                     web([(av, t.wbx, t.wbx), (av, t.wby, t.wby)]))
+
+        c = np.random.default_rng(41).normal(size=basis.n_inner)
+        p, eps = 1.5, 1e-1
+        _, g = t.field(basis.coupling_matrix().T @ c, grad=True)
+        base = eps ** 2 + np.sum(g * g, axis=1)
+        mu = base ** (0.5 * (p - 2.0))
+        kappa = (p - 2.0) * base ** (0.5 * (p - 4.0))
+        d = g[:, :1] * t.wbx + g[:, 1:] * t.wby
+        J, _ = assemble_plap_jacobian_and_residual(
+            basis, t, c, p, eps, np.zeros(t.num_points))
+        assert_close(J, web([(mu, t.wbx, t.wbx), (mu, t.wby, t.wby),
+                             (kappa, d, d), (1.0, t.wb, t.wb)]))
+
+        ps = PressureSpace(basis.grid, quad, 1)
+        A, B, _, Mp, _ = assemble_mixed(basis, ps, lambda s: 2.0 + 0.0 * s,
+                                        np.zeros(2 * basis.n_inner),
+                                        np.zeros(2), t, quad)
+        A11 = web([(2.0, t.wbx, t.wbx), (1.0, t.wby, t.wby)])
+        A22 = web([(2.0, t.wby, t.wby), (1.0, t.wbx, t.wbx)])
+        A12 = web([(1.0, t.wby, t.wbx)])
+        assert_close(A, np.block([[A11, A12], [A12.T, A22]]))
+        pcols, pvals = ps.tables(quad)
+        pshape = (ps.n_dofs, t.n_cols)
+        Bx = dense_form(pcols, t.idx, t.qw, [(-1.0, pvals, t.wbx)], pshape)
+        By = dense_form(pcols, t.idx, t.qw, [(-1.0, pvals, t.wby)], pshape)
+        assert_close(B, np.hstack([Bx @ E.T, By @ E.T]))
+        assert_close(Mp, dense_form(pcols, pcols, quad.weights,
+                                    [(1.0, pvals, pvals)],
+                                    (ps.n_dofs, ps.n_dofs)))
+
+    def test_newton_jacobians_share_one_plan(self, monkeypatch):
+        basis, quad, tables = disk_setup(n_cells=6)
+        built, full = [], []
+        init = SparsityPlan.__init__
+        reduce = assembly.web_reduce
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        def capture(basis, A_full=None, F_full=None):
+            full.append(A_full)
+            return reduce(basis, A_full, F_full)
+
+        monkeypatch.setattr(SparsityPlan, "__init__", counting_init)
+        monkeypatch.setattr(assembly, "web_reduce", capture)
+        rng = np.random.default_rng(42)
+        for _ in range(2):
+            assemble_plap_jacobian_and_residual(
+                basis, tables, rng.normal(size=basis.n_inner), 1.5, 1e-2,
+                np.ones(tables.num_points))
+        assert built == []
+        for J in full:
+            assert J.indptr is tables.plan.indptr
+            assert np.shares_memory(J.indices, tables.plan.indices)
+            assert J.nnz == tables.plan.nnz
+
+    def test_reassembly_is_bit_identical(self):
+        basis, quad, tables = disk_setup(n_cells=6)
+        c = np.random.default_rng(43).normal(size=basis.n_inner)
+        f_vals = np.ones(tables.num_points)
+        J1, R1 = assemble_plap_jacobian_and_residual(
+            basis, tables, c, 1.5, 1e-2, f_vals)
+        J2, R2 = assemble_plap_jacobian_and_residual(
+            basis, tables, c.copy(), 1.5, 1e-2, f_vals)
+        assert np.array_equal(J1.indptr, J2.indptr)
+        assert np.array_equal(J1.indices, J2.indices)
+        assert np.array_equal(J1.data, J2.data)
+        assert np.array_equal(R1, R2)
+
+    def test_cells_with_disagreeing_rows_rejected(self):
+        basis, quad, _ = disk_setup(n_cells=6)
+        one_cell = dataclasses.replace(
+            quad, cell_ids=np.zeros_like(quad.cell_ids))
+        with pytest.raises(AssemblyError, match="different basis rows"):
+            BasisTables(basis, one_cell)
+
+    def test_pressure_evaluate_matches_tables(self):
+        basis, quad, tables = disk_setup(n_cells=8)
+        ps = PressureSpace(basis.grid, quad, 1, macro=2)
+        coeffs = np.random.default_rng(44).normal(size=ps.n_dofs)
+        cols, vals = ps.tables(quad)
+        assert ps.tables(quad)[0] is cols  # tabulated once per rule
+        expected = np.einsum("nd,nd->n", coeffs[cols], vals)
+        assert np.array_equal(ps.evaluate(coeffs, quad.points), expected)
+        # a grid corner lies in an exterior cell, which has no dofs
+        assert ps.evaluate(coeffs, np.array([[-1.09, -1.09]]))[0] == 0.0
 
 
 class TestExport:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -127,6 +128,44 @@ class TestRun:
         assert dump.exists()
         lines = [l for l in dump.read_text().splitlines() if not l.startswith("#")]
         assert len(lines) > 10
+
+    @pytest.mark.parametrize("kind, case, extra", [
+        ("plap", "plap_p15_smooth", {"p": 1.5}),
+        ("quasi_newtonian", "stokes_carreau", {}),
+    ])
+    def test_matrix_dump_rejected_for_other_kinds(self, tmp_path, capsys,
+                                                  kind, case, extra):
+        path = write_config(
+            tmp_path, problem={"type": kind, "case": case, **extra},
+            grid={"kind": "uniform", "degree": 2, "cells": 6}, levels=1)
+        out = tmp_path / "o"
+        code = main(["run", path, "--dump-matrices", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "vcpe" in capsys.readouterr().err
+        # rejected before the study runs: no report, no dump
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_matrix_dump_config_key_rejected_for_plap(self, tmp_path):
+        path = write_config(
+            tmp_path, problem={"type": "plap", "case": "plap_p15_smooth",
+                               "p": 1.5},
+            grid={"kind": "uniform", "degree": 2, "cells": 6}, levels=1,
+            output={"dir": str(tmp_path / "o"), "dump_matrices": True})
+        with pytest.raises(ConfigError):
+            run(load_config(path))
+        assert not list(tmp_path.glob("**/*.stiffness.txt"))
+
+    def test_run_leaves_environment_unchanged(self, tmp_path):
+        before = dict(os.environ)
+        run(load_config(write_config(tmp_path)), out_dir=str(tmp_path / "o"))
+        assert dict(os.environ) == before
+
+    @pytest.mark.parametrize("command", [["run", "cfg.json"], ["check"]])
+    def test_threads_flag_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_effective_config_round_trip(self, tmp_path):
         # rerunning from the materialized config embedded in a report must
