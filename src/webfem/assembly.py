@@ -293,6 +293,14 @@ def _plap_pointwise(tables, basis, coeffs, p, eps):
     return u, g, s2, mu
 
 
+def _plap_residual_full(tables, u, g, mu, f_vals):
+    """Residual against every relevant B-spline, before the web reduction."""
+    return linear_form(tables.idx, tables.qw,
+                       [(mu * g[:, 0], tables.wbx),
+                        (mu * g[:, 1], tables.wby),
+                        (u - f_vals, tables.wb)], tables.n_cols)
+
+
 def assemble_plap_residual(basis, tables, coeffs, p, eps, f_vals):
     """Residual of the regularized p-Laplacian with mass term.
 
@@ -301,10 +309,7 @@ def assemble_plap_residual(basis, tables, coeffs, p, eps, f_vals):
     u, g, s2, mu = _plap_pointwise(tables, basis, coeffs, p, eps)
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(u))):
         raise AssemblyError("non-finite iterate in p-Laplacian residual")
-    R_full = linear_form(tables.idx, tables.qw,
-                         [(mu * g[:, 0], tables.wbx),
-                          (mu * g[:, 1], tables.wby),
-                          (u - f_vals, tables.wb)], tables.n_cols)
+    R_full = _plap_residual_full(tables, u, g, mu, f_vals)
     return web_reduce(basis, F_full=R_full)
 
 
@@ -333,10 +338,7 @@ def assemble_plap_jacobian_and_residual(basis, tables, coeffs, p, eps, f_vals):
                             (mu, tables.wby, tables.wby),
                             (kappa, t, t),
                             (1.0, tables.wb, tables.wb)])
-    R_full = linear_form(tables.idx, tables.qw,
-                         [(mu * g[:, 0], tables.wbx),
-                          (mu * g[:, 1], tables.wby),
-                          (u - f_vals, tables.wb)], tables.n_cols)
+    R_full = _plap_residual_full(tables, u, g, mu, f_vals)
     J, R = web_reduce(basis, J_full, R_full)
     return J, R
 

@@ -435,7 +435,7 @@ def _mono_to_bern(mono):
                      for a in range(n + 1)])
 
 
-def _poly_piece_1d(kv, index, cell_idx):
+def local_polynomial_1d(kv, index, cell_idx):
     """Bernstein coefficients of ``b_index`` restricted to cell ``cell_idx``.
 
     The Cox-de Boor recursion is carried out on polynomial coefficients in
@@ -486,8 +486,8 @@ def local_polynomial(grid, multi_index, cell):
     (x0, x1), (y0, y1) = grid.cell_bounds(cell)
     if not (x1 > x0 and y1 > y0):
         raise SplineError(f"degenerate cell {cell}")
-    cx = _poly_piece_1d(grid.kvs[0], multi_index[0], cell[0])
-    cy = _poly_piece_1d(grid.kvs[1], multi_index[1], cell[1])
+    cx = local_polynomial_1d(grid.kvs[0], multi_index[0], cell[0])
+    cy = local_polynomial_1d(grid.kvs[1], multi_index[1], cell[1])
     return PolynomialPiece(lo=np.array([x0, y0]), hi=np.array([x1, y1]),
                            coeffs=np.outer(cx, cy), factors=(cx, cy))
 
@@ -551,6 +551,33 @@ def _psi_derivatives(kv, index, tau):
     return out
 
 
+def dual_weights(kv, index, target=None):
+    """Dual point ``tau`` and weights ``s`` of the univariate de Boor-Fix functional.
+
+    For every polynomial ``p`` of degree <= ``kv.degree``,
+    ``lambda_index(p) = sum_n s[n] p^(n)(tau)``; ``tau`` is the span midpoint
+    of ``supp b_index`` nearest ``target`` (see :func:`_dual_point`).
+    """
+    m = kv.degree
+    tau = _dual_point(kv, index, target=target)
+    psi = _psi_derivatives(kv, index, tau)
+    s = np.array([(-1.0) ** (m - n) * psi[m - n] for n in range(m + 1)]) / factorial(m)
+    return tau, s
+
+
+def dual_factor(weights, coeffs, lo, hi):
+    """Univariate de Boor-Fix functional with ``weights`` (from :func:`dual_weights`)
+    applied to the Bernstein polynomial with ``coeffs`` on [lo, hi].
+
+    This is the per-axis factor of :func:`deboor_fix` on product pieces.
+    """
+    tau, s = weights
+    if len(coeffs) > s.size:
+        raise SplineError(
+            f"polynomial degree {len(coeffs) - 1} exceeds basis degree {s.size - 1}")
+    return s @ _bern_all_ders_1d(coeffs, lo, hi, tau, s.size - 1)
+
+
 def deboor_fix(kv_pair, multi_index, piece):
     """de Boor-Fix dual functional of tensor basis ``multi_index`` applied to a piece.
 
@@ -565,18 +592,15 @@ def deboor_fix(kv_pair, multi_index, piece):
         raise SplineError(
             f"piece degree {piece.degrees} exceeds basis degrees {(m1, m2)}")
     mid = 0.5 * (piece.lo + piece.hi)
-    tau1 = _dual_point(kv_pair[0], multi_index[0], target=mid[0])
-    tau2 = _dual_point(kv_pair[1], multi_index[1], target=mid[1])
-    psi1 = _psi_derivatives(kv_pair[0], multi_index[0], tau1)
-    psi2 = _psi_derivatives(kv_pair[1], multi_index[1], tau2)
-    s1 = np.array([(-1.0) ** (m1 - n) * psi1[m1 - n] for n in range(m1 + 1)]) / factorial(m1)
-    s2 = np.array([(-1.0) ** (m2 - n) * psi2[m2 - n] for n in range(m2 + 1)]) / factorial(m2)
+    w1 = dual_weights(kv_pair[0], multi_index[0], target=mid[0])
+    w2 = dual_weights(kv_pair[1], multi_index[1], target=mid[1])
     if piece.factors is not None:
         # product piece: apply the univariate functional per axis, which
         # avoids forming large cross terms before they cancel
-        d1 = _bern_all_ders_1d(piece.factors[0], piece.lo[0], piece.hi[0], tau1, m1)
-        d2 = _bern_all_ders_1d(piece.factors[1], piece.lo[1], piece.hi[1], tau2, m2)
-        return float((s1 @ d1) * (s2 @ d2))
+        f1 = dual_factor(w1, piece.factors[0], piece.lo[0], piece.hi[0])
+        f2 = dual_factor(w2, piece.factors[1], piece.lo[1], piece.hi[1])
+        return float(f1 * f2)
+    (tau1, s1), (tau2, s2) = w1, w2
     pd = piece.derivatives(tau1, tau2, m1, m2)
     return float(s1 @ pd @ s2)
 
@@ -597,13 +621,10 @@ def _bern_all_ders_1d(c, lo, hi, tau, maxorder):
 def dual_functional_1d(kv, index, coeffs, lo, hi):
     """Univariate de Boor-Fix functional applied to a Bernstein polynomial.
 
-    Convenience wrapper used by tests; ``coeffs`` are Bernstein coefficients
-    on [lo, hi].
+    ``coeffs`` are Bernstein coefficients on [lo, hi].
     """
-    piece = PolynomialPiece(lo=np.array([lo, 0.0]), hi=np.array([hi, 1.0]),
-                            coeffs=np.asarray(coeffs, dtype=float)[:, None])
-    unit = KnotVector([0.0, 1.0], 0)
-    return deboor_fix((kv, unit), (index, 0), piece)
+    weights = dual_weights(kv, index, target=0.5 * (lo + hi))
+    return float(dual_factor(weights, coeffs, lo, hi))
 
 
 def uniform_knots(lo, hi, n_cells, degree):

@@ -19,8 +19,8 @@ import scipy.sparse as sp
 
 from .geometry import classify_cells, classify_indices
 from .splines import (
-    deboor_fix, eval_bspline_deriv, interpolate_piece, local_polynomial,
-    nonzero_basis,
+    deboor_fix, dual_factor, dual_weights, eval_bspline_deriv, interpolate_piece,
+    local_polynomial_1d, nonzero_basis,
 )
 
 
@@ -43,14 +43,35 @@ class ExtensionTable:
 
 
 def build_extension(grid, idx):
-    """Extension coefficients for all (inner, outer) couplings in ``idx``."""
-    entries = {}
+    """Extension coefficients for all (inner, outer) couplings in ``idx``.
+
+    The piece of ``b_i`` on ``Q_j`` is a product of univariate pieces, so
+    ``e_{i,j} = e^x_{i1,j1} * e^y_{i2,j2}`` with one de Boor-Fix factor per
+    axis. The weights of a factor depend only on (axis, j_a, q_a) and the
+    factor only on (axis, i_a, j_a, q_a); both are computed once per key.
+    """
     kvs = grid.kvs
+    weights = {}
+    factors = {}
+
+    def factor(axis, i_a, j_a, q_a):
+        key = (axis, i_a, j_a, q_a)
+        if key not in factors:
+            kv = kvs[axis]
+            lo, hi = kv.cell_bounds(q_a)
+            wkey = (axis, j_a, q_a)
+            if wkey not in weights:
+                weights[wkey] = dual_weights(kv, j_a, target=0.5 * (lo + hi))
+            factors[key] = dual_factor(weights[wkey],
+                                       local_polynomial_1d(kv, i_a, q_a), lo, hi)
+        return factors[key]
+
+    entries = {}
     for j in idx.outer:
         q = idx.q_cell[j]
         for i in idx.i_of_j[j]:
-            piece = local_polynomial(grid, i, q)
-            entries[(i, j)] = deboor_fix(kvs, j, piece)
+            entries[(i, j)] = float(factor(0, i[0], j[0], q[0])
+                                    * factor(1, i[1], j[1], q[1]))
     return ExtensionTable(entries=entries)
 
 

@@ -161,6 +161,15 @@ class TestPlap:
                                    1.5, 1e-2, np.zeros(tables.num_points))
         assert np.all(R == 0.0)
 
+    def test_residual_entry_points_agree_exactly(self):
+        basis, quad, tables = disk_setup(n_cells=6)
+        rng = np.random.default_rng(35)
+        c = rng.normal(size=basis.n_inner)
+        f_vals = np.sin(quad.points[:, 0])
+        R = assemble_plap_residual(basis, tables, c, 1.5, 1e-1, f_vals)
+        _, RJ = assemble_plap_jacobian_and_residual(basis, tables, c, 1.5, 1e-1, f_vals)
+        assert np.array_equal(R, RJ)
+
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_jacobian_matches_directional_fd(self, p):
         basis, quad, tables = disk_setup(n_cells=6)

@@ -310,6 +310,8 @@ class TestDeBoorFix:
         piece = PolynomialPiece(lo=np.zeros(2), hi=np.ones(2), coeffs=np.ones((3, 3)))
         with pytest.raises(SplineError):
             deboor_fix((kv, kv), (0, 0), piece)
+        with pytest.raises(SplineError):
+            dual_functional_1d(kv, 0, [1.0, 2.0, 3.0], 1.0, 2.0)
 
 
 class TestGenerators:

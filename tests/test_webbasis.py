@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from webfem.geometry import Disk, ImplicitDomain, box, classify_cells, classify_indices
 from webfem.quadrature import build_quadrature
-from webfem.splines import KnotVector, TensorGrid, nonzero_basis, uniform_knots
+from webfem.splines import (
+    KnotVector, TensorGrid, deboor_fix, graded_knots, interpolate_piece,
+    local_polynomial, nonzero_basis, uniform_knots,
+)
 from webfem.webbasis import (
     BasisError, build_extension, build_web_basis, eval_field, eval_web,
     jackson_error, project,
@@ -15,6 +19,33 @@ def disk_basis(n_cells=14, degree=2, half=1.1):
     grid = TensorGrid(kv, kv)
     dom = ImplicitDomain(Disk([0.0, 0.0], 1.0))
     return build_web_basis(dom, grid)
+
+
+def disk_indices(grid):
+    dom = ImplicitDomain(Disk([0.0, 0.0], 1.0))
+    return classify_indices(grid, classify_cells(dom, grid))
+
+
+@st.composite
+def disk_grids(draw):
+    """Graded or randomly non-uniform tensor grids whose bounds are jittered
+    around the unit disk."""
+    degree = draw(st.integers(1, 3))
+
+    def axis():
+        lo = -1.0 - draw(st.floats(0.05, 0.3))
+        hi = 1.0 + draw(st.floats(0.05, 0.3))
+        n = draw(st.integers(6, 10))
+        if draw(st.booleans()):
+            return graded_knots(lo, hi, n, degree, draw(st.floats(0.8, 1.25)),
+                                side=draw(st.sampled_from(["min", "max"])))
+        w = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+        core = lo + (hi - lo) * np.concatenate([[0.0], np.cumsum(w)]) / np.sum(w)
+        left = core[0] - (core[1] - core[0]) * np.arange(degree, 0, -1)
+        right = core[-1] + (core[-1] - core[-2]) * np.arange(1, degree + 1)
+        return KnotVector(np.concatenate([left, core, right]), degree)
+
+    return TensorGrid(axis(), axis())
 
 
 def eval_eb_combo(basis, coeffs, pts):
@@ -57,6 +88,45 @@ class TestExtension:
         assert coeffs[(2, some_jy)] == pytest.approx(2.0, abs=1e-12)
         assert coeffs[(3, some_jy)] == pytest.approx(-1.0, abs=1e-12)
         assert coeffs[(2, some_jy - 1)] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("graded", [False, True])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_entries_equal_tensor_dual_functional(self, degree, graded):
+        # the per-axis factor tables give exactly the tensor functional on
+        # the product piece of every (inner, outer) pair
+        if graded:
+            grid = TensorGrid(graded_knots(-1.12, 1.08, 10, degree, 1.2, side="max"),
+                              graded_knots(-1.06, 1.13, 10, degree, 1.2, side="min"))
+        else:
+            kv = uniform_knots(-1.1, 1.1, 10, degree)
+            grid = TensorGrid(kv, kv)
+        idx = disk_indices(grid)
+        entries = build_extension(grid, idx).entries
+        assert len(entries) == sum(len(v) for v in idx.i_of_j.values()) > 0
+        for (i, j), e in entries.items():
+            piece = local_polynomial(grid, i, idx.q_cell[j])
+            assert e == deboor_fix(grid.kvs, j, piece)
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(grid=disk_grids(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_extension_transfers_dual_functionals_of_polynomials(self, grid, seed):
+        # defining identity: for P of coordinate degree <= m,
+        # lambda_j(P) = sum_{i in I(j)} e_{i,j} lambda_i(P)
+        idx = disk_indices(grid)
+        entries = build_extension(grid, idx).entries
+        m1, m2 = grid.degrees
+        A = np.random.default_rng(seed).normal(size=(m1 + 1, m2 + 1))
+        P = lambda pts: np.einsum("ab,na,nb->n", A,
+                                  pts[:, :1] ** np.arange(m1 + 1),
+                                  pts[:, 1:] ** np.arange(m2 + 1))
+        for j in idx.outer:
+            (x0, x1), (y0, y1) = grid.cell_bounds(idx.q_cell[j])
+            piece = interpolate_piece(P, (x0, y0), (x1, y1), grid.degrees)
+            terms = [entries[(i, j)] * deboor_fix(grid.kvs, i, piece)
+                     for i in idx.i_of_j[j]]
+            lhs = deboor_fix(grid.kvs, j, piece)
+            scale = max(1.0, sum(abs(t) for t in terms))
+            assert abs(lhs - sum(terms)) <= 1e-9 * scale
 
     def test_eb_polynomial_reproduction(self):
         # the eb expansion with dual-functional coefficients reproduces any
