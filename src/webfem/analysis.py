@@ -37,6 +37,10 @@ def _inside_mask(domain, pts):
     return domain.phi(pts) > 0.0
 
 
+_SCALAR_NORMS = ("L2", "H1", "W1p", "quasinorm")
+_MIXED_NORMS = ("Xnorm", "pressure_L2", "combined")
+
+
 def error_norm(field, case, norm, quad, p=None):
     """Named norm of (exact - discrete) over the domain quadrature.
 
@@ -46,63 +50,84 @@ def error_norm(field, case, norm, quad, p=None):
     The quasi-norm uses the exact gradient in the weight factor:
     |e|^2 = int (|grad u_s| + |grad e|)^{p-2} |grad e|^2.
     """
-    if norm in ("Xnorm", "pressure_L2", "combined"):
-        return _mixed_norm(field, case, norm, quad)
+    return error_norms(field, case, (norm,), quad, p)[norm]
+
+
+def error_norms(field, case, norms, quad, p=None):
+    """Dict of the named norms of (exact - discrete), see :func:`error_norm`.
+
+    The discrete and exact fields are sampled on ``quad`` once for all of
+    ``norms``, which are either all scalar or all mixed norms.
+    """
+    for norm in norms:
+        if norm not in _SCALAR_NORMS + _MIXED_NORMS:
+            raise AnalysisError(f"unknown norm {norm!r}")
+    mixed = [norm in _MIXED_NORMS for norm in norms]
+    if any(mixed):
+        if not all(mixed):
+            raise AnalysisError(
+                f"cannot take scalar and mixed norms together: {tuple(norms)}")
+        return _mixed_norms(field, case, norms, quad)
     pts = quad.points
     w = quad.weights
     vals, grads = eval_field(field.basis, field.coeffs, pts, nderiv=1)
     inside = _inside_mask(field.basis.domain, pts)
+    exact_grad = case.gradient(pts)
     ev = np.where(inside, case.solution(pts) - vals, 0.0)
-    eg = np.where(inside[:, None], case.gradient(pts) - grads, 0.0)
-    if norm == "L2":
-        return float(np.sqrt(np.sum(w * ev ** 2)))
-    if norm == "H1":
-        return float(np.sqrt(np.sum(w * (ev ** 2 + np.sum(eg ** 2, axis=1)))))
+    eg = np.where(inside[:, None], exact_grad - grads, 0.0)
     p = p if p is not None else case.params.get("p")
-    if norm == "W1p":
-        if p is None or p <= 1:
-            raise AnalysisError(f"W1p norm needs an exponent p > 1, got {p}")
-        s = np.sum(eg ** 2, axis=1) ** (0.5 * p)
-        return float(np.sum(w * s) ** (1.0 / p))
-    if norm == "quasinorm":
-        if p is None or p <= 1:
-            raise AnalysisError(f"quasi-norm needs an exponent p > 1, got {p}")
-        gs = np.linalg.norm(case.gradient(pts), axis=1)
-        ge = np.linalg.norm(eg, axis=1)
-        base = gs + ge
-        weight = np.zeros_like(base)
-        pos = base > 0
-        weight[pos] = base[pos] ** (p - 2.0)
-        return float(np.sqrt(np.sum(w * weight * ge ** 2)))
-    raise AnalysisError(f"unknown norm {norm!r}")
+    out = {}
+    for norm in norms:
+        if norm == "L2":
+            out[norm] = float(np.sqrt(np.sum(w * ev ** 2)))
+        elif norm == "H1":
+            out[norm] = float(np.sqrt(np.sum(
+                w * (ev ** 2 + np.sum(eg ** 2, axis=1)))))
+        elif norm == "W1p":
+            if p is None or p <= 1:
+                raise AnalysisError(f"W1p norm needs an exponent p > 1, got {p}")
+            s = np.sum(eg ** 2, axis=1) ** (0.5 * p)
+            out[norm] = float(np.sum(w * s) ** (1.0 / p))
+        else:
+            if p is None or p <= 1:
+                raise AnalysisError(
+                    f"quasi-norm needs an exponent p > 1, got {p}")
+            gs = np.linalg.norm(exact_grad, axis=1)
+            ge = np.linalg.norm(eg, axis=1)
+            base = gs + ge
+            weight = np.zeros_like(base)
+            pos = base > 0
+            weight[pos] = base[pos] ** (p - 2.0)
+            out[norm] = float(np.sqrt(np.sum(w * weight * ge ** 2)))
+    return out
 
 
-def _mixed_norm(field, case, norm, quad):
+def _mixed_norms(field, case, norms, quad):
     velocity, pressure = field
     pts = quad.points
     w = quad.weights
     inside = _inside_mask(velocity.basis.domain, pts)
-    if norm in ("Xnorm", "combined"):
+    out = {}
+    if "Xnorm" in norms or "combined" in norms:
         vals, grads = velocity(pts, grad=True)
         ev = np.where(inside[:, None], case.velocity(pts) - vals, 0.0)
         eg = np.where(inside[:, None, None],
                       case.velocity_gradient(pts) - grads, 0.0)
         x2 = np.sum(w * (np.sum(ev ** 2, axis=1)
                          + np.sum(eg ** 2, axis=(1, 2))))
-        xnorm = float(np.sqrt(x2))
-        if norm == "Xnorm":
-            return xnorm
-    pv = pressure(pts)
-    pe = case.pressure(pts)
-    # align the quadrature means: the discrete pressure is mean zero with
-    # respect to the cut rule, the exact one with respect to the true domain
-    area = float(np.sum(w))
-    diff = np.where(inside, pe - pv, 0.0)
-    diff = diff - np.sum(w * diff) / area
-    pl2 = float(np.sqrt(np.sum(w * diff ** 2)))
-    if norm == "pressure_L2":
-        return pl2
-    return xnorm + pl2
+        out["Xnorm"] = float(np.sqrt(x2))
+    if "pressure_L2" in norms or "combined" in norms:
+        pv = pressure(pts)
+        pe = case.pressure(pts)
+        # align the quadrature means: the discrete pressure is mean zero with
+        # respect to the cut rule, the exact one with respect to the true domain
+        area = float(np.sum(w))
+        diff = np.where(inside, pe - pv, 0.0)
+        diff = diff - np.sum(w * diff) / area
+        out["pressure_L2"] = float(np.sqrt(np.sum(w * diff ** 2)))
+    if "combined" in norms:
+        out["combined"] = out["Xnorm"] + out["pressure_L2"]
+    return {norm: out[norm] for norm in norms}
 
 
 def eoc(errors, hs):
@@ -262,14 +287,13 @@ def _run_level(case, domain, grid, g, study, level, opts, with_infsup):
         a = case.diffusion if case.diffusion is not None else 1.0
         sol = solve_vcpe(basis, a, case.source, tables, opts)
         rec["iterations"] = sol.params["iterations"]
-        for norm in ("L2", "H1"):
-            rec["errors"][norm] = error_norm(sol, case, norm, err_quad)
+        rec["errors"] = error_norms(sol, case, ("L2", "H1"), err_quad)
     elif case.kind == "plap":
         sol = solve_plap(basis, case.params["p"], case.source, tables, opts)
         rec["iterations"] = sol.params["iterations"]
         rec["residual_history"] = [s["residuals"] for s in sol.params["stages"]]
-        for norm in ("L2", "H1", "W1p", "quasinorm"):
-            rec["errors"][norm] = error_norm(sol, case, norm, err_quad)
+        rec["errors"] = error_norms(sol, case, ("L2", "H1", "W1p", "quasinorm"),
+                                    err_quad)
     elif case.kind == "quasi_newtonian":
         pspace = PressureSpace(grid, quad, study.pressure_degree,
                                macro=study.pressure_macro)
@@ -277,8 +301,9 @@ def _run_level(case, domain, grid, g, study, level, opts, with_infsup):
             basis, pspace, case.viscosity, case.body_force, tables, quad, opts)
         rec["iterations"] = info["iterations"]
         rec["incompressibility"] = info["incompressibility"]
-        for norm in ("Xnorm", "pressure_L2", "combined"):
-            rec["errors"][norm] = error_norm((vel, pres), case, norm, err_quad)
+        rec["errors"] = error_norms((vel, pres), case,
+                                    ("Xnorm", "pressure_L2", "combined"),
+                                    err_quad)
         if with_infsup is None or with_infsup:
             rec["infsup"] = estimate_infsup(basis, pspace, case.viscosity,
                                             tables, quad)

@@ -228,10 +228,7 @@ def _build_case(cfg):
                     "pressure_projection": "pressure_xy"}
         name = defaults[prob["type"]]
         if name is None:
-            p = prob.get("p")
-            name = {1.5: None, 3.0: "plap_p3"}.get(p)
-            if p == 1.5:
-                name = "plap_p15_smooth"
+            name = {1.5: "plap_p15_smooth", 3.0: "plap_p3"}.get(prob.get("p"))
             if name is None:
                 raise ConfigError(
                     "no bundled p-Laplacian case for this p; set problem.case")

@@ -4,7 +4,10 @@ Interior cells carry tensor Gauss-Legendre rules. Boundary cells are
 subdivided dyadically: sub-cells entirely inside or outside (judged by a
 corner + center sample) are resolved immediately, straddling ones recurse
 until the depth limit, where leaves are kept or dropped by their center
-sample. Exterior cells contribute nothing.
+sample. Exterior cells contribute nothing. The subdivision runs level by
+level over the boxes of all boundary cells at once, and the rule keeps the
+per-cell point order: cells by id, and within a cell, leaves by level and
+then by child order.
 """
 
 from dataclasses import dataclass
@@ -39,10 +42,15 @@ def gauss_2d(g):
 
 def cell_rule(lo, hi, g):
     """Tensor Gauss points and weights on the box [lo, hi]."""
+    return _box_rules(np.array([[*lo, *hi]], dtype=float), g)
+
+
+def _box_rules(boxes, g):
+    """``cell_rule`` on every (x0, y0, x1, y1) row of ``boxes``, flattened."""
     ref, w = gauss_2d(g)
-    size = np.asarray(hi, dtype=float) - np.asarray(lo, dtype=float)
-    pts = np.asarray(lo, dtype=float) + ref * size
-    return pts, w * size[0] * size[1]
+    size = boxes[:, 2:] - boxes[:, :2]
+    pts = boxes[:, None, :2] + ref * size[:, None, :]
+    return pts.reshape(-1, 2), (w * size[:, :1] * size[:, 1:]).ravel()
 
 
 @dataclass
@@ -78,51 +86,51 @@ class DomainQuadrature:
         return float(np.sum(self.weights * vals))
 
 
-def _subdivide_cell(domain, lo, hi, g_leaf, depth):
-    """Quadrature contributions of one boundary cell.
+# corner + center samples of a box, as fractions of its size
+_SAMPLE_FRAC = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0],
+                         [0.5, 0.5]])
 
-    Returns (points, weights) arrays; the traversal is breadth-first with
-    children emitted in a fixed order, so the output order is deterministic.
+
+def _subdivide_boundary(domain, boxes, owner, depth):
+    """Kept leaf boxes of all boundary cells, subdivided level by level.
+
+    ``boxes`` holds one (x0, y0, x1, y1) row per boundary cell and ``owner``
+    its cell id. Each level classifies every live box of every cell with one
+    ``domain.phi`` call on its corner + center samples; straddling boxes split
+    into 4 children in a fixed order. Returns the kept boxes and their owners,
+    level by level; restricted to one cell, that is the breadth-first order
+    of subdividing the cell alone.
     """
-    pts_out = []
-    wts_out = []
-    boxes = np.array([[lo[0], lo[1], hi[0], hi[1]]])
-    corner_frac = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0],
-                            [0.5, 0.5]])
+    kept, kept_owner = [np.empty((0, 4))], [np.empty(0, dtype=np.int64)]
     for level in range(depth + 1):
+        if boxes.shape[0] == 0:
+            break
         lo_b = boxes[:, :2]
         size = boxes[:, 2:] - lo_b
-        # classify each box by its corner + center samples
-        sample = lo_b[:, None, :] + corner_frac[None, :, :] * size[:, None, :]
-        vals = domain.phi(sample.reshape(-1, 2)).reshape(-1, 5)
+        # sample-major, so that the per-box tests reduce over the short axis
+        sample = lo_b + _SAMPLE_FRAC[:, None, :] * size
+        vals = domain.phi(sample.reshape(-1, 2)).reshape(5, -1)
         if level == depth:
-            keep = vals[:, 4] > 0.0  # leaf rule: center sample decides
-            inside = np.nonzero(keep)[0]
-            straddle = np.empty(0, dtype=int)
+            inside = vals[4] > 0.0  # leaf rule: center sample decides
+            straddle = np.zeros_like(inside)
         else:
-            all_pos = np.all(vals > 0.0, axis=1)
-            all_neg = np.all(vals < 0.0, axis=1)
-            inside = np.nonzero(all_pos)[0]
-            straddle = np.nonzero(~(all_pos | all_neg))[0]
-        for b in inside:
-            p, w = cell_rule(lo_b[b], boxes[b, 2:], g_leaf)
-            pts_out.append(p)
-            wts_out.append(w)
-        if straddle.size == 0:
-            break
+            all_pos = np.all(vals > 0.0, axis=0)
+            all_neg = np.all(vals < 0.0, axis=0)
+            inside = all_pos
+            straddle = ~(all_pos | all_neg)
+        kept.append(boxes[inside])
+        kept_owner.append(owner[inside])
         # split straddling boxes into 4 children, fixed order
         sb = boxes[straddle]
         mid = 0.5 * (sb[:, :2] + sb[:, 2:])
-        children = [
+        boxes = np.concatenate([
             np.column_stack([sb[:, 0], sb[:, 1], mid[:, 0], mid[:, 1]]),
             np.column_stack([mid[:, 0], sb[:, 1], sb[:, 2], mid[:, 1]]),
             np.column_stack([sb[:, 0], mid[:, 1], mid[:, 0], sb[:, 3]]),
             np.column_stack([mid[:, 0], mid[:, 1], sb[:, 2], sb[:, 3]]),
-        ]
-        boxes = np.concatenate(children, axis=0)
-    if pts_out:
-        return np.vstack(pts_out), np.concatenate(wts_out)
-    return np.empty((0, 2)), np.empty(0)
+        ])
+        owner = np.tile(owner[straddle], 4)
+    return np.concatenate(kept), np.concatenate(kept_owner)
 
 
 def build_quadrature(domain, grid, cls, g, depth, g_leaf=None):
@@ -146,30 +154,33 @@ def build_quadrature(domain, grid, cls, g, depth, g_leaf=None):
         raise QuadratureError(f"subdivision depth must be nonnegative, got {depth}")
     g_leaf = g if g_leaf is None else g_leaf
     nx, ny = grid.num_cells
-    pts, wts, ids = [], [], []
-    for jx in range(nx):
-        for jy in range(ny):
-            lab = cls.labels[jx, jy]
-            if lab == CellLabel.EXTERIOR:
-                continue
-            (x0, x1), (y0, y1) = grid.cell_bounds((jx, jy))
-            if lab == CellLabel.INTERIOR:
-                p, w = cell_rule((x0, y0), (x1, y1), g)
-            else:
-                p, w = _subdivide_cell(domain, np.array([x0, y0]),
-                                       np.array([x1, y1]), g_leaf, depth)
-            if p.size == 0:
-                continue
-            pts.append(p)
-            wts.append(w)
-            ids.append(np.full(w.size, jx * ny + jy, dtype=np.int64))
-    if not pts:
-        return DomainQuadrature(points=np.empty((0, 2)), weights=np.empty(0),
-                                cell_ids=np.empty(0, dtype=np.int64),
-                                gauss_order=g, depth=depth)
-    return DomainQuadrature(points=np.vstack(pts), weights=np.concatenate(wts),
-                            cell_ids=np.concatenate(ids), gauss_order=g,
-                            depth=depth)
+    bx = grid.kvs[0].breakpoints
+    by = grid.kvs[1].breakpoints
+    jx, jy = np.divmod(np.arange(nx * ny), ny)  # cell id = jx * ny + jy
+    cell_boxes = np.column_stack([bx[jx], by[jy], bx[jx + 1], by[jy + 1]])
+    labels = cls.labels.ravel()
+    interior = np.flatnonzero(labels == CellLabel.INTERIOR)
+    boundary = np.flatnonzero(labels == CellLabel.BOUNDARY)
+    leaves, leaf_owner = _subdivide_boundary(
+        domain, cell_boxes[boundary], boundary.astype(np.int64), depth)
+    # boxes in cell-id order (stable: a cell keeps its leaf order) and the
+    # offset of each box's points in the rule; each group of boxes is then
+    # written straight to its slots, with no point-level sort or copy
+    owner = np.concatenate([interior, leaf_owner])
+    sizes = np.repeat([g * g, g_leaf * g_leaf], [interior.size, leaf_owner.size])
+    order = np.argsort(owner, kind="stable")
+    start = np.empty_like(sizes)
+    start[order] = np.cumsum(sizes[order]) - sizes[order]
+    n = int(sizes.sum())
+    points, weights = np.empty((n, 2)), np.empty(n)
+    cell_ids = np.empty(n, dtype=np.int64)
+    for part, boxes, gg in ((slice(0, interior.size), cell_boxes[interior], g),
+                            (slice(interior.size, None), leaves, g_leaf)):
+        slots = (start[part, None] + np.arange(gg * gg)).ravel()
+        points[slots], weights[slots] = _box_rules(boxes, gg)
+        cell_ids[slots] = np.repeat(owner[part], gg * gg)
+    return DomainQuadrature(points=points, weights=weights, cell_ids=cell_ids,
+                            gauss_order=g, depth=depth)
 
 
 def integrate(domain, grid, cls, f, g=3, depth=6):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from webfem.analysis import (
-    AnalysisError, StudyConfig, eoc, error_norm, level_csv,
+    AnalysisError, StudyConfig, eoc, error_norm, error_norms, level_csv,
     pressure_projection_error, run_convergence,
 )
 from webfem.assembly import BasisTables, PressureSpace
 from webfem.cases import get_case
 from webfem.geometry import domain_from_config
 from webfem.quadrature import build_quadrature
-from webfem.solvers import SolutionField
+from webfem.solvers import PressureField, SolutionField
 from webfem.splines import TensorGrid, uniform_knots
 from webfem.webbasis import build_web_basis, project
 
@@ -116,6 +116,70 @@ class TestErrorNorm:
             error_norm(field, case, "quasinorm", quad, p=1.0)
         with pytest.raises(AnalysisError):
             error_norm(field, case, "unknown-norm", quad)
+
+
+class TestErrorNorms:
+    """One sampling pass for several norms gives each norm's own value."""
+
+    @staticmethod
+    def random_field(name, components=1, n_cells=8, seed=3):
+        case = get_case(name)
+        dom = domain_from_config(case.domain_config)
+        kv = uniform_knots(-1.1, 1.1, n_cells, 2)
+        grid = TensorGrid(kv, kv)
+        basis = build_web_basis(dom, grid)
+        quad = build_quadrature(dom, grid, basis.cls, 4, 5, 3)
+        coeffs = np.random.default_rng(seed).normal(
+            scale=0.1, size=components * basis.n_inner)
+        field = SolutionField(basis=basis, coeffs=coeffs, kind=case.kind)
+        return case, field, quad
+
+    def test_vcpe_matches_per_norm_calls(self):
+        case, field, quad = self.random_field("disk_poisson")
+        norms = ("L2", "H1")
+        got = error_norms(field, case, norms, quad)
+        assert list(got) == list(norms)
+        for norm in norms:
+            assert got[norm] == error_norm(field, case, norm, quad)
+
+    def test_plap_matches_per_norm_calls(self):
+        case, field, quad = self.random_field("plap_p15_w2p")
+        norms = ("L2", "H1", "W1p", "quasinorm")
+        got = error_norms(field, case, norms, quad)
+        for norm in norms:
+            assert got[norm] == error_norm(field, case, norm, quad)
+        # an explicit exponent overrides the case's own
+        got = error_norms(field, case, norms, quad, p=2.5)
+        for norm in norms:
+            assert got[norm] == error_norm(field, case, norm, quad, p=2.5)
+        assert got["W1p"] != error_norm(field, case, "W1p", quad)
+
+    def test_mixed_matches_per_norm_calls(self):
+        case, velocity, quad = self.random_field("stokes_carreau", components=2)
+        pspace = PressureSpace(velocity.basis.grid, quad, 1)
+        pressure = PressureField(space=pspace, coeffs=np.random.default_rng(
+            4).normal(size=pspace.n_dofs))
+        field = (velocity, pressure)
+        norms = ("Xnorm", "pressure_L2", "combined")
+        got = error_norms(field, case, norms, quad)
+        for norm in norms:
+            assert got[norm] == error_norm(field, case, norm, quad)
+        assert got["combined"] == got["Xnorm"] + got["pressure_L2"]
+        assert error_norms(field, case, ("combined",), quad) == {
+            "combined": got["combined"]}
+
+    def test_errors_keep_messages(self):
+        case, field, quad = self.random_field("disk_poisson")
+        with pytest.raises(AnalysisError, match="unknown norm 'unknown-norm'"):
+            error_norms(field, case, ("L2", "unknown-norm"), quad)
+        with pytest.raises(AnalysisError,
+                           match=r"W1p norm needs an exponent p > 1, got 1.0"):
+            error_norms(field, case, ("L2", "W1p"), quad, p=1.0)
+        with pytest.raises(AnalysisError,
+                           match=r"quasi-norm needs an exponent p > 1, got None"):
+            error_norms(field, case, ("quasinorm",), quad)
+        with pytest.raises(AnalysisError, match="scalar and mixed"):
+            error_norms(field, case, ("L2", "Xnorm"), quad)
 
 
 class TestRunConvergence:

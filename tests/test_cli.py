@@ -155,6 +155,19 @@ class TestRun:
             run(load_config(path))
         assert not list(tmp_path.glob("**/*.stiffness.txt"))
 
+    @pytest.mark.parametrize("p, case", [(1.5, "plap_p15_smooth"),
+                                         (3.0, "plap_p3")])
+    def test_default_plap_case_by_exponent(self, tmp_path, capsys, p, case):
+        path = write_config(tmp_path, problem={"type": "plap", "p": p},
+                            grid={"kind": "uniform", "degree": 1, "cells": 4})
+        assert main(["run", path, "--describe"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["case"] == case
+
+    def test_no_default_plap_case_for_other_exponents(self, tmp_path, capsys):
+        path = write_config(tmp_path, problem={"type": "plap", "p": 2.0})
+        assert main(["run", path, "--describe"]) == EXIT_CONFIG
+        assert "no bundled p-Laplacian case" in capsys.readouterr().err
+
     def test_run_leaves_environment_unchanged(self, tmp_path):
         before = dict(os.environ)
         run(load_config(write_config(tmp_path)), out_dir=str(tmp_path / "o"))

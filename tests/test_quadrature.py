@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from webfem.geometry import Disk, ImplicitDomain, box, classify_cells
+from webfem.geometry import (
+    CellLabel, Complement, Conjunction, Disjunction, Disk, HalfPlane,
+    ImplicitDomain, box, classify_cells,
+)
 from webfem.quadrature import (
     QuadratureError, build_quadrature, cell_rule, integrate,
 )
@@ -106,3 +110,127 @@ class TestIntegrate:
         q2 = build_quadrature(dom, grid, cls, 3, 5)
         assert np.array_equal(q1.points, q2.points)
         assert np.array_equal(q1.weights, q2.weights)
+
+
+def reference_quadrature(domain, grid, cls, g, depth, g_leaf=None):
+    """Cell-by-cell rule: each boundary cell subdivided on its own, one
+    ``cell_rule`` call per kept leaf (the loop the batched rule replaced)."""
+    g_leaf = g if g_leaf is None else g_leaf
+    corner_frac = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0],
+                            [0.5, 0.5]])
+
+    def subdivide_cell(lo, hi):
+        pts_out, wts_out = [], []
+        boxes = np.array([[lo[0], lo[1], hi[0], hi[1]]])
+        for level in range(depth + 1):
+            lo_b = boxes[:, :2]
+            size = boxes[:, 2:] - lo_b
+            sample = lo_b[:, None, :] + corner_frac[None, :, :] * size[:, None, :]
+            vals = domain.phi(sample.reshape(-1, 2)).reshape(-1, 5)
+            if level == depth:
+                inside = np.nonzero(vals[:, 4] > 0.0)[0]
+                straddle = np.empty(0, dtype=int)
+            else:
+                all_pos = np.all(vals > 0.0, axis=1)
+                all_neg = np.all(vals < 0.0, axis=1)
+                inside = np.nonzero(all_pos)[0]
+                straddle = np.nonzero(~(all_pos | all_neg))[0]
+            for b in inside:
+                p, w = cell_rule(lo_b[b], boxes[b, 2:], g_leaf)
+                pts_out.append(p)
+                wts_out.append(w)
+            if straddle.size == 0:
+                break
+            sb = boxes[straddle]
+            mid = 0.5 * (sb[:, :2] + sb[:, 2:])
+            boxes = np.concatenate([
+                np.column_stack([sb[:, 0], sb[:, 1], mid[:, 0], mid[:, 1]]),
+                np.column_stack([mid[:, 0], sb[:, 1], sb[:, 2], mid[:, 1]]),
+                np.column_stack([sb[:, 0], mid[:, 1], mid[:, 0], sb[:, 3]]),
+                np.column_stack([mid[:, 0], mid[:, 1], sb[:, 2], sb[:, 3]]),
+            ], axis=0)
+        if pts_out:
+            return np.vstack(pts_out), np.concatenate(wts_out)
+        return np.empty((0, 2)), np.empty(0)
+
+    nx, ny = grid.num_cells
+    pts, wts, ids = [], [], []
+    for jx in range(nx):
+        for jy in range(ny):
+            lab = cls.labels[jx, jy]
+            if lab == CellLabel.EXTERIOR:
+                continue
+            (x0, x1), (y0, y1) = grid.cell_bounds((jx, jy))
+            if lab == CellLabel.INTERIOR:
+                p, w = cell_rule((x0, y0), (x1, y1), g)
+            else:
+                p, w = subdivide_cell(np.array([x0, y0]), np.array([x1, y1]))
+            if p.size == 0:
+                continue
+            pts.append(p)
+            wts.append(w)
+            ids.append(np.full(w.size, jx * ny + jy, dtype=np.int64))
+    if not pts:
+        return np.empty((0, 2)), np.empty(0), np.empty(0, dtype=np.int64)
+    return np.vstack(pts), np.concatenate(wts), np.concatenate(ids)
+
+
+_coord = st.floats(-1.0, 1.0)
+_leaves = st.one_of(
+    st.builds(Disk, st.tuples(_coord, _coord), st.floats(0.15, 1.2)),
+    st.builds(HalfPlane,
+              st.tuples(_coord, _coord).filter(lambda n: np.hypot(*n) > 0.1),
+              st.floats(-0.8, 0.8)))
+
+
+def r_trees(depth):
+    """R-function trees of at most ``depth`` operations above the leaves."""
+    if depth == 0:
+        return _leaves
+    sub = r_trees(depth - 1)
+    return st.one_of(_leaves, st.builds(Conjunction, sub, sub),
+                     st.builds(Disjunction, sub, sub),
+                     st.builds(Complement, sub))
+
+
+class TestBatchedSubdivision:
+    @settings(deadline=None, max_examples=40)
+    @given(tree=r_trees(3), n_cells=st.integers(4, 12),
+           half=st.floats(1.0, 1.2), depth=st.integers(0, 6),
+           g=st.integers(1, 4), g_leaf=st.one_of(st.none(), st.integers(1, 3)))
+    def test_equals_cell_by_cell_rule(self, tree, n_cells, half, depth, g,
+                                      g_leaf):
+        dom = ImplicitDomain(tree)
+        kv = uniform_knots(-half, half, n_cells, 1)
+        grid = TensorGrid(kv, kv)
+        cls = classify_cells(dom, grid)
+        quad = build_quadrature(dom, grid, cls, g, depth, g_leaf)
+        pts, wts, ids = reference_quadrature(dom, grid, cls, g, depth, g_leaf)
+        assert np.array_equal(quad.points, pts)
+        assert np.array_equal(quad.weights, wts)
+        assert np.array_equal(quad.cell_ids, ids)
+        assert quad.points.shape == (quad.num_points, 2)
+        assert quad.cell_ids.dtype == np.int64
+
+        assert np.all(quad.weights > 0)
+        assert np.all(np.diff(quad.cell_ids) >= 0)
+        jx, jy = np.divmod(quad.cell_ids, grid.num_cells[1])
+        assert not np.any(cls.labels[jx, jy] == CellLabel.EXTERIOR)
+        b = kv.breakpoints
+        x, y = quad.points.T
+        assert np.all((b[jx] <= x) & (x <= b[jx + 1]))
+        assert np.all((b[jy] <= y) & (y <= b[jy + 1]))
+
+    def test_empty_domain_gives_empty_rule(self):
+        dom = ImplicitDomain(Disk([5.0, 5.0], 0.5))
+        kv = uniform_knots(-1.0, 1.0, 4, 1)
+        grid = TensorGrid(kv, kv)
+        quad = build_quadrature(dom, grid, classify_cells(dom, grid), 3, 4)
+        assert quad.points.shape == (0, 2)
+        assert quad.weights.shape == (0,)
+        assert quad.cell_ids.dtype == np.int64
+
+    def test_negative_depth_rejected(self):
+        dom, grid, cls = disk_setup(n_cells=4)
+        with pytest.raises(QuadratureError, match="nonnegative"):
+            build_quadrature(dom, grid, cls, 3, -1)
