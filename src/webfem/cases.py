@@ -52,6 +52,23 @@ def _r(pts):
     return np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
 
 
+def _bump_sin(p):
+    """psi = 1 - r^2, S = sin(3x + 2y) and C = cos(3x + 2y) at the points."""
+    arg = 3.0 * p[:, 0] + 2.0 * p[:, 1]
+    return 1.0 - p[:, 0] ** 2 - p[:, 1] ** 2, np.sin(arg), np.cos(arg)
+
+
+def _bump_sin_solution(p):
+    psi, s, _ = _bump_sin(p)
+    return psi * s
+
+
+def _bump_sin_gradient(p):
+    psi, s, c = _bump_sin(p)
+    return np.column_stack([-2.0 * p[:, 0] * s + 3.0 * psi * c,
+                            -2.0 * p[:, 1] * s + 2.0 * psi * c])
+
+
 def disk_poisson():
     """Poisson on the unit disk, u = (1 - r^2) sin(3x + 2y).
 
@@ -60,26 +77,14 @@ def disk_poisson():
     observable without extreme subdivision depths.
     """
 
-    def u(p):
-        return (1.0 - p[:, 0] ** 2 - p[:, 1] ** 2) * np.sin(3.0 * p[:, 0] + 2.0 * p[:, 1])
-
-    def grad(p):
-        phi = 1.0 - p[:, 0] ** 2 - p[:, 1] ** 2
-        s = np.sin(3.0 * p[:, 0] + 2.0 * p[:, 1])
-        c = np.cos(3.0 * p[:, 0] + 2.0 * p[:, 1])
-        return np.column_stack([-2.0 * p[:, 0] * s + 3.0 * phi * c,
-                                -2.0 * p[:, 1] * s + 2.0 * phi * c])
-
     def f(p):
-        # -Lap u with u = phi*s: Lap u = s*Lap phi + 2 grad phi . grad s + phi*Lap s
-        phi = 1.0 - p[:, 0] ** 2 - p[:, 1] ** 2
-        s = np.sin(3.0 * p[:, 0] + 2.0 * p[:, 1])
-        c = np.cos(3.0 * p[:, 0] + 2.0 * p[:, 1])
-        return (4.0 + 13.0 * phi) * s + (12.0 * p[:, 0] + 8.0 * p[:, 1]) * c
+        # -Lap u with u = psi*S: Lap u = S*Lap psi + 2 grad psi . grad S + psi*Lap S
+        psi, s, c = _bump_sin(p)
+        return (4.0 + 13.0 * psi) * s + (12.0 * p[:, 0] + 8.0 * p[:, 1]) * c
 
     return ManufacturedCase(
         name="disk_poisson", kind="vcpe", domain_config=UNIT_DISK,
-        solution=u, gradient=grad, source=f,
+        solution=_bump_sin_solution, gradient=_bump_sin_gradient, source=f,
         rate_targets={"H1": "degree"})
 
 
@@ -183,34 +188,31 @@ def plap_p15_smooth():
 
 
 def _smooth_plap_case(name, p_exp, target):
-    import sympy as sym
+    """u = (1 - r^2) sin(3x + 2y) with the mass-term p-Laplacian source.
 
-    x, y = sym.symbols("x y", real=True)
-    u_expr = (1 - x ** 2 - y ** 2) * sym.sin(3 * x + 2 * y)
-    ux = sym.diff(u_expr, x)
-    uy = sym.diff(u_expr, y)
-    mu = (ux ** 2 + uy ** 2) ** (0.5 * (p_exp - 2.0))
-    f_expr = -(sym.diff(mu * ux, x) + sym.diff(mu * uy, y)) + u_expr
-    f_num = sym.lambdify((x, y), f_expr, "numpy")
-    u_num = sym.lambdify((x, y), u_expr, "numpy")
-    g_num = sym.lambdify((x, y), (ux, uy), "numpy")
-
-    def u(pts):
-        return u_num(pts[:, 0], pts[:, 1])
-
-    def grad(pts):
-        gx, gy = g_num(pts[:, 0], pts[:, 1])
-        return np.column_stack([gx, gy])
+    With g = grad u and H its Hessian, div(|g|^{p-2} g) =
+    |g|^{p-2} Lap u + (p-2) |g|^{p-4} g^T H g.
+    """
 
     def f(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        psi, s, c = _bump_sin(pts)
+        gx, gy = _bump_sin_gradient(pts).T
+        uxx = -2.0 * s - 12.0 * x * c - 9.0 * psi * s
+        uyy = -2.0 * s - 8.0 * y * c - 4.0 * psi * s
+        uxy = -4.0 * x * c - 6.0 * y * c - 6.0 * psi * s
+        g2 = gx ** 2 + gy ** 2
+        gHg = gx ** 2 * uxx + 2.0 * gx * gy * uxy + gy ** 2 * uyy
+        # the source is singular where grad u = 0 (p < 2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = f_num(pts[:, 0], pts[:, 1])
-        return vals
+            div = (g2 ** (0.5 * (p_exp - 2.0)) * (uxx + uyy)
+                   + (p_exp - 2.0) * g2 ** (0.5 * (p_exp - 4.0)) * gHg)
+        return -div + psi * s
 
     return ManufacturedCase(
         name=name, kind="plap", domain_config=UNIT_DISK,
         params={"p": p_exp, "regularity": "smooth"},
-        solution=u, gradient=grad, source=f,
+        solution=_bump_sin_solution, gradient=_bump_sin_gradient, source=f,
         rate_targets={"quasinorm": target})
 
 
@@ -260,40 +262,35 @@ def stokes_newtonian():
 
 
 def stokes_carreau(a0=2.0, a_inf=1.0, exponent=1.5):
-    """Carreau-viscosity case; the body force comes from symbolic
-    differentiation of the stress divergence
-    (validated by finite differences in the test suite)."""
-    import sympy as sym
+    """Carreau-viscosity Stokes with the velocity and pressure of
+    `stokes_newtonian` and a closed-form body force (validated by finite
+    differences in the test suite).
 
-    x, y = sym.symbols("x y", real=True)
-    phi_d = 1 - x ** 2 - y ** 2
-    u1 = -4 * y * phi_d
-    u2 = 4 * x * phi_d
-    pr = x * y
-    d11 = sym.diff(u1, x)
-    d22 = sym.diff(u2, y)
-    d12 = (sym.diff(u1, y) + sym.diff(u2, x)) / 2
-    s = d11 ** 2 + d22 ** 2 + 2 * d12 ** 2
-    a = a_inf + (a0 - a_inf) * (1 + s) ** (0.5 * (exponent - 2.0))
-    f1 = -(sym.diff(a * d11, x) + sym.diff(a * d12, y)) + sym.diff(pr, x)
-    f2 = -(sym.diff(a * d12, x) + sym.diff(a * d22, y)) + sym.diff(pr, y)
-    force = sym.lambdify((x, y), (f1, f2), "numpy")
+    D(u) has d11 = -d22 = 8xy and d12 = 4(y^2 - x^2), so s = |D(u)|^2 =
+    32 r^4 and, with a = a(s) and a' = da/ds,
+    -div(a D(u)) + grad(xy) = (y - k y, x + k x), k = 16 a + 512 a' r^4.
+    """
+    from .solvers import carreau_viscosity
 
+    viscosity = carreau_viscosity(a0, a_inf, exponent)
+    q = 0.5 * (exponent - 2.0)
     vel, vgrad = _stokes_velocity()
 
     def phi(p):
-        f1v, f2v = force(p[:, 0], p[:, 1])
-        return np.column_stack([np.broadcast_to(f1v, p.shape[0]),
-                                np.broadcast_to(f2v, p.shape[0])])
+        x, y = p[:, 0], p[:, 1]
+        r4 = (x ** 2 + y ** 2) ** 2
+        s = 32.0 * r4
+        da = (a0 - a_inf) * q * (1.0 + s) ** (q - 1.0)
+        k = 16.0 * viscosity(s) + 512.0 * da * r4
+        return np.column_stack([y - k * y, x + k * x])
 
-    from .solvers import carreau_viscosity
     return ManufacturedCase(
         name="stokes_carreau", kind="quasi_newtonian",
         domain_config=UNIT_DISK,
         params={"a0": a0, "a_inf": a_inf, "r_carreau": exponent},
         velocity=vel, velocity_gradient=vgrad,
         pressure=lambda p: p[:, 0] * p[:, 1],
-        body_force=phi, viscosity=carreau_viscosity(a0, a_inf, exponent),
+        body_force=phi, viscosity=viscosity,
         rate_targets={"combined": 1.0})
 
 

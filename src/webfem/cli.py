@@ -81,8 +81,8 @@ CONFIG_SCHEMA = {
                                   "projector", "pressure_projection"]},
                 "case": {"type": "string"},
                 "p": {"type": "number"},
-                "a0": {"type": "number"},
-                "a_inf": {"type": "number"},
+                "a0": {"type": "number", "exclusiveMinimum": 0},
+                "a_inf": {"type": "number", "exclusiveMinimum": 0},
                 "r_carreau": {"type": "number"},
                 "pressure_degree": {"type": "integer", "minimum": 0},
                 "pressure_macro": {"type": "integer", "minimum": 1},
@@ -195,7 +195,9 @@ def load_config(path):
     try:
         jsonschema.validate(raw, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config {path}: {exc.message}") from exc
+        where = ".".join(str(k) for k in exc.absolute_path)
+        raise ConfigError(
+            f"invalid config {path}: {where or 'top level'}: {exc.message}") from exc
     cfg = _merge_defaults(raw)
     p = cfg["problem"].get("p")
     if cfg["problem"]["type"] == "plap" and (p is None or not p > 1.0):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, reject, settings, strategies as st
 
 import webfem.assembly as assembly
 from webfem.assembly import (
@@ -12,10 +13,14 @@ from webfem.assembly import (
     export_coo, plap_energy, pressure_mass_and_integral, project_pressure,
     web_reduce,
 )
-from webfem.geometry import Disk, ImplicitDomain
+from webfem.geometry import (
+    Conjunction, Disk, ImplicitDomain, ResolutionError, box,
+)
 from webfem.quadrature import build_quadrature
 from webfem.splines import TensorGrid, uniform_knots
 from webfem.webbasis import build_web_basis, eval_web, project
+
+from strategies import r_trees
 
 
 def disk_setup(n_cells=8, degree=2, g=None, depth=5):
@@ -36,6 +41,24 @@ class TestVcpe:
         A = sys.matrix.toarray()
         assert np.max(np.abs(A - A.T)) <= 1e-10 * np.max(np.abs(A))
         assert np.linalg.eigvalsh(A).min() > 0.0
+
+    @settings(deadline=None, max_examples=30)
+    @given(tree=r_trees(2), n_cells=st.integers(4, 8),
+           degree=st.integers(1, 3), half=st.floats(1.0, 1.2),
+           depth=st.integers(0, 4))
+    def test_spd_on_random_domains(self, tree, n_cells, degree, half, depth):
+        # the box keeps every domain inside the grid core
+        dom = ImplicitDomain(Conjunction(tree, box([-0.95, -0.95], [0.95, 0.95])))
+        kv = uniform_knots(-half, half, n_cells, degree)
+        grid = TensorGrid(kv, kv)
+        try:
+            basis = build_web_basis(dom, grid)
+        except ResolutionError:
+            reject()
+        quad = build_quadrature(dom, grid, basis.cls, degree + 1, depth)
+        A = assemble_vcpe(basis, 1.0, 0.0, BasisTables(basis, quad)).matrix.toarray()
+        assert np.max(np.abs(A - A.T)) <= 1e-12 * np.max(np.abs(A))
+        assert np.linalg.eigvalsh(A)[0] > 0.0
 
     def test_diagonal_positive(self):
         basis, quad, tables = disk_setup(n_cells=6)

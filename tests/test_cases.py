@@ -172,6 +172,82 @@ class TestStrongResidual:
         assert np.max(np.abs(g[:, 0, 0] + g[:, 1, 1])) <= 1e-12
 
 
+def symbolic_carreau_force(a0, a_inf, exponent):
+    """Body force of `stokes_carreau` by symbolic differentiation of the
+    stress divergence."""
+    sym = pytest.importorskip("sympy")
+    x, y = sym.symbols("x y", real=True)
+    phi_d = 1 - x ** 2 - y ** 2
+    u1 = -4 * y * phi_d
+    u2 = 4 * x * phi_d
+    pr = x * y
+    d11 = sym.diff(u1, x)
+    d22 = sym.diff(u2, y)
+    d12 = (sym.diff(u1, y) + sym.diff(u2, x)) / 2
+    s = d11 ** 2 + d22 ** 2 + 2 * d12 ** 2
+    a = a_inf + (a0 - a_inf) * (1 + s) ** (0.5 * (exponent - 2.0))
+    f1 = -(sym.diff(a * d11, x) + sym.diff(a * d12, y)) + sym.diff(pr, x)
+    f2 = -(sym.diff(a * d12, x) + sym.diff(a * d22, y)) + sym.diff(pr, y)
+    force = sym.lambdify((x, y), (f1, f2), "numpy")
+
+    def phi(p):
+        f1v, f2v = force(p[:, 0], p[:, 1])
+        return np.column_stack([np.broadcast_to(f1v, p.shape[0]),
+                                np.broadcast_to(f2v, p.shape[0])])
+
+    return phi
+
+
+def symbolic_smooth_plap_source(p_exp):
+    """Source of `plap_p15_smooth` by symbolic differentiation of
+    -div(|grad u|^{p-2} grad u) + u."""
+    sym = pytest.importorskip("sympy")
+    x, y = sym.symbols("x y", real=True)
+    u_expr = (1 - x ** 2 - y ** 2) * sym.sin(3 * x + 2 * y)
+    ux = sym.diff(u_expr, x)
+    uy = sym.diff(u_expr, y)
+    mu = (ux ** 2 + uy ** 2) ** (0.5 * (p_exp - 2.0))
+    f_expr = -(sym.diff(mu * ux, x) + sym.diff(mu * uy, y)) + u_expr
+    f_num = sym.lambdify((x, y), f_expr, "numpy")
+    return lambda pts: f_num(pts[:, 0], pts[:, 1])
+
+
+def disk_points(n, seed, radius=0.99):
+    rng = np.random.default_rng(seed)
+    r = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
+    t = rng.uniform(0.0, 2.0 * np.pi, n)
+    return np.column_stack([r * np.cos(t), r * np.sin(t)])
+
+
+class TestClosedFormSources:
+    """The closed-form sources against the symbolic oracles above (skipped
+    without sympy), relative to the largest oracle value."""
+
+    @pytest.mark.parametrize("a0, a_inf, exponent", [
+        (2.0, 1.0, 1.5), (3.0, 0.5, 1.2), (2.0, 1.0, 2.5), (1.0, 1.0, 1.5)])
+    def test_carreau_force_matches_symbolic(self, a0, a_inf, exponent):
+        pts = disk_points(2000, seed=11)
+        want = symbolic_carreau_force(a0, a_inf, exponent)(pts)
+        case = get_case("stokes_carreau", a0=a0, a_inf=a_inf, exponent=exponent)
+        got = case.body_force(pts)
+        assert got.shape == want.shape == (pts.shape[0], 2)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_smooth_plap_source_matches_symbolic(self):
+        case = get_case("plap_p15_smooth")
+        pts = disk_points(2000, seed=12)
+        want = symbolic_smooth_plap_source(case.params["p"])(pts)
+        got = case.source(pts)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_constant_viscosity_carreau_is_newtonian(self):
+        pts = disk_points(2000, seed=13)
+        carreau = get_case("stokes_carreau", a0=1.0, a_inf=1.0)
+        newtonian = get_case("stokes_newtonian")
+        diff = carreau.body_force(pts) - newtonian.body_force(pts)
+        assert np.max(np.abs(diff)) <= 1e-14
+
+
 class TestRegistry:
     def test_unknown_case(self):
         with pytest.raises(KeyError):

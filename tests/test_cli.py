@@ -1,8 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import webfem
 from webfem.cli import (
     EXIT_CHECK, EXIT_CONFIG, EXIT_OK, ConfigError, bundled_config_dir,
     describe, evaluate_floors, load_config, main, run,
@@ -44,6 +49,18 @@ class TestConfigValidation:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    @pytest.mark.parametrize("key, value", [("a0", 0.0), ("a_inf", -1.0)])
+    def test_nonpositive_viscosity_bound_rejected(self, tmp_path, capsys,
+                                                  key, value):
+        path = write_config(
+            tmp_path, problem={"type": "quasi_newtonian",
+                               "case": "stokes_carreau", key: value},
+            grid={"kind": "uniform", "degree": 2, "cells": 6}, levels=1)
+        assert main(["run", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"problem.{key}" in err
+        assert "Traceback" not in err
 
     def test_nondecreasing_explicit_knots(self, tmp_path):
         path = write_config(tmp_path)
@@ -264,3 +281,24 @@ class TestFloors:
             levels = []
         fails = evaluate_floors({"floors": [{"norm": "Linf", "min_eoc": 1}]}, R())
         assert fails and "Linf" in fails[0]
+
+
+def test_cold_start_imports_no_sympy():
+    # building every bundled config and every case must not load sympy: it
+    # is a test-only oracle, and importing it would dominate the set-up time
+    script = textwrap.dedent("""
+        import sys
+        from webfem import cli
+        from webfem.cases import CASES, get_case
+        for path in sorted(cli.bundled_config_dir().iterdir()):
+            if str(path).endswith(".json"):
+                cli._build_case(cli.load_config(str(path)))
+        for name in CASES:
+            get_case(name)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "sympy"))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(webfem.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from webfem.geometry import (
-    CellLabel, Complement, Conjunction, Disjunction, Disk, HalfPlane,
-    ImplicitDomain, box, classify_cells,
+    CellLabel, Disk, ImplicitDomain, box, classify_cells,
 )
 from webfem.quadrature import (
     QuadratureError, build_quadrature, cell_rule, integrate,
 )
 from webfem.splines import TensorGrid, uniform_knots
+
+from strategies import r_trees
 
 
 def disk_setup(n_cells=18, g=3, depth=6):
@@ -173,24 +174,6 @@ def reference_quadrature(domain, grid, cls, g, depth, g_leaf=None):
     if not pts:
         return np.empty((0, 2)), np.empty(0), np.empty(0, dtype=np.int64)
     return np.vstack(pts), np.concatenate(wts), np.concatenate(ids)
-
-
-_coord = st.floats(-1.0, 1.0)
-_leaves = st.one_of(
-    st.builds(Disk, st.tuples(_coord, _coord), st.floats(0.15, 1.2)),
-    st.builds(HalfPlane,
-              st.tuples(_coord, _coord).filter(lambda n: np.hypot(*n) > 0.1),
-              st.floats(-0.8, 0.8)))
-
-
-def r_trees(depth):
-    """R-function trees of at most ``depth`` operations above the leaves."""
-    if depth == 0:
-        return _leaves
-    sub = r_trees(depth - 1)
-    return st.one_of(_leaves, st.builds(Conjunction, sub, sub),
-                     st.builds(Disjunction, sub, sub),
-                     st.builds(Complement, sub))
 
 
 class TestBatchedSubdivision:

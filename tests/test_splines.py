@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from webfem.splines import (
     KnotVector, PolynomialPiece, SplineError, TensorGrid, deboor_fix,
@@ -180,6 +181,27 @@ class TestTensor:
             total = sum(eval_tensor_bspline(g, (i, j), pt)
                         for i in range(g.num_basis[0]) for j in range(g.num_basis[1]))
             assert total == pytest.approx(1.0, abs=1e-12)
+
+    @settings(deadline=None, max_examples=50)
+    @given(degrees=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           cells=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+           lo=st.tuples(st.floats(-2.0, 1.0), st.floats(-2.0, 1.0)),
+           width=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_partition_of_unity_random_uniform_grids(self, degrees, cells, lo,
+                                                     width, seed):
+        # the tensor values nonzero_basis tabulates sum to one at any point
+        # of the grid core, and their first partials sum to zero
+        rng = np.random.default_rng(seed)
+        kvs = [uniform_knots(lo[a], lo[a] + width[a], cells[a], degrees[a])
+               for a in range(2)]
+        pts = rng.uniform(lo, np.add(lo, width), (200, 2))
+        (_, dx), (_, dy) = (nonzero_basis(kvs[a], pts[:, a], 1) for a in range(2))
+        inv_h = np.divide(cells, width)
+        for (kx, ky), target, scale in (((0, 0), 1.0, 1.0), ((1, 0), 0.0, inv_h[0]),
+                                        ((0, 1), 0.0, inv_h[1])):
+            total = np.einsum("na,nb->n", dx[kx], dy[ky])
+            assert np.max(np.abs(total - target)) <= 1e-12 * scale
 
     def test_tensor_derivative_finite_difference(self):
         rng = np.random.default_rng(12)
