@@ -305,8 +305,7 @@ def _run_level(case, domain, grid, g, study, level, opts, with_infsup):
                                     ("Xnorm", "pressure_L2", "combined"),
                                     err_quad)
         if with_infsup is None or with_infsup:
-            rec["infsup"] = estimate_infsup(basis, pspace, case.viscosity,
-                                            tables, quad)
+            rec["infsup"] = estimate_infsup(basis, pspace, tables, quad)
     elif case.kind == "projector":
         rec["errors"]["H1"] = jackson_error(basis, case.solution,
                                             case.gradient, err_quad)

@@ -7,9 +7,18 @@ Newton/Picard reassembly) then reduces to batched per-cell matrix products
 scattered into the fixed pattern. Systems are assembled in the full
 relevant basis and reduced to the web basis with the coupling matrix
 ``Ebar = diag(1/w(x_i)) E``:  A_web = Ebar A Ebar^T.
+
+One-shot operators (stiffness, mass, seminorm Gram, Newton Jacobian) reduce
+with a sparse triple product (``web_reduce``): building a fixed reduction
+costs several triple products, which one operator per table never repays.
+The Picard velocity block is reassembled on every step, so its table holds
+a :class:`WebReductionPlan` (the web pattern and a linear map from the
+full-basis data to the web data) and a :class:`StackedPattern` of the 2x2
+velocity block; a step then computes values only, into fixed patterns.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,12 +86,84 @@ class SparsityPlan:
         keys = (rows[:, :, None] * shape[1] + cols[:, None, :]).ravel()
         slots, self.scatter = np.unique(keys, return_inverse=True)
         self.nnz = slots.size
-        dtype = np.int32 if max(self.nnz, *shape) < 2 ** 31 else np.int64
-        self.indices = (slots % shape[1]).astype(dtype)
-        per_row = np.bincount(slots // shape[1], minlength=shape[0])
-        self.indptr = np.concatenate([[0], np.cumsum(per_row)]).astype(dtype)
+        self.indices, self.indptr = _csr_pattern(slots, shape)
+
+
+def _csr_pattern(slots, shape):
+    """Read-only CSR ``indices`` and ``indptr`` of sorted row-major slots."""
+    dtype = np.int32 if max(slots.size, *shape) < 2 ** 31 else np.int64
+    indices = (slots % shape[1]).astype(dtype)
+    per_row = np.bincount(slots // shape[1], minlength=shape[0])
+    indptr = np.concatenate([[0], np.cumsum(per_row)]).astype(dtype)
+    indices.setflags(write=False)
+    indptr.setflags(write=False)
+    return indices, indptr
+
+
+class WebReductionPlan:
+    """Fixed-pattern web reduction  Ebar P Ebar^T  of matrices on a plan.
+
+    The web entry (r, s) is the sum over the full slots (i, j) of
+    Ebar[r, i] Ebar[s, j] P[i, j], linear in ``P.data``. ``R`` (web nnz x
+    full nnz) stores these products once, so that reducing a matrix
+    assembled on ``plan`` is one sparse mat-vec ``R @ P.data`` into the
+    shared CSR pattern ``indices``/``indptr`` of shape ``shape``.
+    """
+
+    def __init__(self, E, plan):
+        Et = E.T.tocsr()
+        deg = np.diff(Et.indptr)
+        i = np.repeat(np.arange(plan.shape[0]), np.diff(plan.indptr))
+        j = plan.indices
+        # every full slot k = (i, j) pairs each web row r of Ebar[:, i] with
+        # each web column s of Ebar[:, j]: deg(i) * deg(j) contributions
+        ni, nj = deg[i], deg[j]
+        counts = ni * nj
+        k = np.repeat(np.arange(counts.size), counts)
+        t = np.arange(k.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        ri = Et.indptr[i[k]] + t // nj[k]
+        sj = Et.indptr[j[k]] + t % nj[k]
+        n = E.shape[0]
+        self.shape = (n, n)
+        slots, row = np.unique(Et.indices[ri].astype(np.int64) * n
+                               + Et.indices[sj], return_inverse=True)
+        self.nnz = slots.size
+        self.indices, self.indptr = _csr_pattern(slots, self.shape)
+        self.R = sp.csr_matrix((Et.data[ri] * Et.data[sj], (row, k)),
+                               shape=(self.nnz, plan.nnz))
+
+
+class StackedPattern:
+    """Fixed pattern of a block matrix stacked from fixed-pattern parts.
+
+    ``layout(*parts)`` returns the nested block list that ``sp.bmat`` takes
+    (transposes allowed, each part used any number of times). The entries
+    of every part are numbered and stacked once; the numbers read back give
+    ``gather``, the position of each slot's value in the concatenated part
+    data. Restacking new values of the same patterns is then one gather.
+    """
+
+    def __init__(self, parts, layout, format):
+        ends = np.cumsum([p.nnz for p in parts])
+        numbered = [sp.csr_matrix((np.arange(end - p.nnz, end) + 1.0,
+                                   p.indices, p.indptr), shape=p.shape)
+                    for p, end in zip(parts, ends)]
+        M = sp.bmat(layout(*numbered), format=format)
+        self.gather = M.data.astype(np.int64) - 1
+        self.indices, self.indptr, self.shape = M.indices, M.indptr, M.shape
         self.indices.setflags(write=False)
         self.indptr.setflags(write=False)
+        self.format = format
+
+    def values(self, *data):
+        """Slot values from the data arrays of the parts, in part order."""
+        return np.concatenate(data)[self.gather]
+
+    def stack(self, *data):
+        """New matrix in the stacked pattern (its index arrays are shared)."""
+        cls = sp.csr_matrix if self.format == "csr" else sp.csc_matrix
+        return cls((self.values(*data), self.indices, self.indptr),
+                   shape=self.shape)
 
 
 def bilinear_form(plan, qw, terms):
@@ -137,6 +218,9 @@ class BasisTables:
         The basis row shared by all points of each cell.
     plan : :class:`SparsityPlan`
         Full-basis pattern, reused by every operator on these tables.
+    web_plan, velocity_pattern
+        Fixed web-basis patterns of the Picard velocity block, built on
+        first use by :func:`assemble_mixed`.
     """
 
     def __init__(self, basis, quad, nderiv=1):
@@ -184,6 +268,21 @@ class BasisTables:
     @property
     def num_points(self):
         return self.points.shape[0]
+
+    @cached_property
+    def web_plan(self):
+        """:class:`WebReductionPlan` of ``plan``, built on first use."""
+        return WebReductionPlan(self.basis.coupling_matrix(), self.plan)
+
+    @cached_property
+    def velocity_pattern(self):
+        """:class:`StackedPattern` of [[A11, A12], [A12^T, A22]], all blocks
+        in the pattern of ``web_plan``."""
+        web = self.web_plan
+        W = sp.csr_matrix((np.zeros(web.nnz), web.indices, web.indptr),
+                          shape=web.shape)
+        return StackedPattern([W, W, W], lambda a11, a12, a22: [
+            [a11, a12], [a12.T, a22]], "csr")
 
     def field(self, c_full, grad=False):
         """Field values (and gradient) of a full-basis coefficient vector."""
@@ -513,17 +612,18 @@ def project_pressure(pspace, quad, p_exact):
     M, _ = pressure_mass_and_integral(pspace, quad)
     rhs = linear_form(cols, quad.weights, [(p_vals, vals)], pspace.n_dofs)
     nd = pspace.ndof_cell
-    out = np.zeros(pspace.n_dofs)
-    Md = M.toarray() if pspace.n_dofs < 20000 else None
-    for c in range(len(pspace.cells)):
-        sl = slice(c * nd, (c + 1) * nd)
-        block = Md[sl, sl] if Md is not None else M[sl, sl].toarray()
-        loc = rhs[sl]
+    # M is block diagonal: gather its per-patch blocks, O(n_dofs * nd)
+    coo = M.tocoo()
+    blocks = np.zeros((len(pspace.cells), nd, nd))
+    blocks[coo.row // nd, coo.row % nd, coo.col % nd] = coo.data
+    rhs = rhs.reshape(-1, nd)
+    out = np.zeros_like(rhs)
+    for c, (block, loc) in enumerate(zip(blocks, rhs)):
         try:
-            out[sl] = np.linalg.solve(block, loc)
+            out[c] = np.linalg.solve(block, loc)
         except np.linalg.LinAlgError:
-            out[sl] = np.linalg.lstsq(block, loc, rcond=None)[0]
-    return out
+            out[c] = np.linalg.lstsq(block, loc, rcond=None)[0]
+    return out.ravel()
 
 
 def assemble_mixed(basis, pspace, a_fn, coeffs_prev, phi, tables, quad):
@@ -549,17 +649,14 @@ def assemble_mixed(basis, pspace, a_fn, coeffs_prev, phi, tables, quad):
     if np.any(a_vals <= 0.0) or not np.all(np.isfinite(a_vals)):
         raise CoercivityError("viscosity must be positive and finite")
 
-    A11 = bilinear_form(tables.plan, tables.qw,
-                        [(a_vals, tables.wbx, tables.wbx),
-                         (0.5 * a_vals, tables.wby, tables.wby)])
-    A22 = bilinear_form(tables.plan, tables.qw,
-                        [(a_vals, tables.wby, tables.wby),
-                         (0.5 * a_vals, tables.wbx, tables.wbx)])
-    A12 = bilinear_form(tables.plan, tables.qw,
-                        [(0.5 * a_vals, tables.wby, tables.wbx)])
-    A11, A22 = web_reduce(basis, A11), web_reduce(basis, A22)
-    A12 = (E @ A12 @ E.T).tocsr()
-    A = sp.bmat([[A11, A12], [A12.T, A22]], format="csr")
+    # A11 = Pxx + Pyy/2, A22 = Pyy + Pxx/2, A12 = Pyx/2; halving is exact
+    web = tables.web_plan
+    xx, yy, yx = (web.R @ bilinear_form(tables.plan, tables.qw,
+                                        [(a_vals, fa, fb)]).data
+                  for fa, fb in ((tables.wbx, tables.wbx),
+                                 (tables.wby, tables.wby),
+                                 (tables.wby, tables.wbx)))
+    A = tables.velocity_pattern.stack(xx + 0.5 * yy, 0.5 * yx, yy + 0.5 * xx)
 
     phi_vals = phi(tables.points) if callable(phi) else np.broadcast_to(
         np.asarray(phi, dtype=float), (tables.num_points, 2))

@@ -14,8 +14,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
-    assemble_mixed, assemble_plap_jacobian_and_residual, assemble_vcpe,
-    bilinear_form, plap_energy, web_reduce,
+    StackedPattern, assemble_mixed, assemble_plap_jacobian_and_residual,
+    assemble_vcpe, bilinear_form, plap_energy, web_reduce,
 )
 from .webbasis import eval_field
 
@@ -233,14 +233,31 @@ def carreau_viscosity(a0=2.0, a_inf=1.0, exponent=1.5):
     return a
 
 
-def _saddle_solve(A, B, Fv, g):
-    """Solve [[A, B^T, 0], [B, 0, g], [0, g^T, 0]] = [Fv, 0, 0]."""
-    n_u = A.shape[0]
-    n_p = B.shape[0]
-    gc = sp.csr_matrix(g.reshape(-1, 1))
-    K = sp.bmat([[A, B.T, None],
-                 [B, None, gc],
-                 [None, gc.T, None]], format="csc")
+class SaddleMatrix:
+    """The CSC saddle matrix [[A, B^T, 0], [B, 0, g], [0, g^T, 0]] of a level.
+
+    Its pattern and the values of B and g are fixed when it is built;
+    ``refill`` writes the values of a new velocity block A (same pattern)
+    into the A slots of the one matrix ``K``.
+    """
+
+    def __init__(self, A, B, g):
+        gc = sp.csr_matrix(g.reshape(-1, 1))
+        self._pattern = StackedPattern([A, B, gc], lambda a, b, c: [
+            [a, b.T, None], [b, None, c], [None, c.T, None]], "csc")
+        self._fixed = np.concatenate([B.data, gc.data])
+        self.K = self._pattern.stack(A.data, self._fixed)
+
+    def refill(self, A):
+        """Write the values of A into ``K`` (B and g stay); returns ``K``."""
+        self.K.data[:] = self._pattern.values(A.data, self._fixed)
+        return self.K
+
+
+def _saddle_solve(K, Fv):
+    """Solve K [u, p, multiplier] = [Fv, 0, 0] for a :class:`SaddleMatrix` K."""
+    n_u = Fv.size
+    n_p = K.shape[0] - n_u - 1
     rhs = np.concatenate([Fv, np.zeros(n_p + 1)])
     sol = spla.spsolve(K, rhs)
     if not np.all(np.isfinite(sol)):
@@ -265,9 +282,12 @@ def solve_quasi_newtonian(basis, pspace, a_fn, phi, tables, quad, opts=None):
     c = np.zeros(2 * n)
     p_coeffs = None
     updates = []
+    saddle = None
     for it in range(opts.max_iterations):
         A, B, Fv, Mp, g = assemble_mixed(basis, pspace, a_fn, c, phi, tables, quad)
-        c_new, p_coeffs, mult = _saddle_solve(A, B, Fv, g)
+        if saddle is None:
+            saddle = SaddleMatrix(A, B, g)
+        c_new, p_coeffs, mult = _saddle_solve(saddle.refill(A), Fv)
         delta = float(np.linalg.norm(c_new - c) / max(np.linalg.norm(c_new), 1e-300))
         updates.append(delta)
         c = c_new
@@ -301,7 +321,7 @@ def velocity_seminorm_gram(basis, tables):
     return sp.block_diag([S, S], format="csc")
 
 
-def estimate_infsup(basis, pspace, a_fn, tables, quad):
+def estimate_infsup(basis, pspace, tables, quad):
     """Discrete inf-sup constant of the divergence pairing.
 
     Smallest generalized singular value of B scaled by the velocity
@@ -311,13 +331,11 @@ def estimate_infsup(basis, pspace, a_fn, tables, quad):
     """
     import scipy.linalg as sla
 
-    A, B, Fv, Mp, g = assemble_mixed(basis, pspace, a_fn,
-                                     np.zeros(2 * basis.n_inner),
-                                     np.zeros(2), tables, quad)
-    S = velocity_seminorm_gram(basis, tables)
     if pspace.n_dofs > 4000:
         raise SolverError("inf-sup estimate is a dense computation; "
                           f"pressure space too large ({pspace.n_dofs} dofs)")
+    B, Mp, g = pspace.blocks(tables, quad)
+    S = velocity_seminorm_gram(basis, tables)
     lu = spla.splu(S)
     BT = B.T.toarray()
     T = B @ lu.solve(BT)

@@ -418,15 +418,6 @@ class PolynomialPiece:
             cx = _bern_derive(cx, wx)
         return out
 
-    def eval_many(self, pts):
-        """Values at an (N, 2) array of points."""
-        pts = np.asarray(pts, dtype=float)
-        tx = (pts[:, 0] - self.lo[0]) / (self.hi[0] - self.lo[0])
-        ty = (pts[:, 1] - self.lo[1]) / (self.hi[1] - self.lo[1])
-        n1, n2 = self.degrees
-        return np.einsum("na,ab,nb->n", _bern_row(n1, tx), self.coeffs,
-                         _bern_row(n2, ty))
-
 
 def _mono_to_bern(mono):
     """Monomial coefficients on [0, 1] to Bernstein coefficients (exact)."""

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from hypothesis import given, reject, settings, strategies as st
 import webfem.assembly as assembly
 from webfem.assembly import (
     AssemblyError, BasisTables, CoercivityError, PressureSpace, SparsityPlan,
-    assemble_dipole_rhs, assemble_mass, assemble_mixed,
+    WebReductionPlan, assemble_dipole_rhs, assemble_mass, assemble_mixed,
     assemble_plap_jacobian_and_residual, assemble_plap_residual, assemble_vcpe,
-    export_coo, plap_energy, pressure_mass_and_integral, project_pressure,
-    web_reduce,
+    bilinear_form, export_coo, linear_form, plap_energy,
+    pressure_mass_and_integral, project_pressure, web_reduce,
 )
 from webfem.geometry import (
-    Conjunction, Disk, ImplicitDomain, ResolutionError, box,
+    Conjunction, Disk, ImplicitDomain, ResolutionError, box, classify_cells,
 )
 from webfem.quadrature import build_quadrature
 from webfem.splines import TensorGrid, uniform_knots
@@ -273,6 +274,50 @@ class TestPressure:
         l2 = np.sqrt(np.sum(quad.weights * resid ** 2))
         assert l2 <= 1e-12
 
+    @staticmethod
+    def dense_projection(pspace, quad, p_exact):
+        """The former projection: one dense copy of the whole pressure mass,
+        sliced per patch."""
+        cols, vals = pspace.tables(quad)
+        M, _ = pressure_mass_and_integral(pspace, quad)
+        rhs = linear_form(cols, quad.weights, [(p_exact(quad.points), vals)],
+                          pspace.n_dofs)
+        nd = pspace.ndof_cell
+        out = np.zeros(pspace.n_dofs)
+        Md = M.toarray()
+        for c in range(len(pspace.cells)):
+            sl = slice(c * nd, (c + 1) * nd)
+            try:
+                out[sl] = np.linalg.solve(Md[sl, sl], rhs[sl])
+            except np.linalg.LinAlgError:
+                out[sl] = np.linalg.lstsq(Md[sl, sl], rhs[sl], rcond=None)[0]
+        return out
+
+    @pytest.mark.parametrize("degree,macro", [(0, 1), (1, 1), (2, 2)])
+    def test_projection_equals_dense_loop(self, degree, macro):
+        basis, quad, tables = disk_setup(n_cells=10)
+        ps = PressureSpace(basis.grid, quad, degree, macro=macro)
+        p = lambda pts: pts[:, 0] * pts[:, 1] + np.sin(pts[:, 0])
+        assert np.array_equal(project_pressure(ps, quad, p),
+                              self.dense_projection(ps, quad, p))
+
+    def test_projection_memory_scales_with_dofs(self):
+        # the whole mass matrix densified would take n_dofs^2 * 8 bytes
+        kv = uniform_knots(-1.1, 1.1, 40, 1)
+        grid = TensorGrid(kv, kv)
+        dom = ImplicitDomain(Disk([0.0, 0.0], 1.0))
+        quad = build_quadrature(dom, grid, classify_cells(dom, grid), 3, 1)
+        ps = PressureSpace(grid, quad, 2)
+        assert ps.n_dofs >= 5000
+        p = lambda pts: pts[:, 0] * pts[:, 1] + np.sin(pts[:, 0])
+        tracemalloc.start()
+        try:
+            project_pressure(ps, quad, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ps.n_dofs ** 2 * 8 / 50
+
     def test_projection_preserves_mean(self):
         basis, quad, tables = disk_setup(n_cells=8)
         ps = PressureSpace(basis.grid, quad, 0)
@@ -319,6 +364,30 @@ class TestMixed:
         for k in (1, 3, 4):
             assert second[k] is first[k]
         assert np.max(np.abs((second[0] - first[0]).toarray())) > 0.0
+
+    def test_picard_steps_share_one_pattern(self, monkeypatch):
+        basis, quad, tables = disk_setup(n_cells=8)
+        ps = PressureSpace(basis.grid, quad, 0)
+        built = []
+        init = WebReductionPlan.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(WebReductionPlan, "__init__", counting_init)
+        a_fn = lambda s: 1.0 + s
+        c = np.random.default_rng(46).normal(size=2 * basis.n_inner)
+        first = assemble_mixed(basis, ps, a_fn, np.zeros_like(c), np.zeros(2),
+                               tables, quad)[0]
+        second = assemble_mixed(basis, ps, a_fn, c, np.zeros(2), tables, quad)[0]
+        assert len(built) == 1
+        assert second is not first
+        pattern = tables.velocity_pattern
+        for A in (first, second):
+            assert A.indptr is pattern.indptr
+            assert np.shares_memory(A.indices, pattern.indices)
+        assert not np.array_equal(second.data, first.data)
 
     def test_viscosity_positivity_enforced(self):
         basis, quad, tables = disk_setup(n_cells=6)
@@ -413,6 +482,32 @@ class TestSparsityPlan:
             assert J.indptr is tables.plan.indptr
             assert np.shares_memory(J.indices, tables.plan.indices)
             assert J.nnz == tables.plan.nnz
+
+    @settings(deadline=None, max_examples=25)
+    @given(tree=r_trees(2), n_cells=st.integers(4, 7),
+           degree=st.integers(1, 3), half=st.floats(1.0, 1.2),
+           depth=st.integers(0, 3))
+    def test_web_reduction_plan_matches_dense(self, tree, n_cells, degree,
+                                              half, depth):
+        dom = ImplicitDomain(Conjunction(tree, box([-0.95, -0.95], [0.95, 0.95])))
+        kv = uniform_knots(-half, half, n_cells, degree)
+        grid = TensorGrid(kv, kv)
+        try:
+            basis = build_web_basis(dom, grid)
+        except ResolutionError:
+            reject()
+        quad = build_quadrature(dom, grid, basis.cls, degree + 1, depth)
+        t = BasisTables(basis, quad)
+        # an unsymmetric operator, so that transposed maps would show
+        P = bilinear_form(t.plan, t.qw,
+                          [(1.0 + t.points[:, 0] ** 2, t.wby, t.wbx),
+                           (1.0, t.wb, t.wbx)])
+        E = basis.coupling_matrix().toarray()
+        web = t.web_plan
+        W = sp.csr_matrix((web.R @ P.data, web.indices, web.indptr),
+                          shape=web.shape)
+        assert W.has_sorted_indices
+        assert_close(W, E @ P.toarray() @ E.T)
 
     def test_reassembly_is_bit_identical(self):
         basis, quad, tables = disk_setup(n_cells=6)

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import webfem.solvers as solvers
 from webfem.assembly import (
-    BasisTables, PressureSpace, assemble_mass, assemble_vcpe, linear_form,
-    web_reduce,
+    BasisTables, PressureSpace, assemble_mass, assemble_mixed, assemble_vcpe,
+    linear_form, web_reduce,
 )
 from webfem.geometry import Disk, ImplicitDomain
 from webfem.quadrature import build_quadrature
 from webfem.splines import TensorGrid, uniform_knots
 from webfem.solvers import (
-    SolveOptions, SolverError, carreau_viscosity, estimate_infsup, solve_plap,
-    solve_quasi_newtonian, solve_vcpe,
+    SaddleMatrix, SolveOptions, SolverError, _saddle_solve, carreau_viscosity,
+    estimate_infsup, solve_plap, solve_quasi_newtonian, solve_vcpe,
 )
 from webfem.webbasis import build_web_basis, eval_field
 
@@ -206,14 +208,58 @@ class TestQuasiNewtonian:
                                        case.body_force, tables, quad)
         assert np.max(np.abs(B @ (c_proj - vel.coeffs))) <= 1e-6
 
+    def test_refilled_saddle_matrix_matches_bmat(self):
+        # the reference is the saddle matrix stacked afresh for every step
+        basis, quad, tables = disk_setup(n_cells=8)
+        ps = PressureSpace(basis.grid, quad, 1, macro=2)
+        a_fn = carreau_viscosity()
+        phi = lambda p: np.column_stack([np.sin(p[:, 1]), np.cos(p[:, 0])])
+        c = np.random.default_rng(47).normal(size=2 * basis.n_inner)
+        saddle = None
+        for prev in (np.zeros_like(c), c):
+            A, B, Fv, _, g = assemble_mixed(basis, ps, a_fn, prev, phi,
+                                            tables, quad)
+            saddle = saddle or SaddleMatrix(A, B, g)
+            K = saddle.refill(A)
+            assert K is saddle.K
+            gc = sp.csr_matrix(g.reshape(-1, 1))
+            ref = sp.bmat([[A, B.T, None], [B, None, gc], [None, gc.T, None]],
+                          format="csc")
+            assert ref.has_sorted_indices and K.has_sorted_indices
+            assert K.shape == ref.shape
+            assert np.array_equal(K.indptr, ref.indptr)
+            assert np.array_equal(K.indices, ref.indices)
+            scale = np.max(np.abs(ref.data))
+            assert np.max(np.abs(K.data - ref.data)) <= 1e-12 * scale
+            indices = K.indices.copy()
+            u, _, _ = _saddle_solve(K, Fv)
+            assert np.array_equal(K.indices, indices)
+            rhs = np.concatenate([Fv, np.zeros(B.shape[0] + 1)])
+            ref_u = spla.spsolve(ref, rhs)[:u.size]
+            assert np.max(np.abs(u - ref_u)) <= 1e-10
+
+    def test_infsup_builds_no_velocity_system(self, monkeypatch):
+        basis, quad, tables = disk_setup(n_cells=8)
+        ps = PressureSpace(basis.grid, quad, 0)
+        monkeypatch.setattr(solvers, "assemble_mixed", None)
+        assert estimate_infsup(basis, ps, tables, quad) > 0.01
+
+    def test_infsup_size_cap_checked_before_assembly(self):
+        basis, quad, _ = disk_setup(n_cells=8)
+        ps = PressureSpace(basis.grid, quad, 9)
+        assert ps.n_dofs > 4000
+        # with the cap checked first, no argument is touched
+        with pytest.raises(SolverError, match="too large"):
+            estimate_infsup(None, ps, None, None)
+
     def test_infsup_positive_and_unstable_pairing_detected(self):
         basis, quad, tables = disk_setup(n_cells=10)
         ps0 = PressureSpace(basis.grid, quad, 0)
-        ch0 = estimate_infsup(basis, ps0, carreau_viscosity(), tables, quad)
+        ch0 = estimate_infsup(basis, ps0, tables, quad)
         assert ch0 > 0.01
         # over-rich pressure space: degree equal to the velocity degree
         ps2 = PressureSpace(basis.grid, quad, 2)
-        ch2 = estimate_infsup(basis, ps2, carreau_viscosity(), tables, quad)
+        ch2 = estimate_infsup(basis, ps2, tables, quad)
         assert ch2 < 1e-6
 
 
