@@ -15,14 +15,14 @@ import numpy as np
 from .assembly import (
     BasisTables, PressureSpace, gram_condition_estimate, project_pressure,
 )
-from .geometry import domain_from_config
+from .geometry import CellLabel, domain_from_config
 from .quadrature import build_quadrature
 from .solvers import (
     SolveOptions, estimate_infsup, solve_plap, solve_quasi_newtonian,
     solve_vcpe,
 )
 from .splines import TensorGrid, graded_knots, uniform_knots
-from .webbasis import build_web_basis, eval_field, jackson_error
+from .webbasis import build_web_basis, eval_fields, jackson_error
 
 
 class AnalysisError(ValueError):
@@ -59,6 +59,40 @@ def error_norms(field, case, norms, quad, p=None):
     The discrete and exact fields are sampled on ``quad`` once for all of
     ``norms``, which are either all scalar or all mixed norms.
     """
+    return _error_norms(field, case, norms, quad, lambda f: eval_fields(
+        f.basis, f.full_coeffs(), quad.points, grad=True), p)
+
+
+def _shared_sampler(basis, tables, quad, err_quad):
+    """``sample`` for :func:`_error_norms` on ``err_quad`` that takes the
+    boundary cells, where both rules hold the same leaves, from the assembly
+    ``tables`` on ``quad`` and tabulates only the interior cells anew."""
+    boundary = basis.cls.labels.ravel() == CellLabel.BOUNDARY
+    shared, err_shared = boundary[quad.cell_ids], boundary[err_quad.cell_ids]
+    if not (np.array_equal(quad.points[shared], err_quad.points[err_shared])
+            and np.array_equal(quad.weights[shared],
+                               err_quad.weights[err_shared])):
+        raise AnalysisError("the error rule and the assembly rule differ on "
+                            "boundary cells; their tables cannot be shared")
+    rest = err_quad.points[~err_shared]
+
+    def sample(field):
+        c_fulls = field.full_coeffs()
+        vals = np.empty((err_quad.num_points, len(c_fulls)))
+        grads = np.empty(vals.shape + (2,))
+        vals[~err_shared], grads[~err_shared] = eval_fields(
+            basis, c_fulls, rest, grad=True)
+        for k, c in enumerate(c_fulls):
+            v, g = tables.field(c, grad=True)
+            vals[err_shared, k], grads[err_shared, k] = v[shared], g[shared]
+        return vals, grads
+
+    return sample
+
+
+def _error_norms(field, case, norms, quad, sample, p=None):
+    """:func:`error_norms` with ``sample(field)`` giving the values (N, k)
+    and gradients (N, k, 2) of the k components of a field on ``quad``."""
     for norm in norms:
         if norm not in _SCALAR_NORMS + _MIXED_NORMS:
             raise AnalysisError(f"unknown norm {norm!r}")
@@ -67,10 +101,11 @@ def error_norms(field, case, norms, quad, p=None):
         if not all(mixed):
             raise AnalysisError(
                 f"cannot take scalar and mixed norms together: {tuple(norms)}")
-        return _mixed_norms(field, case, norms, quad)
+        return _mixed_norms(field, case, norms, quad, sample)
     pts = quad.points
     w = quad.weights
-    vals, grads = eval_field(field.basis, field.coeffs, pts, nderiv=1)
+    vals, grads = sample(field)
+    vals, grads = vals[:, 0], grads[:, 0]
     inside = _inside_mask(field.basis.domain, pts)
     exact_grad = case.gradient(pts)
     ev = np.where(inside, case.solution(pts) - vals, 0.0)
@@ -102,14 +137,14 @@ def error_norms(field, case, norms, quad, p=None):
     return out
 
 
-def _mixed_norms(field, case, norms, quad):
+def _mixed_norms(field, case, norms, quad, sample):
     velocity, pressure = field
     pts = quad.points
     w = quad.weights
     inside = _inside_mask(velocity.basis.domain, pts)
     out = {}
     if "Xnorm" in norms or "combined" in norms:
-        vals, grads = velocity(pts, grad=True)
+        vals, grads = sample(velocity)
         ev = np.where(inside[:, None], case.velocity(pts) - vals, 0.0)
         eg = np.where(inside[:, None, None],
                       case.velocity_gradient(pts) - grads, 0.0)
@@ -273,7 +308,9 @@ def _run_level(case, domain, grid, g, study, level, opts, with_infsup):
     depth = study.depth_at(level)
     quad = build_quadrature(domain, grid, basis.cls, g, depth, study.gauss_leaf)
     # errors use one Gauss order more on full cells; leaves keep the assembly
-    # order (their accuracy is capped by the geometric error regardless)
+    # order (their accuracy is capped by the geometric error regardless), so
+    # the boundary cells of both rules hold the same points, and the norms
+    # read them from the assembly tables
     err_quad = build_quadrature(domain, grid, basis.cls, g + 1, depth,
                                 study.gauss_leaf or g)
     rec = {"h": grid.meshsize, "n_inner": basis.n_inner,
@@ -282,18 +319,19 @@ def _run_level(case, domain, grid, g, study, level, opts, with_infsup):
     if case.kind in ("vcpe", "plap", "quasi_newtonian"):
         tables = BasisTables(basis, quad)
         rec["basis"]["gram_condition"] = gram_condition_estimate(basis, tables)
+        sample = _shared_sampler(basis, tables, quad, err_quad)
 
     if case.kind == "vcpe":
         a = case.diffusion if case.diffusion is not None else 1.0
         sol = solve_vcpe(basis, a, case.source, tables, opts)
         rec["iterations"] = sol.params["iterations"]
-        rec["errors"] = error_norms(sol, case, ("L2", "H1"), err_quad)
+        rec["errors"] = _error_norms(sol, case, ("L2", "H1"), err_quad, sample)
     elif case.kind == "plap":
         sol = solve_plap(basis, case.params["p"], case.source, tables, opts)
         rec["iterations"] = sol.params["iterations"]
         rec["residual_history"] = [s["residuals"] for s in sol.params["stages"]]
-        rec["errors"] = error_norms(sol, case, ("L2", "H1", "W1p", "quasinorm"),
-                                    err_quad)
+        rec["errors"] = _error_norms(
+            sol, case, ("L2", "H1", "W1p", "quasinorm"), err_quad, sample)
     elif case.kind == "quasi_newtonian":
         pspace = PressureSpace(grid, quad, study.pressure_degree,
                                macro=study.pressure_macro)
@@ -301,9 +339,9 @@ def _run_level(case, domain, grid, g, study, level, opts, with_infsup):
             basis, pspace, case.viscosity, case.body_force, tables, quad, opts)
         rec["iterations"] = info["iterations"]
         rec["incompressibility"] = info["incompressibility"]
-        rec["errors"] = error_norms((vel, pres), case,
-                                    ("Xnorm", "pressure_L2", "combined"),
-                                    err_quad)
+        rec["errors"] = _error_norms(
+            (vel, pres), case, ("Xnorm", "pressure_L2", "combined"), err_quad,
+            sample)
         if with_infsup is None or with_infsup:
             rec["infsup"] = estimate_infsup(basis, pspace, tables, quad)
     elif case.kind == "projector":

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .splines import nonzero_basis
+from .webbasis import BasisValues
 
 
 class AssemblyError(RuntimeError):
@@ -203,15 +203,14 @@ def linear_form(idx, qw, terms, n_cols):
 # basis tables
 # ---------------------------------------------------------------------------
 
-class BasisTables:
+class BasisTables(BasisValues):
     """Values of the weighted basis w*b_k at the quadrature points.
+
+    The :class:`~webfem.webbasis.BasisValues` of a rule whose points activate
+    relevant B-splines only (every ``idx`` >= 0), plus:
 
     Attributes
     ----------
-    idx : (N, na) int
-        Column (in the relevant-index enumeration) of each active basis.
-    wb, wbx, wby : (N, na)
-        Weighted basis values and first partials.
     qw : (N,) quadrature weights; points : (N, 2); cell_ids : (N,).
     segments : :class:`CellSegments` of the points.
     cell_idx : (n_cells, na) int
@@ -224,32 +223,13 @@ class BasisTables:
     """
 
     def __init__(self, basis, quad, nderiv=1):
-        grid = basis.grid
-        pts = quad.points
-        m1, m2 = grid.degrees
-        sx, dx = nonzero_basis(grid.kvs[0], pts[:, 0], nderiv)
-        sy, dy = nonzero_basis(grid.kvs[1], pts[:, 1], nderiv)
-        ax = sx[:, None] - m1 + np.arange(m1 + 1)[None, :]
-        ay = sy[:, None] - m2 + np.arange(m2 + 1)[None, :]
-        idx = basis.kcol[ax[:, :, None], ay[:, None, :]]
-        if np.any(idx < 0):
+        super().__init__(basis, quad.points, nderiv)
+        if np.any(self.idx < 0):
             raise AssemblyError(
                 "quadrature point activates a basis function outside the "
                 "relevant set; the domain is not covered by the grid core")
-        n = pts.shape[0]
-        na = (m1 + 1) * (m2 + 1)
-        self.idx = idx.reshape(n, na)
-        b = (dx[0][:, :, None] * dy[0][:, None, :]).reshape(n, na)
-        w = basis.domain.weight(pts)
-        self.wb = w[:, None] * b
-        if nderiv >= 1:
-            bx = (dx[1][:, :, None] * dy[0][:, None, :]).reshape(n, na)
-            by = (dx[0][:, :, None] * dy[1][:, None, :]).reshape(n, na)
-            gw = basis.domain.weight_gradient(pts)
-            self.wbx = gw[:, 0][:, None] * b + w[:, None] * bx
-            self.wby = gw[:, 1][:, None] * b + w[:, None] * by
         self.qw = quad.weights
-        self.points = pts
+        self.points = quad.points
         self.cell_ids = quad.cell_ids
         self.n_cols = basis.n_relevant
         self.basis = basis
@@ -283,16 +263,6 @@ class BasisTables:
                           shape=web.shape)
         return StackedPattern([W, W, W], lambda a11, a12, a22: [
             [a11, a12], [a12.T, a22]], "csr")
-
-    def field(self, c_full, grad=False):
-        """Field values (and gradient) of a full-basis coefficient vector."""
-        cw = c_full[self.idx]
-        vals = np.einsum("na,na->n", cw, self.wb)
-        if not grad:
-            return vals
-        gx = np.einsum("na,na->n", cw, self.wbx)
-        gy = np.einsum("na,na->n", cw, self.wby)
-        return vals, np.column_stack([gx, gy])
 
 
 def web_reduce(basis, A_full=None, F_full=None):

@@ -17,7 +17,7 @@ from .assembly import (
     StackedPattern, assemble_mixed, assemble_plap_jacobian_and_residual,
     assemble_vcpe, bilinear_form, plap_energy, web_reduce,
 )
-from .webbasis import eval_field
+from .webbasis import eval_fields
 
 
 class SolverError(RuntimeError):
@@ -85,17 +85,17 @@ class SolutionField:
     def num_components(self):
         return self.coeffs.size // self.basis.n_inner
 
+    def full_coeffs(self):
+        """Full-basis coefficient vector of each component."""
+        Et = self.basis.coupling_matrix().T
+        return [Et @ self.component(k) for k in range(self.num_components)]
+
     def __call__(self, pts, grad=False):
+        vals, grads = eval_fields(self.basis, self.full_coeffs(), pts, grad)
         if self.num_components == 1:
-            return eval_field(self.basis, self.coeffs, pts, nderiv=1 if grad else 0)
-        outs = [eval_field(self.basis, self.component(k), pts,
-                           nderiv=1 if grad else 0)
-                for k in range(self.num_components)]
-        if not grad:
-            return np.column_stack(outs)
-        vals = np.column_stack([o[0] for o in outs])
-        grads = np.stack([o[1] for o in outs], axis=1)  # (N, comp, 2)
-        return vals, grads
+            vals = vals[:, 0]
+            grads = grads[:, 0] if grad else None
+        return (vals, grads) if grad else vals  # grads: (N, comp, 2)
 
 
 @dataclass

@@ -115,19 +115,9 @@ class KnotVector:
         return f"KnotVector(n={self.knots.size}, degree={self.degree})"
 
 
-def find_span(kv, x):
-    """Largest i with knots[i] <= x < knots[i+1] (last nonempty span at x = end)."""
-    t = kv.knots
-    if x >= t[-1]:
-        # limit from the left at the final knot
-        s = int(np.searchsorted(t, t[-1], side="left")) - 1
-    else:
-        s = int(np.searchsorted(t, x, side="right")) - 1
-    return s
-
-
 def find_spans(kv, x):
-    """Vectorized :func:`find_span` over an array of points."""
+    """Largest i with knots[i] <= x < knots[i+1] for each point of ``x``
+    (the last nonempty span at x = end)."""
     t = kv.knots
     x = np.asarray(x, dtype=float)
     s = np.searchsorted(t, x, side="right") - 1

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from .geometry import classify_cells, classify_indices
 from .splines import (
-    deboor_fix, dual_factor, dual_weights, eval_bspline_deriv, interpolate_piece,
+    deboor_fix, dual_factor, dual_weights, interpolate_piece,
     local_polynomial_1d, nonzero_basis,
 )
 
@@ -159,86 +159,85 @@ def build_web_basis(domain, grid, samples_per_axis=5):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def eval_web(basis, i, x, deriv=(0, 0)):
-    """Value or first partial derivative of web-spline ``B_i`` at a point.
+class BasisValues:
+    """Weighted tensor basis w*b_k and its first partials at points: the one
+    tabulation kernel of assembly (``BasisTables``) and evaluation.
 
-    Reference (scalar) path: sums the eb-spline expansion directly and
-    applies the product rule with the weight. Exactly zero outside the
-    support union and outside the domain.
+    ``idx`` (N, na) holds the column (in the relevant-index enumeration) of
+    each of the na B-splines nonzero at a point, -1 outside the relevant
+    set; ``wb`` (N, na) the weighted values and, for ``nderiv >= 1``,
+    ``wbx``/``wby`` the first partials.
     """
-    if i not in basis.idx.j_of_i:
-        raise BasisError(f"{i} is not an inner index")
-    total = deriv[0] + deriv[1]
-    if total > 1:
-        raise BasisError("only values and first derivatives are supported")
-    grid = basis.grid
-    x = np.asarray(x, dtype=float)
 
-    def eb(d):
-        val = (eval_bspline_deriv(grid.kvs[0], i[0], x[0], d[0])
-               * eval_bspline_deriv(grid.kvs[1], i[1], x[1], d[1]))
-        for j in basis.idx.j_of_i[i]:
-            val += (basis.ext.entries[(i, j)]
-                    * eval_bspline_deriv(grid.kvs[0], j[0], x[0], d[0])
-                    * eval_bspline_deriv(grid.kvs[1], j[1], x[1], d[1]))
-        return val
+    def __init__(self, basis, pts, nderiv=1):
+        grid = basis.grid
+        m1, m2 = grid.degrees
+        sx, dx = nonzero_basis(grid.kvs[0], pts[:, 0], nderiv)
+        sy, dy = nonzero_basis(grid.kvs[1], pts[:, 1], nderiv)
+        ax = sx[:, None] - m1 + np.arange(m1 + 1)[None, :]
+        ay = sy[:, None] - m2 + np.arange(m2 + 1)[None, :]
+        n = pts.shape[0]
+        na = (m1 + 1) * (m2 + 1)
+        self.idx = basis.kcol[ax[:, :, None], ay[:, None, :]].reshape(n, na)
+        b = (dx[0][:, :, None] * dy[0][:, None, :]).reshape(n, na)
+        w = basis.domain.weight(pts)
+        self.wb = w[:, None] * b
+        if nderiv >= 1:
+            bx = (dx[1][:, :, None] * dy[0][:, None, :]).reshape(n, na)
+            by = (dx[0][:, :, None] * dy[1][:, None, :]).reshape(n, na)
+            gw = basis.domain.weight_gradient(pts)
+            self.wbx = gw[:, 0][:, None] * b + w[:, None] * bx
+            self.wby = gw[:, 1][:, None] * b + w[:, None] * by
 
-    wxi = basis.w_center[basis.idx.imap[i]]
-    w = float(basis.domain.weight(x[None, :])[0])
-    if total == 0:
-        return w * eb((0, 0)) / wxi
-    gw = basis.domain.weight_gradient(x[None, :])[0]
-    ax = 0 if deriv[0] == 1 else 1
-    return (gw[ax] * eb((0, 0)) + w * eb(deriv)) / wxi
+    def field(self, c_full, grad=False):
+        """Field values (and gradient) of a full-basis coefficient vector.
+
+        A column of -1 reads ``c_full[-1]``; where ``idx`` has any, pass the
+        vector with a trailing 0 so that those B-splines contribute nothing.
+        """
+        cw = c_full[self.idx]
+        vals = np.einsum("na,na->n", cw, self.wb)
+        if not grad:
+            return vals
+        gx = np.einsum("na,na->n", cw, self.wbx)
+        gy = np.einsum("na,na->n", cw, self.wby)
+        return vals, np.column_stack([gx, gy])
+
+
+# points per tabulation block of eval_fields; bounds its memory
+EVAL_CHUNK = 100000
+
+
+def eval_fields(basis, c_fulls, pts, grad=False):
+    """Values (and gradients) of full-basis coefficient vectors at points.
+
+    The basis is tabulated once per block of points and contracted with
+    every vector of ``c_fulls``; B-splines outside the relevant set
+    contribute 0. Returns ``(vals, grads)``, vals of shape (N, k) for k
+    vectors and grads (N, k, 2), or None unless ``grad``.
+    """
+    pts = np.asarray(pts, dtype=float)
+    padded = [np.append(c, 0.0) for c in c_fulls]
+    n = pts.shape[0]
+    vals = np.empty((n, len(padded)))
+    grads = np.empty((n, len(padded), 2)) if grad else None
+    for start in range(0, n, EVAL_CHUNK):
+        sl = slice(start, min(start + EVAL_CHUNK, n))
+        values = BasisValues(basis, pts[sl], nderiv=int(grad))
+        for k, c in enumerate(padded):
+            if grad:
+                vals[sl, k], grads[sl, k] = values.field(c, grad=True)
+            else:
+                vals[sl, k] = values.field(c)
+    return vals, grads
 
 
 def eval_field(basis, coeffs, pts, nderiv=0):
-    """Values (and gradients) of a web expansion at many points.
-
-    Parameters
-    ----------
-    coeffs : array (n_inner,)
-        Web coefficients.
-    pts : array (N, 2)
-    nderiv : 0 or 1
-
-    Returns
-    -------
-    vals : (N,) or (vals, grads) with grads (N, 2) when nderiv == 1.
-    """
-    grid = basis.grid
-    pts = np.asarray(pts, dtype=float)
-    m1, m2 = grid.degrees
+    """Values (N,) at ``pts`` (N, 2) of the web expansion with coefficients
+    ``coeffs`` (n_inner,); for ``nderiv == 1``, (vals, grads (N, 2))."""
     c_full = basis.coupling_matrix().T @ np.asarray(coeffs, dtype=float)
-    c_pad = np.concatenate([c_full, [0.0]])
-
-    n = pts.shape[0]
-    vals = np.empty(n)
-    grads = np.empty((n, 2)) if nderiv else None
-    chunk = 200000
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        blk = pts[sl]
-        sx, dx = nonzero_basis(grid.kvs[0], blk[:, 0], nderiv)
-        sy, dy = nonzero_basis(grid.kvs[1], blk[:, 1], nderiv)
-        ax = sx[:, None] - m1 + np.arange(m1 + 1)[None, :]
-        ay = sy[:, None] - m2 + np.arange(m2 + 1)[None, :]
-        cols = basis.kcol[ax[:, :, None], ay[:, None, :]]
-        cw = c_pad[np.where(cols >= 0, cols, c_full.size)]
-        b = dx[0][:, :, None] * dy[0][:, None, :]
-        s = np.einsum("nab,nab->n", cw, b)
-        w = basis.domain.weight(blk)
-        vals[sl] = w * s
-        if nderiv:
-            bx = dx[1][:, :, None] * dy[0][:, None, :]
-            by = dx[0][:, :, None] * dy[1][:, None, :]
-            sx_ = np.einsum("nab,nab->n", cw, bx)
-            sy_ = np.einsum("nab,nab->n", cw, by)
-            gw = basis.domain.weight_gradient(blk)
-            grads[sl] = gw * s[:, None] + w[:, None] * np.column_stack([sx_, sy_])
-    if nderiv == 0:
-        return vals
-    return vals, grads
+    vals, grads = eval_fields(basis, [c_full], pts, grad=bool(nderiv))
+    return (vals[:, 0], grads[:, 0]) if nderiv else vals[:, 0]
 
 
 # ---------------------------------------------------------------------------

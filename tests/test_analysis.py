@@ -3,17 +3,20 @@ import json
 import numpy as np
 import pytest
 
+import webfem.analysis as analysis
 from webfem.analysis import (
     AnalysisError, StudyConfig, eoc, error_norm, error_norms, level_csv,
     pressure_projection_error, run_convergence,
 )
 from webfem.assembly import BasisTables, PressureSpace
 from webfem.cases import get_case
-from webfem.geometry import domain_from_config
+from webfem.geometry import CellLabel, domain_from_config
 from webfem.quadrature import build_quadrature
 from webfem.solvers import PressureField, SolutionField
 from webfem.splines import TensorGrid, uniform_knots
 from webfem.webbasis import build_web_basis, project
+
+from oracles import eval_field_loop
 
 
 def disk_fixture(n_cells=10, degree=2):
@@ -258,6 +261,99 @@ class TestQuasinormCea:
         qs = error_norm(sol, case, "quasinorm", err_quad)
         qp = error_norm(proj, case, "quasinorm", err_quad)
         assert qs <= 5.0 * qp
+
+
+class TestSharedTables:
+    """Norms on the error rule that read boundary cells from the assembly
+    tables equal those of the separate per-point evaluation path."""
+
+    @staticmethod
+    def level(name, components=1, degree=2, n_cells=8, gauss_leaf=None):
+        case = get_case(name)
+        dom = domain_from_config(case.domain_config)
+        kv = uniform_knots(-1.1, 1.1, n_cells, degree)
+        grid = TensorGrid(kv, kv)
+        basis = build_web_basis(dom, grid)
+        g = degree + 1
+        quad = build_quadrature(dom, grid, basis.cls, g, 5, gauss_leaf)
+        err_quad = build_quadrature(dom, grid, basis.cls, g + 1, 5,
+                                    gauss_leaf or g)
+        tables = BasisTables(basis, quad)
+        coeffs = np.random.default_rng(11).normal(
+            scale=0.1, size=components * basis.n_inner)
+        field = SolutionField(basis=basis, coeffs=coeffs, kind=case.kind)
+        shared = analysis._shared_sampler(basis, tables, quad, err_quad)
+        return case, field, err_quad, shared
+
+    def check(self, case, field, err_quad, shared, norms):
+        def oracle(f):
+            outs = [eval_field_loop(f.basis, f.component(k), err_quad.points,
+                                    nderiv=1)
+                    for k in range(f.num_components)]
+            return (np.stack([v for v, _ in outs], axis=1),
+                    np.stack([g for _, g in outs], axis=1))
+
+        got = analysis._error_norms(field, case, norms, err_quad, shared)
+        ref = analysis._error_norms(field, case, norms, err_quad, oracle)
+        assert list(got) == list(norms)
+        for norm in norms:
+            assert got[norm] == pytest.approx(ref[norm], rel=1e-12, abs=0)
+        # the public entry point evaluates every point anew; same numbers
+        public = error_norms(field, case, norms, err_quad)
+        for norm in norms:
+            assert public[norm] == pytest.approx(ref[norm], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("degree, gauss_leaf", [(1, None), (2, None),
+                                                    (3, 3)])
+    def test_vcpe(self, degree, gauss_leaf):
+        case, field, err_quad, shared = self.level(
+            "disk_poisson", degree=degree, gauss_leaf=gauss_leaf)
+        self.check(case, field, err_quad, shared, ("L2", "H1"))
+
+    def test_plap(self):
+        case, field, err_quad, shared = self.level("plap_p15_w2p")
+        self.check(case, field, err_quad, shared,
+                   ("L2", "H1", "W1p", "quasinorm"))
+
+    def test_mixed(self):
+        case, velocity, err_quad, shared = self.level(
+            "stokes_carreau", components=2, gauss_leaf=2)
+        pspace = PressureSpace(velocity.basis.grid, err_quad, 0)
+        pressure = PressureField(space=pspace, coeffs=np.random.default_rng(
+            12).normal(size=pspace.n_dofs))
+        self.check(case, (velocity, pressure), err_quad, shared,
+                   ("Xnorm", "pressure_L2", "combined"))
+
+    def test_samples_match_oracle_pointwise(self):
+        case, field, err_quad, shared = self.level(
+            "stokes_carreau", components=2, degree=3, gauss_leaf=3)
+        vals, grads = shared(field)
+        for k in range(2):
+            rv, rg = eval_field_loop(field.basis, field.component(k),
+                                     err_quad.points, nderiv=1)
+            np.testing.assert_allclose(vals[:, k], rv, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(rv)))
+            np.testing.assert_allclose(grads[:, k], rg, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(rg)))
+
+    def test_run_level_rejects_a_moved_boundary_point(self, monkeypatch):
+        real = analysis.build_quadrature
+        calls = []
+
+        def patched(domain, grid, cls, g, depth, g_leaf=None):
+            quad = real(domain, grid, cls, g, depth, g_leaf)
+            calls.append(g)
+            if len(calls) % 2 == 0:  # the error rule, built second
+                k = np.flatnonzero(cls.labels.ravel()[quad.cell_ids]
+                                   == CellLabel.BOUNDARY)[0]
+                quad.points[k, 0] = np.nextafter(quad.points[k, 0], np.inf)
+            return quad
+
+        monkeypatch.setattr(analysis, "build_quadrature", patched)
+        study = StudyConfig(degree=1, levels=1, base_cells=6, depth=3)
+        with pytest.raises(AnalysisError, match="differ on boundary cells"):
+            run_convergence(get_case("disk_poisson"), study)
+        assert calls == [2, 3]
 
 
 class TestAnnulus:

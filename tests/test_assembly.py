@@ -19,8 +19,9 @@ from webfem.geometry import (
 )
 from webfem.quadrature import build_quadrature
 from webfem.splines import TensorGrid, uniform_knots
-from webfem.webbasis import build_web_basis, eval_web, project
+from webfem.webbasis import build_web_basis, project
 
+from oracles import eval_web
 from strategies import r_trees
 
 

@@ -263,6 +263,19 @@ class TestCheckSuite:
         assert code == EXIT_CHECK
 
 
+    def test_suite_reports_each_violation_once(self, tmp_path, capsys):
+        d = tmp_path / "suite"
+        d.mkdir()
+        write_config(tmp_path, name="suite/ok.json")
+        write_config(tmp_path, name="suite/fails.json",
+                     floors=[{"norm": "H1", "min_eoc": 9.9}])
+        code = main(["check", str(d), "--out", str(tmp_path / "o")])
+        out = capsys.readouterr()
+        assert code == EXIT_CHECK == 4
+        assert (out.out + out.err).count("< floor 9.9") == 1
+        assert "fails.json" in out.out and "FAIL" in out.out
+
+
 class TestFloors:
     def test_aggregates(self):
         class R:

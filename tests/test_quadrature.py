@@ -204,6 +204,28 @@ class TestBatchedSubdivision:
         assert np.all((b[jx] <= x) & (x <= b[jx + 1]))
         assert np.all((b[jy] <= y) & (y <= b[jy + 1]))
 
+    @settings(deadline=None, max_examples=40)
+    @given(tree=r_trees(3), n_cells=st.integers(4, 12),
+           half=st.floats(1.0, 1.2), depth=st.integers(0, 6),
+           g=st.integers(1, 4), g_leaf=st.one_of(st.none(), st.integers(1, 3)))
+    def test_error_rule_shares_boundary_slots(self, tree, n_cells, half, depth,
+                                              g, g_leaf):
+        # the error norms read the boundary cells of the error rule from the
+        # assembly tables; that needs both rules to agree there exactly
+        dom = ImplicitDomain(tree)
+        kv = uniform_knots(-half, half, n_cells, 1)
+        grid = TensorGrid(kv, kv)
+        cls = classify_cells(dom, grid)
+        quad = build_quadrature(dom, grid, cls, g, depth, g_leaf)
+        err = build_quadrature(dom, grid, cls, g + 1, depth, g_leaf or g)
+        boundary = cls.labels.ravel() == CellLabel.BOUNDARY
+        shared, err_shared = boundary[quad.cell_ids], boundary[err.cell_ids]
+        assert np.array_equal(quad.points[shared], err.points[err_shared])
+        assert np.array_equal(quad.weights[shared], err.weights[err_shared])
+        assert np.array_equal(quad.cell_ids[shared], err.cell_ids[err_shared])
+        n_interior = np.count_nonzero(cls.labels == CellLabel.INTERIOR)
+        assert np.count_nonzero(~err_shared) == (g + 1) ** 2 * n_interior
+
     def test_empty_domain_gives_empty_rule(self):
         dom = ImplicitDomain(Disk([5.0, 5.0], 0.5))
         kv = uniform_knots(-1.0, 1.0, 4, 1)

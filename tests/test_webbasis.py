@@ -8,10 +8,13 @@ from webfem.splines import (
     KnotVector, TensorGrid, deboor_fix, graded_knots, interpolate_piece,
     local_polynomial, nonzero_basis, uniform_knots,
 )
+from webfem.solvers import SolutionField
 from webfem.webbasis import (
-    BasisError, build_extension, build_web_basis, eval_field, eval_web,
+    BasisError, BasisValues, build_extension, build_web_basis, eval_field,
     jackson_error, project,
 )
+
+from oracles import eval_field_loop, eval_web
 
 
 def disk_basis(n_cells=14, degree=2, half=1.1):
@@ -247,6 +250,53 @@ class TestEvalWeb:
                        for c, i in zip(coeffs, basis.idx.inner))
             assert vals[q] == pytest.approx(ref, rel=1e-11, abs=1e-13)
             assert grads[q, 0] == pytest.approx(refx, rel=1e-10, abs=1e-11)
+
+
+class TestEvalFieldOracle:
+    """eval_field (one tabulation kernel shared with the assembly tables)
+    against the per-block loop it replaced."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_matches_loop_inside_and_outside_relevant_set(self, degree):
+        basis = disk_basis(n_cells=20, degree=degree, half=1.6)
+        rng = np.random.default_rng(40 + degree)
+        coeffs = rng.normal(size=basis.n_inner)
+        # the whole grid core: the corners hold points whose nonzero
+        # B-splines are all outside the relevant set
+        pts = rng.uniform(-1.6, 1.6, size=(4000, 2))
+        cols = BasisValues(basis, pts, nderiv=0).idx
+        some_out = np.any(cols < 0, axis=1)
+        all_out = np.all(cols < 0, axis=1)
+        assert np.any(some_out & ~all_out) and np.any(all_out)
+        vals, grads = eval_field(basis, coeffs, pts, nderiv=1)
+        rv, rg = eval_field_loop(basis, coeffs, pts, nderiv=1)
+        np.testing.assert_allclose(vals, rv, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(rv)))
+        np.testing.assert_allclose(grads, rg, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(rg)))
+        assert np.all(vals[all_out] == 0.0) and np.all(grads[all_out] == 0.0)
+        assert np.array_equal(eval_field(basis, coeffs, pts), vals)
+
+    def test_chunks_and_components(self, monkeypatch):
+        import webfem.webbasis as webbasis
+        basis = disk_basis(n_cells=8, degree=2)
+        rng = np.random.default_rng(45)
+        coeffs = rng.normal(size=2 * basis.n_inner)
+        pts = rng.uniform(-1.05, 1.05, size=(1000, 2))
+        field = SolutionField(basis=basis, coeffs=coeffs, kind="quasi_newtonian")
+        vals, grads = field(pts, grad=True)
+        monkeypatch.setattr(webbasis, "EVAL_CHUNK", 77)
+        chunked_vals, chunked_grads = field(pts, grad=True)
+        assert vals.shape == (1000, 2) and grads.shape == (1000, 2, 2)
+        assert np.array_equal(chunked_vals, vals)
+        assert np.array_equal(chunked_grads, grads)
+        assert np.array_equal(field(pts), vals)
+        for k in range(2):
+            rv, rg = eval_field_loop(basis, field.component(k), pts, nderiv=1)
+            np.testing.assert_allclose(vals[:, k], rv, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(rv)))
+            np.testing.assert_allclose(grads[:, k], rg, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(rg)))
 
 
 class TestProjector:
