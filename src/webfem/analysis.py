@@ -33,10 +33,6 @@ class AnalysisError(ValueError):
 # norms
 # ---------------------------------------------------------------------------
 
-def _inside_mask(domain, pts):
-    return domain.phi(pts) > 0.0
-
-
 _SCALAR_NORMS = ("L2", "H1", "W1p", "quasinorm")
 _MIXED_NORMS = ("Xnorm", "pressure_L2", "combined")
 
@@ -106,7 +102,7 @@ def _error_norms(field, case, norms, quad, sample, p=None):
     w = quad.weights
     vals, grads = sample(field)
     vals, grads = vals[:, 0], grads[:, 0]
-    inside = _inside_mask(field.basis.domain, pts)
+    inside = field.basis.domain.inside(pts)
     exact_grad = case.gradient(pts)
     ev = np.where(inside, case.solution(pts) - vals, 0.0)
     eg = np.where(inside[:, None], exact_grad - grads, 0.0)
@@ -141,7 +137,7 @@ def _mixed_norms(field, case, norms, quad, sample):
     velocity, pressure = field
     pts = quad.points
     w = quad.weights
-    inside = _inside_mask(velocity.basis.domain, pts)
+    inside = velocity.basis.domain.inside(pts)
     out = {}
     if "Xnorm" in norms or "combined" in norms:
         vals, grads = sample(velocity)

@@ -533,9 +533,7 @@ class PressureSpace:
         pts = np.asarray(pts, dtype=float)
         cids = np.zeros(pts.shape[0], dtype=np.int64)
         for ax, kv in enumerate(grid.kvs):
-            # KnotVector.find_cell: right-continuous, last cell closed
-            j = np.searchsorted(kv.breakpoints, pts[:, ax], side="right") - 1
-            cids = cids * grid.num_cells[ax] + np.clip(j, 0, kv.num_cells - 1)
+            cids = cids * grid.num_cells[ax] + kv.find_cell(pts[:, ax])
         active = self._pos[cids] >= 0
         out = np.zeros(pts.shape[0])
         pos, vals = self._tabulate(pts[active], cids[active])

@@ -48,6 +48,12 @@ class SolveOptions:
             raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if not self.eps_factor > 1:
+            raise ValueError(
+                f"eps_factor must exceed 1, got {self.eps_factor}")
+        if not self.p_continuation_step > 0:
+            raise ValueError(
+                f"p_continuation_step must be positive, got {self.p_continuation_step}")
 
     def eps_schedule(self):
         out = [self.eps_start]

@@ -3,7 +3,9 @@
 Provides the Cox-de Boor evaluation of B-splines and their derivatives on
 arbitrary nondecreasing knot sequences, extraction of local polynomial
 pieces on grid cells (stored in Bernstein form), and the de Boor-Fix dual
-functionals that are bi-orthogonal to the B-spline basis.
+functionals that are bi-orthogonal to the B-spline basis. On polynomials a
+dual functional is the blossom at the interior knots of the support, so it
+is one de Casteljau pass over the Bernstein coefficients (:func:`dual_row`).
 
 Conventions:
     * evaluation at interior knots is right-continuous; at the last knot
@@ -14,7 +16,7 @@ Conventions:
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -101,9 +103,10 @@ class KnotVector:
                 if t[i] <= lo and hi <= t[i + m + 1]]
 
     def find_cell(self, x):
-        """Cell index containing ``x`` (right-continuous; last cell closed)."""
-        j = int(np.searchsorted(self.breakpoints, x, side="right")) - 1
-        return min(max(j, 0), self.num_cells - 1)
+        """Cell index (or array of them) containing ``x`` (right-continuous;
+        last cell closed)."""
+        j = np.searchsorted(self.breakpoints, x, side="right") - 1
+        return np.clip(j, 0, self.num_cells - 1)
 
     def refined(self):
         """Dyadic refinement: insert the midpoint of every nonempty span."""
@@ -388,25 +391,14 @@ class PolynomialPiece:
         return (self.coeffs.shape[0] - 1, self.coeffs.shape[1] - 1)
 
     def __call__(self, x, y, deriv=(0, 0)):
-        d = self.derivatives(x, y, deriv[0], deriv[1])
-        return d[deriv[0], deriv[1]]
-
-    def derivatives(self, x, y, max_dx, max_dy):
-        """All mixed partials up to (max_dx, max_dy) at a single point."""
-        wx = self.hi[0] - self.lo[0]
-        wy = self.hi[1] - self.lo[1]
-        tx = (x - self.lo[0]) / wx
-        ty = (y - self.lo[1]) / wy
-        out = np.zeros((max_dx + 1, max_dy + 1))
-        cx = self.coeffs
-        for a in range(max_dx + 1):
-            c = cx
-            for b in range(max_dy + 1):
-                n1, n2 = c.shape[0] - 1, c.shape[1] - 1
-                out[a, b] = _bern_row(n1, tx) @ c @ _bern_row(n2, ty)
-                c = _bern_derive(c.transpose(), wy).transpose()
-            cx = _bern_derive(cx, wx)
-        return out
+        c = self.coeffs
+        for _ in range(deriv[0]):
+            c = _bern_derive(c, self.hi[0] - self.lo[0])
+        for _ in range(deriv[1]):
+            c = _bern_derive(c.transpose(), self.hi[1] - self.lo[1]).transpose()
+        tx = (x - self.lo[0]) / (self.hi[0] - self.lo[0])
+        ty = (y - self.lo[1]) / (self.hi[1] - self.lo[1])
+        return _bern_row(c.shape[0] - 1, tx) @ c @ _bern_row(c.shape[1] - 1, ty)
 
 
 def _mono_to_bern(mono):
@@ -494,109 +486,52 @@ def interpolate_piece(f, lo, hi, degrees):
 # de Boor-Fix dual functionals
 # ---------------------------------------------------------------------------
 
-def _dual_point(kv, index, target=None):
-    """Midpoint of a nonempty knot span inside supp b_index.
+def dual_row(kv, index, lo, hi):
+    """Row ``r`` with ``lambda_index(p) = r @ c`` for every polynomial ``p``
+    of degree ``kv.degree`` whose Bernstein coefficients on [lo, hi] are ``c``.
 
-    Among the nonempty spans, the one whose midpoint is nearest ``target``
-    is chosen (ties: widest, then leftmost); this keeps the polynomial
-    argument evaluated close to its reference cell, which is where the
-    derivative formula is numerically sharpest.
+    On polynomials the de Boor-Fix functional is the blossom at the interior
+    knots ``t_{index+1..index+m}`` of the support (Ramshaw 1989): one de
+    Casteljau pass with one parameter per stage, run on the identity.
     """
     m = kv.degree
-    t = kv.knots
-    widths = t[index + 1:index + m + 2] - t[index:index + m + 1]
-    mids = 0.5 * (t[index:index + m + 1] + t[index + 1:index + m + 2])
-    ok = widths > 0
-    if not np.any(ok):
-        raise SplineError(f"basis {index} has empty support")
-    if target is None:
-        score = -widths
-    else:
-        score = np.abs(mids - target) - 1e-9 * widths
-    score = np.where(ok, score, np.inf)
-    return mids[int(np.argmin(score))]
+    u = (kv.knots[index + 1:index + m + 1] - lo) / (hi - lo)
+    r = np.eye(m + 1)
+    for s in range(m):
+        r = (1.0 - u[s]) * r[:-1] + u[s] * r[1:]
+    return r[0]
 
 
-def _psi_derivatives(kv, index, tau):
-    """Derivatives psi^(k)(tau), k = 0..m, of psi(t) = prod (t_{i+r} - t)."""
-    m = kv.degree
-    t = kv.knots
-    # psi has roots at the m interior knots of the support, leading coeff (-1)^m
-    poly = np.polynomial.Polynomial([1.0])
-    for r in range(1, m + 1):
-        poly = poly * np.polynomial.Polynomial([t[index + r], -1.0])
-    out = np.empty(m + 1)
-    for k in range(m + 1):
-        out[k] = poly(tau)
-        poly = poly.deriv()
-    return out
-
-
-def dual_weights(kv, index, target=None):
-    """Dual point ``tau`` and weights ``s`` of the univariate de Boor-Fix functional.
-
-    For every polynomial ``p`` of degree <= ``kv.degree``,
-    ``lambda_index(p) = sum_n s[n] p^(n)(tau)``; ``tau`` is the span midpoint
-    of ``supp b_index`` nearest ``target`` (see :func:`_dual_point`).
-    """
-    m = kv.degree
-    tau = _dual_point(kv, index, target=target)
-    psi = _psi_derivatives(kv, index, tau)
-    s = np.array([(-1.0) ** (m - n) * psi[m - n] for n in range(m + 1)]) / factorial(m)
-    return tau, s
-
-
-def dual_factor(weights, coeffs, lo, hi):
-    """Univariate de Boor-Fix functional with ``weights`` (from :func:`dual_weights`)
-    applied to the Bernstein polynomial with ``coeffs`` on [lo, hi].
-
-    This is the per-axis factor of :func:`deboor_fix` on product pieces.
-    """
-    tau, s = weights
-    if len(coeffs) > s.size:
-        raise SplineError(
-            f"polynomial degree {len(coeffs) - 1} exceeds basis degree {s.size - 1}")
-    return s @ _bern_all_ders_1d(coeffs, lo, hi, tau, s.size - 1)
+def _elevated(c, m):
+    """Bernstein coefficients (along axis 0) of the same polynomial at degree m."""
+    for k in range(c.shape[0], m + 1):
+        a = (np.arange(k + 1) / k).reshape((-1,) + (1,) * (c.ndim - 1))
+        pad = np.zeros((1,) + c.shape[1:])
+        c = a * np.concatenate([pad, c]) + (1.0 - a) * np.concatenate([c, pad])
+    return c
 
 
 def deboor_fix(kv_pair, multi_index, piece):
     """de Boor-Fix dual functional of tensor basis ``multi_index`` applied to a piece.
 
-    For a polynomial argument the value is independent of the internal
-    evaluation point; bi-orthogonality ``lambda_k(p_{k'}) = delta_{kk'}``
-    holds when ``piece`` is the local polynomial of B-spline ``k'`` on a
-    cell inside both supports.
+    Bi-orthogonality ``lambda_k(p_{k'}) = delta_{kk'}`` holds when ``piece``
+    is the local polynomial of B-spline ``k'`` on a cell inside both
+    supports. Pieces of lower degree are degree-elevated first.
     """
     m1, m2 = kv_pair[0].degree, kv_pair[1].degree
     d1, d2 = piece.degrees
     if d1 > m1 or d2 > m2:
         raise SplineError(
             f"piece degree {piece.degrees} exceeds basis degrees {(m1, m2)}")
-    mid = 0.5 * (piece.lo + piece.hi)
-    w1 = dual_weights(kv_pair[0], multi_index[0], target=mid[0])
-    w2 = dual_weights(kv_pair[1], multi_index[1], target=mid[1])
+    r1 = dual_row(kv_pair[0], multi_index[0], piece.lo[0], piece.hi[0])
+    r2 = dual_row(kv_pair[1], multi_index[1], piece.lo[1], piece.hi[1])
     if piece.factors is not None:
         # product piece: apply the univariate functional per axis, which
         # avoids forming large cross terms before they cancel
-        f1 = dual_factor(w1, piece.factors[0], piece.lo[0], piece.hi[0])
-        f2 = dual_factor(w2, piece.factors[1], piece.lo[1], piece.hi[1])
-        return float(f1 * f2)
-    (tau1, s1), (tau2, s2) = w1, w2
-    pd = piece.derivatives(tau1, tau2, m1, m2)
-    return float(s1 @ pd @ s2)
-
-
-def _bern_all_ders_1d(c, lo, hi, tau, maxorder):
-    """Derivatives 0..maxorder of a univariate Bernstein polynomial at tau."""
-    width = hi - lo
-    t = (tau - lo) / width
-    c = np.asarray(c, dtype=float)[:, None]
-    out = np.empty(maxorder + 1)
-    for k in range(maxorder + 1):
-        n = c.shape[0] - 1
-        out[k] = float(_bern_row(n, t) @ c[:, 0])
-        c = _bern_derive(c, width)
-    return out
+        cx, cy = piece.factors
+        return float((r1 @ _elevated(cx, m1)) * (r2 @ _elevated(cy, m2)))
+    c = _elevated(_elevated(piece.coeffs, m1).T, m2).T
+    return float(r1 @ c @ r2)
 
 
 def dual_functional_1d(kv, index, coeffs, lo, hi):
@@ -604,8 +539,11 @@ def dual_functional_1d(kv, index, coeffs, lo, hi):
 
     ``coeffs`` are Bernstein coefficients on [lo, hi].
     """
-    weights = dual_weights(kv, index, target=0.5 * (lo + hi))
-    return float(dual_factor(weights, coeffs, lo, hi))
+    c = np.asarray(coeffs, dtype=float)
+    if c.size > kv.degree + 1:
+        raise SplineError(
+            f"polynomial degree {c.size - 1} exceeds basis degree {kv.degree}")
+    return float(dual_row(kv, index, lo, hi) @ _elevated(c, kv.degree))
 
 
 def uniform_knots(lo, hi, n_cells, degree):

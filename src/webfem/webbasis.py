@@ -4,7 +4,9 @@ An outer B-spline ``b_j`` is absorbed into the inner ones by extrapolating
 its dual functional: for every inner ``i`` whose support contains the inner
 cell ``Q_j`` assigned to ``j``, the extension coefficient is
 ``e_{i,j} = lambda_j(p_{i,j})`` with ``p_{i,j}`` the polynomial piece of
-``b_i`` on ``Q_j``. The web-spline for an inner index ``i`` is then
+``b_i`` on ``Q_j``; per axis this is the blossom of the piece at the
+interior knots of ``b_j`` (:func:`~webfem.splines.dual_row`). The
+web-spline for an inner index ``i`` is then
 
     B_i = (w / w(x_i)) * (b_i + sum_{j in J(i)} e_{i,j} b_j),
 
@@ -19,8 +21,7 @@ import scipy.sparse as sp
 
 from .geometry import classify_cells, classify_indices
 from .splines import (
-    deboor_fix, dual_factor, dual_weights, interpolate_piece,
-    local_polynomial_1d, nonzero_basis,
+    deboor_fix, dual_row, interpolate_piece, local_polynomial_1d, nonzero_basis,
 )
 
 
@@ -47,23 +48,21 @@ def build_extension(grid, idx):
 
     The piece of ``b_i`` on ``Q_j`` is a product of univariate pieces, so
     ``e_{i,j} = e^x_{i1,j1} * e^y_{i2,j2}`` with one de Boor-Fix factor per
-    axis. The weights of a factor depend only on (axis, j_a, q_a) and the
+    axis. The dual row of a factor depends only on (axis, j_a, q_a) and the
     factor only on (axis, i_a, j_a, q_a); both are computed once per key.
     """
     kvs = grid.kvs
-    weights = {}
+    rows = {}
     factors = {}
 
     def factor(axis, i_a, j_a, q_a):
         key = (axis, i_a, j_a, q_a)
         if key not in factors:
             kv = kvs[axis]
-            lo, hi = kv.cell_bounds(q_a)
-            wkey = (axis, j_a, q_a)
-            if wkey not in weights:
-                weights[wkey] = dual_weights(kv, j_a, target=0.5 * (lo + hi))
-            factors[key] = dual_factor(weights[wkey],
-                                       local_polynomial_1d(kv, i_a, q_a), lo, hi)
+            rkey = (axis, j_a, q_a)
+            if rkey not in rows:
+                rows[rkey] = dual_row(kv, j_a, *kv.cell_bounds(q_a))
+            factors[key] = rows[rkey] @ local_polynomial_1d(kv, i_a, q_a)
         return factors[key]
 
     entries = {}
@@ -281,7 +280,7 @@ def jackson_error(basis, u, grad_u, quad):
     """
     coeffs = project(basis, u)
     vals, grads = eval_field(basis, coeffs, quad.points, nderiv=1)
-    inside = basis.domain.phi(quad.points) > 0.0
+    inside = basis.domain.inside(quad.points)
     ev = np.where(inside, np.asarray(u(quad.points), dtype=float) - vals, 0.0)
     eg = np.where(inside[:, None],
                   np.asarray(grad_u(quad.points), dtype=float) - grads, 0.0)

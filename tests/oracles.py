@@ -3,8 +3,13 @@
 ``eval_web`` sums one web-spline's eb-spline expansion point by point;
 ``eval_field_loop`` is the chunked field evaluation that tabulated the basis
 separately from the assembly tables. Neither shares code with
-:class:`webfem.webbasis.BasisValues`.
+:class:`webfem.webbasis.BasisValues`. ``extension_exact`` computes the
+extension coefficients in exact rational arithmetic, sharing no code with
+:mod:`webfem.splines`.
 """
+
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -83,3 +88,65 @@ def eval_field_loop(basis, coeffs, pts, nderiv=0, chunk=200000):
     if nderiv == 0:
         return vals
     return vals, grads
+
+
+def _piece_monomial(t, i, m, a, b):
+    """Exact monomial coefficients (in x) of B-spline ``b_i`` of degree ``m``
+    on the cell [a, b], by Cox-de Boor on polynomials over ``Fraction``s."""
+
+    def add_times_linear(out, c, alpha, beta):  # out += c(x) * (alpha + beta * x)
+        for k, ck in enumerate(c):
+            out[k] += alpha * ck
+            out[k + 1] += beta * ck
+
+    level = {r: [Fraction(int(t[r] <= a and b <= t[r + 1]))]
+             for r in range(i, i + m + 1)}
+    for k in range(1, m + 1):
+        nxt = {}
+        for r in range(i, i + m + 1 - k):
+            c = [Fraction(0)] * (k + 1)
+            if t[r + k] > t[r]:
+                d = t[r + k] - t[r]
+                add_times_linear(c, level[r], -t[r] / d, 1 / d)
+            if t[r + k + 1] > t[r + 1]:
+                d = t[r + k + 1] - t[r + 1]
+                add_times_linear(c, level[r + 1], t[r + k + 1] / d, -1 / d)
+            nxt[r] = c
+        level = nxt
+    return level[i]
+
+
+def _blossom(mono, args):
+    """Polar form at ``args`` (m of them) of the polynomial with monomial
+    coefficients ``mono`` (degree <= m): sum_k a_k e_k(args) / C(m, k)."""
+    m = len(args)
+    e = [Fraction(1)] + [Fraction(0)] * m  # elementary symmetric sums
+    for u in args:
+        for k in range(m, 0, -1):
+            e[k] += u * e[k - 1]
+    return sum(a * e[k] / comb(m, k) for k, a in enumerate(mono))
+
+
+def extension_exact(grid, idx):
+    """Exact ``e_{i,j} = lambda_j(p_{i,j})`` for every (inner, outer) pair of
+    ``idx``, as ``Fraction``s of the floating-point knots: the product over
+    the axes of the blossom of the piece of ``b_{i_a}`` on cell ``q_a`` at
+    the interior knots of ``b_{j_a}``."""
+    knots = [[Fraction(float(x)) for x in kv.knots] for kv in grid.kvs]
+    cells = [[Fraction(float(x)) for x in kv.breakpoints] for kv in grid.kvs]
+    factors = {}
+
+    def factor(axis, i_a, j_a, q_a):
+        key = (axis, i_a, j_a, q_a)
+        if key not in factors:
+            t, m = knots[axis], grid.kvs[axis].degree
+            mono = _piece_monomial(t, i_a, m, cells[axis][q_a], cells[axis][q_a + 1])
+            factors[key] = _blossom(mono, t[j_a + 1:j_a + m + 1])
+        return factors[key]
+
+    out = {}
+    for j in idx.outer:
+        q = idx.q_cell[j]
+        for i in idx.i_of_j[j]:
+            out[(i, j)] = factor(0, i[0], j[0], q[0]) * factor(1, i[1], j[1], q[1])
+    return out

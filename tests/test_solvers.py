@@ -270,6 +270,17 @@ class TestOptions:
         with pytest.raises(ValueError):
             SolveOptions(max_iterations=0)
 
+    @pytest.mark.parametrize("bad", [
+        {"eps_factor": 1.0}, {"eps_factor": 0.5}, {"eps_factor": float("nan")},
+        {"p_continuation_step": 0.0}, {"p_continuation_step": -0.5},
+        {"p_continuation_step": float("nan")},
+    ])
+    def test_rejects_non_terminating_schedules(self, bad):
+        # either value would make eps_schedule or _p_schedule loop forever,
+        # so only the construction is tried
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SolveOptions(**bad)
+
     def test_eps_schedule(self):
         s = SolveOptions().eps_schedule()
         assert s[0] == pytest.approx(1e-1)

@@ -327,6 +327,30 @@ class TestDeBoorFix:
         val = dual_functional_1d(kv, 1, [1.0, 2.0], 1.0, 2.0)
         assert val == pytest.approx(2.0)  # peak of hat 1 is at knot 2
 
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_lower_degree_pieces_give_grevilles(self, degree):
+        # x and x*y written at degree 1 are degree-elevated before the
+        # functional applies; lambda_j(x) is the Greville abscissa of b_j
+        rng = np.random.default_rng(300 + degree)
+        kv = random_knot_vector(rng, degree, n_cells=7)
+        t = kv.knots
+        greville = [np.mean(t[j + 1:j + degree + 1]) for j in range(kv.num_basis)]
+        for j in range(kv.num_basis):
+            for q in kv.support_cells(j):
+                lo, hi = kv.cell_bounds(q)
+                val = dual_functional_1d(kv, j, [lo, hi], lo, hi)
+                assert val == pytest.approx(greville[j], rel=1e-13, abs=1e-13)
+        for j1 in range(kv.num_basis):
+            j2 = kv.num_basis - 1 - j1
+            q1, q2 = kv.support_cells(j1)[0], kv.support_cells(j2)[-1]
+            (x0, x1), (y0, y1) = kv.cell_bounds(q1), kv.cell_bounds(q2)
+            piece = PolynomialPiece(lo=np.array([x0, y0]), hi=np.array([x1, y1]),
+                                    coeffs=np.outer([x0, x1], [y0, y1]))
+            assert piece.degrees == (1, 1)
+            lam = deboor_fix((kv, kv), (j1, j2), piece)
+            assert lam == pytest.approx(greville[j1] * greville[j2],
+                                        rel=1e-13, abs=1e-13)
+
     def test_piece_degree_too_high_rejected(self):
         kv = KnotVector([0, 1, 2, 3], 1)
         piece = PolynomialPiece(lo=np.zeros(2), hi=np.ones(2), coeffs=np.ones((3, 3)))

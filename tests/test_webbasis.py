@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,7 @@ from webfem.webbasis import (
     jackson_error, project,
 )
 
-from oracles import eval_field_loop, eval_web
+from oracles import eval_field_loop, eval_web, extension_exact
 
 
 def disk_basis(n_cells=14, degree=2, half=1.1):
@@ -109,6 +111,23 @@ class TestExtension:
         for (i, j), e in entries.items():
             piece = local_polynomial(grid, i, idx.q_cell[j])
             assert e == deboor_fix(grid.kvs, j, piece)
+
+    @pytest.mark.parametrize("graded", [False, True])
+    @pytest.mark.parametrize("n_cells", [4, 8, 16])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_entries_match_exact_rational_oracle(self, degree, n_cells, graded):
+        if graded:
+            grid = TensorGrid(graded_knots(-1.1, 1.1, n_cells, degree, 1.15, side="max"),
+                              graded_knots(-1.1, 1.1, n_cells, degree, 1.15, side="min"))
+        else:
+            kv = uniform_knots(-1.1, 1.1, n_cells, degree)
+            grid = TensorGrid(kv, kv)
+        idx = disk_indices(grid)
+        entries = build_extension(grid, idx).entries
+        exact = extension_exact(grid, idx)
+        assert entries.keys() == exact.keys()
+        for key, e in entries.items():
+            assert abs(Fraction(e) - exact[key]) <= 1e-13 * max(abs(e), 1.0), key
 
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(grid=disk_grids(), seed=st.integers(0, 2 ** 32 - 1))
