@@ -262,11 +262,10 @@ def _resolve_targets(case, study):
     return out
 
 
-def run_convergence(case, study, solver_opts=None, with_infsup=None):
+def run_convergence(case, study, solver_opts=None):
     """Solve the case on a dyadic grid hierarchy and report errors and EOC.
 
-    ``with_infsup`` controls the (dense) inf-sup estimate for mixed runs;
-    default on for mixed problems.
+    Mixed runs also report the (dense) inf-sup estimate of every level.
     """
     if study.levels < 1:
         raise AnalysisError("need at least one refinement level")
@@ -278,7 +277,7 @@ def run_convergence(case, study, solver_opts=None, with_infsup=None):
     extras = {}
     for level in range(study.levels):
         t0 = time.perf_counter()
-        rec = _run_level(case, domain, grid, g, study, level, opts, with_infsup)
+        rec = _run_level(case, domain, grid, g, study, level, opts)
         rec["wall_time"] = time.perf_counter() - t0
         rec["level"] = level
         records.append(rec)
@@ -299,7 +298,7 @@ def run_convergence(case, study, solver_opts=None, with_infsup=None):
     return report
 
 
-def _run_level(case, domain, grid, g, study, level, opts, with_infsup):
+def _run_level(case, domain, grid, g, study, level, opts):
     basis = build_web_basis(domain, grid, study.samples_per_axis)
     depth = study.depth_at(level)
     quad = build_quadrature(domain, grid, basis.cls, g, depth, study.gauss_leaf)
@@ -338,13 +337,13 @@ def _run_level(case, domain, grid, g, study, level, opts, with_infsup):
         rec["errors"] = _error_norms(
             (vel, pres), case, ("Xnorm", "pressure_L2", "combined"), err_quad,
             sample)
-        if with_infsup is None or with_infsup:
-            rec["infsup"] = estimate_infsup(basis, pspace, tables, quad)
+        rec["infsup"] = estimate_infsup(basis, pspace, tables, quad)
     elif case.kind == "projector":
         rec["errors"]["H1"] = jackson_error(basis, case.solution,
                                             case.gradient, err_quad)
     elif case.kind == "pressure_projection":
-        pspace = PressureSpace(grid, quad, study.pressure_degree)
+        pspace = PressureSpace(grid, quad, study.pressure_degree,
+                               macro=study.pressure_macro)
         rec["errors"]["pressure_L2"] = pressure_projection_error(
             pspace, err_quad, case.pressure)
     else:

@@ -8,13 +8,14 @@ scattered into the fixed pattern. Systems are assembled in the full
 relevant basis and reduced to the web basis with the coupling matrix
 ``Ebar = diag(1/w(x_i)) E``:  A_web = Ebar A Ebar^T.
 
-One-shot operators (stiffness, mass, seminorm Gram, Newton Jacobian) reduce
-with a sparse triple product (``web_reduce``): building a fixed reduction
-costs several triple products, which one operator per table never repays.
-The Picard velocity block is reassembled on every step, so its table holds
-a :class:`WebReductionPlan` (the web pattern and a linear map from the
-full-basis data to the web data) and a :class:`StackedPattern` of the 2x2
-velocity block; a step then computes values only, into fixed patterns.
+Every web-basis matrix (stiffness, mass, seminorm Gram, each Newton
+Jacobian and each Picard velocity block) reduces through the one
+:class:`WebReductionPlan` of its table: the web pattern and a linear map
+from the full-basis data to the web data, so that a reduction is one
+sparse mat-vec into a pattern shared by every matrix of the table. Load
+and residual vectors reduce as ``Ebar @ F``. The table also holds a
+:class:`StackedPattern` of the 2x2 Picard velocity block; a Picard step
+then computes values only, into fixed patterns.
 """
 
 from dataclasses import dataclass, field
@@ -175,6 +176,12 @@ def bilinear_form(plan, qw, terms):
     of all cells with the same point count come from one batched matmul;
     the scatter into the shared pattern is a deterministic bincount.
     """
+    return sp.csr_matrix((_form_data(plan, qw, terms), plan.indices,
+                          plan.indptr), shape=plan.shape)
+
+
+def _form_data(plan, qw, terms):
+    """``data`` of :func:`bilinear_form`, without building the matrix."""
     seg = plan.segments
     local = None
     for c, fa, fb in terms:
@@ -186,8 +193,7 @@ def bilinear_form(plan, qw, terms):
             a = wa[p0:p1].reshape(hi - lo, k, -1)
             b = wb[p0:p1].reshape(hi - lo, k, -1)
             local[lo:hi] += np.matmul(a.transpose(0, 2, 1), b)
-    data = np.bincount(plan.scatter, weights=local.ravel(), minlength=plan.nnz)
-    return sp.csr_matrix((data, plan.indices, plan.indptr), shape=plan.shape)
+    return np.bincount(plan.scatter, weights=local.ravel(), minlength=plan.nnz)
 
 
 def linear_form(idx, qw, terms, n_cols):
@@ -217,9 +223,12 @@ class BasisTables(BasisValues):
         The basis row shared by all points of each cell.
     plan : :class:`SparsityPlan`
         Full-basis pattern, reused by every operator on these tables.
-    web_plan, velocity_pattern
-        Fixed web-basis patterns of the Picard velocity block, built on
-        first use by :func:`assemble_mixed`.
+    web_plan : :class:`WebReductionPlan`
+        Web-basis pattern of ``plan``, built on first use and shared by
+        every matrix :meth:`web_form` returns.
+    velocity_pattern : :class:`StackedPattern`
+        Pattern of the Picard velocity block, built on first use by
+        :func:`assemble_mixed`.
     """
 
     def __init__(self, basis, quad, nderiv=1):
@@ -254,26 +263,21 @@ class BasisTables(BasisValues):
         """:class:`WebReductionPlan` of ``plan``, built on first use."""
         return WebReductionPlan(self.basis.coupling_matrix(), self.plan)
 
+    def web_form(self, terms):
+        """Web-basis matrix  Ebar P Ebar^T  of the full-basis matrix
+        P = ``bilinear_form(plan, qw, terms)``, in the CSR pattern of
+        ``web_plan`` (its ``indices`` and ``indptr`` are shared)."""
+        web = self.web_plan
+        data = web.R @ _form_data(self.plan, self.qw, terms)
+        return sp.csr_matrix((data, web.indices, web.indptr), shape=web.shape)
+
     @cached_property
     def velocity_pattern(self):
         """:class:`StackedPattern` of [[A11, A12], [A12^T, A22]], all blocks
         in the pattern of ``web_plan``."""
         web = self.web_plan
-        W = sp.csr_matrix((np.zeros(web.nnz), web.indices, web.indptr),
-                          shape=web.shape)
-        return StackedPattern([W, W, W], lambda a11, a12, a22: [
+        return StackedPattern([web, web, web], lambda a11, a12, a22: [
             [a11, a12], [a12.T, a22]], "csr")
-
-
-def web_reduce(basis, A_full=None, F_full=None):
-    """Reduce full-basis operators to the web basis via the coupling matrix."""
-    E = basis.coupling_matrix()
-    out = []
-    if A_full is not None:
-        out.append((E @ A_full @ E.T).tocsr())
-    if F_full is not None:
-        out.append(E @ F_full)
-    return out[0] if len(out) == 1 else tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +301,10 @@ def assemble_vcpe(basis, a, f, tables):
         raise CoercivityError(
             f"diffusion coefficient nonpositive at quadrature point {tuple(where)}")
     f_vals = f(tables.points) if callable(f) else np.full(tables.num_points, float(f))
-    A_full = bilinear_form(tables.plan, tables.qw,
-                           [(a_vals, tables.wbx, tables.wbx),
-                            (a_vals, tables.wby, tables.wby)])
-    F_full = linear_form(tables.idx, tables.qw, [(f_vals, tables.wb)], tables.n_cols)
-    A, F = web_reduce(basis, A_full, F_full)
+    A = tables.web_form([(a_vals, tables.wbx, tables.wbx),
+                         (a_vals, tables.wby, tables.wby)])
+    F = basis.coupling_matrix() @ linear_form(
+        tables.idx, tables.qw, [(f_vals, tables.wb)], tables.n_cols)
     return AssembledSystem(matrix=A, rhs=F, basis=basis, kind="vcpe")
 
 
@@ -309,9 +312,7 @@ def assemble_mass(basis, tables, coefficient=1.0):
     """Web-basis mass matrix (optionally with a variable coefficient)."""
     c = (coefficient(tables.points) if callable(coefficient)
          else float(coefficient))
-    M_full = bilinear_form(tables.plan, tables.qw,
-                           [(c, tables.wb, tables.wb)])
-    return web_reduce(basis, M_full)
+    return tables.web_form([(c, tables.wb, tables.wb)])
 
 
 def raw_weighted_gram(tables):
@@ -347,7 +348,7 @@ def assemble_dipole_rhs(basis, d, tables):
     F_full = linear_form(tables.idx, tables.qw,
                          [(-d_vals[:, 0], tables.wbx),
                           (-d_vals[:, 1], tables.wby)], tables.n_cols)
-    return web_reduce(basis, F_full=F_full)
+    return basis.coupling_matrix() @ F_full
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +379,8 @@ def assemble_plap_residual(basis, tables, coeffs, p, eps, f_vals):
     u, g, s2, mu = _plap_pointwise(tables, basis, coeffs, p, eps)
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(u))):
         raise AssemblyError("non-finite iterate in p-Laplacian residual")
-    R_full = _plap_residual_full(tables, u, g, mu, f_vals)
-    return web_reduce(basis, F_full=R_full)
+    return basis.coupling_matrix() @ _plap_residual_full(
+        tables, u, g, mu, f_vals)
 
 
 def assemble_plap_jacobian_and_residual(basis, tables, coeffs, p, eps, f_vals):
@@ -402,13 +403,12 @@ def assemble_plap_jacobian_and_residual(basis, tables, coeffs, p, eps, f_vals):
     kappa[pos] = (p - 2.0) * base[pos] ** (0.5 * (p - 4.0))
     # directional factor t_a = grad u . grad wb_a
     t = g[:, 0][:, None] * tables.wbx + g[:, 1][:, None] * tables.wby
-    J_full = bilinear_form(tables.plan, tables.qw,
-                           [(mu, tables.wbx, tables.wbx),
-                            (mu, tables.wby, tables.wby),
-                            (kappa, t, t),
-                            (1.0, tables.wb, tables.wb)])
-    R_full = _plap_residual_full(tables, u, g, mu, f_vals)
-    J, R = web_reduce(basis, J_full, R_full)
+    J = tables.web_form([(mu, tables.wbx, tables.wbx),
+                         (mu, tables.wby, tables.wby),
+                         (kappa, t, t),
+                         (1.0, tables.wb, tables.wb)])
+    R = basis.coupling_matrix() @ _plap_residual_full(
+        tables, u, g, mu, f_vals)
     return J, R
 
 
@@ -423,18 +423,21 @@ def plap_energy(basis, tables, coeffs, p, eps, f_vals):
 # pressure space and mixed system
 # ---------------------------------------------------------------------------
 
+SLIVER_FRACTION = 0.1
+
+
 class PressureSpace:
     """Discontinuous tensor polynomials per cell, restricted by cut quadrature.
 
     Cells that receive no quadrature weight carry no degrees of freedom.
-    Sliver cut cells (cut area below ``agglomerate`` times the full cell
+    Sliver cut cells (cut area below ``SLIVER_FRACTION`` times the full cell
     area) are merged into their best-covered neighbor, which removes the
     near-null pressure modes such slivers would otherwise contribute.
     The basis on each patch is the tensor monomials of the host cell,
     ((x-cx)/hx)^a ((y-cy)/hy)^b, extended over the merged cells.
     """
 
-    def __init__(self, grid, quad, degree, agglomerate=0.1, macro=1):
+    def __init__(self, grid, quad, degree, macro=1):
         if degree < 0:
             raise AssemblyError(f"pressure degree must be nonnegative, got {degree}")
         if macro < 1:
@@ -462,7 +465,7 @@ class PressureSpace:
         # chains resolve by following hosts to a root
         assign = {}
         for c in sorted(patch_area):
-            if fraction[c] >= agglomerate:
+            if fraction[c] >= SLIVER_FRACTION:
                 assign[c] = c
                 continue
             best = c
@@ -618,9 +621,7 @@ def assemble_mixed(basis, pspace, a_fn, coeffs_prev, phi, tables, quad):
         raise CoercivityError("viscosity must be positive and finite")
 
     # A11 = Pxx + Pyy/2, A22 = Pyy + Pxx/2, A12 = Pyx/2; halving is exact
-    web = tables.web_plan
-    xx, yy, yx = (web.R @ bilinear_form(tables.plan, tables.qw,
-                                        [(a_vals, fa, fb)]).data
+    xx, yy, yx = (tables.web_form([(a_vals, fa, fb)]).data
                   for fa, fb in ((tables.wbx, tables.wbx),
                                  (tables.wby, tables.wby),
                                  (tables.wby, tables.wbx)))
@@ -628,11 +629,9 @@ def assemble_mixed(basis, pspace, a_fn, coeffs_prev, phi, tables, quad):
 
     phi_vals = phi(tables.points) if callable(phi) else np.broadcast_to(
         np.asarray(phi, dtype=float), (tables.num_points, 2))
-    F1 = web_reduce(basis, F_full=linear_form(
-        tables.idx, tables.qw, [(phi_vals[:, 0], tables.wb)], tables.n_cols))
-    F2 = web_reduce(basis, F_full=linear_form(
-        tables.idx, tables.qw, [(phi_vals[:, 1], tables.wb)], tables.n_cols))
-    Fv = np.concatenate([F1, F2])
+    Fv = np.concatenate([E @ linear_form(tables.idx, tables.qw,
+                                         [(phi_vals[:, k], tables.wb)],
+                                         tables.n_cols) for k in range(2)])
 
     B, Mp, g = pspace.blocks(tables, quad)
     return A, B, Fv, Mp, g

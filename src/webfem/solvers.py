@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (
     StackedPattern, assemble_mixed, assemble_plap_jacobian_and_residual,
-    assemble_vcpe, bilinear_form, plap_energy, web_reduce,
+    assemble_vcpe, plap_energy,
 )
 from .webbasis import eval_fields
 
@@ -320,10 +320,8 @@ def solve_quasi_newtonian(basis, pspace, a_fn, phi, tables, quad, opts=None):
 
 def velocity_seminorm_gram(basis, tables):
     """H1-seminorm Gram of the two stacked velocity blocks."""
-    S_full = bilinear_form(tables.plan, tables.qw,
-                           [(1.0, tables.wbx, tables.wbx),
-                            (1.0, tables.wby, tables.wby)])
-    S = web_reduce(basis, S_full)
+    S = tables.web_form([(1.0, tables.wbx, tables.wbx),
+                         (1.0, tables.wby, tables.wby)])
     return sp.block_diag([S, S], format="csc")
 
 

@@ -15,7 +15,6 @@ import scipy.sparse.linalg as spla
 from webfem.assembly import (
     BasisTables, assemble_mass, assemble_plap_jacobian_and_residual,
     assemble_plap_residual, assemble_vcpe, linear_form, raw_weighted_gram,
-    web_reduce,
 )
 from webfem.cli import bundled_config_dir, load_config, run
 from webfem.geometry import Disk, ImplicitDomain, classify_cells
@@ -152,8 +151,8 @@ def test_criterion_07_p2_degeneration():
     f = lambda p: 4.0 + 1.0 - p[:, 0] ** 2 - p[:, 1] ** 2
     stiff = assemble_vcpe(basis, 1.0, 0.0, tables).matrix
     mass = assemble_mass(basis, tables)
-    F = web_reduce(basis, F_full=linear_form(
-        tables.idx, tables.qw, [(f(quad.points), tables.wb)], tables.n_cols))
+    F = basis.coupling_matrix() @ linear_form(
+        tables.idx, tables.qw, [(f(quad.points), tables.wb)], tables.n_cols)
     c_lin = spla.spsolve((stiff + mass).tocsc(), F)
     sol = solve_plap(basis, 2.0, f, tables)
     diff = float(np.max(np.abs(sol.coeffs - c_lin)))

@@ -378,3 +378,23 @@ class TestPressureProjection:
                             pressure_degree=0)
         rep = run_convergence(case, study)
         assert np.median(rep.eoc_table["pressure_L2"]) >= 0.9
+
+    def test_macro_size_reaches_the_pressure_space(self, monkeypatch):
+        spaces = []
+        space = analysis.PressureSpace
+
+        def recording_space(*args, **kwargs):
+            spaces.append(space(*args, **kwargs))
+            return spaces[-1]
+
+        monkeypatch.setattr(analysis, "PressureSpace", recording_space)
+        case = get_case("pressure_xy")
+        reports = [run_convergence(case, StudyConfig(
+            degree=2, levels=2, base_cells=8, depth=5, pressure_macro=macro))
+            for macro in (1, 2)]
+        single, macro = spaces[:2], spaces[2:]
+        for s1, s2 in zip(single, macro):
+            assert s2.n_dofs < s1.n_dofs
+        for e1, e2 in zip(*(rep.errors("pressure_L2") for rep in reports)):
+            assert e1 != e2
+        assert reports[1].study["pressure_macro"] == 2

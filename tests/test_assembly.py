@@ -6,18 +6,18 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, reject, settings, strategies as st
 
-import webfem.assembly as assembly
 from webfem.assembly import (
     AssemblyError, BasisTables, CoercivityError, PressureSpace, SparsityPlan,
     WebReductionPlan, assemble_dipole_rhs, assemble_mass, assemble_mixed,
     assemble_plap_jacobian_and_residual, assemble_plap_residual, assemble_vcpe,
     bilinear_form, export_coo, linear_form, plap_energy,
-    pressure_mass_and_integral, project_pressure, web_reduce,
+    pressure_mass_and_integral, project_pressure,
 )
 from webfem.geometry import (
     Conjunction, Disk, ImplicitDomain, ResolutionError, box, classify_cells,
 )
 from webfem.quadrature import build_quadrature
+from webfem.solvers import velocity_seminorm_gram
 from webfem.splines import TensorGrid, uniform_knots
 from webfem.webbasis import build_web_basis, project
 
@@ -160,8 +160,8 @@ class TestDipole:
         f = lambda p: np.cos(p[:, 0]) * np.cos(p[:, 1]) + p[:, 0]
         F_dip = assemble_dipole_rhs(basis, d, tables)
         from webfem.assembly import linear_form
-        F_src = web_reduce(basis, F_full=linear_form(
-            tables.idx, tables.qw, [(f(quad.points), tables.wb)], tables.n_cols))
+        F_src = basis.coupling_matrix() @ linear_form(
+            tables.idx, tables.qw, [(f(quad.points), tables.wb)], tables.n_cols)
         assert np.max(np.abs(F_dip - F_src)) <= 1e-6
 
 
@@ -459,30 +459,69 @@ class TestSparsityPlan:
 
     def test_newton_jacobians_share_one_plan(self, monkeypatch):
         basis, quad, tables = disk_setup(n_cells=6)
-        built, full = [], []
+        built = []
         init = SparsityPlan.__init__
-        reduce = assembly.web_reduce
 
         def counting_init(self, *args):
             built.append(args)
             init(self, *args)
 
-        def capture(basis, A_full=None, F_full=None):
-            full.append(A_full)
-            return reduce(basis, A_full, F_full)
-
         monkeypatch.setattr(SparsityPlan, "__init__", counting_init)
-        monkeypatch.setattr(assembly, "web_reduce", capture)
         rng = np.random.default_rng(42)
+        web = tables.web_plan
         for _ in range(2):
-            assemble_plap_jacobian_and_residual(
+            J, _ = assemble_plap_jacobian_and_residual(
                 basis, tables, rng.normal(size=basis.n_inner), 1.5, 1e-2,
                 np.ones(tables.num_points))
+            assert J.indptr is web.indptr
+            assert np.shares_memory(J.indices, web.indices)
+            assert J.nnz == web.nnz
         assert built == []
-        for J in full:
-            assert J.indptr is tables.plan.indptr
-            assert np.shares_memory(J.indices, tables.plan.indices)
-            assert J.nnz == tables.plan.nnz
+
+    def test_one_web_plan_per_table(self, monkeypatch):
+        # whatever the mix of operators, a table builds one reduction plan
+        # and every web matrix it returns is in that plan's pattern
+        built = []
+        init = WebReductionPlan.__init__
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(WebReductionPlan, "__init__", counting_init)
+        rng = np.random.default_rng(47)
+
+        def jacobian(basis, tables):
+            return assemble_plap_jacobian_and_residual(
+                basis, tables, rng.normal(size=basis.n_inner), 1.5, 1e-2,
+                np.ones(tables.num_points))[0]
+
+        def stiffness_and_mass(basis, quad, tables):
+            return [assemble_vcpe(basis, 1.0, 1.0, tables).matrix,
+                    assemble_mass(basis, tables)]
+
+        def mass_and_jacobians(basis, quad, tables):
+            return [assemble_mass(basis, tables)] + [
+                jacobian(basis, tables) for _ in range(3)]
+
+        def seminorm_picard_and_mass(basis, quad, tables):
+            velocity_seminorm_gram(basis, tables)
+            ps = PressureSpace(basis.grid, quad, 0)
+            for _ in range(2):
+                assemble_mixed(basis, ps, lambda s: 1.0 + s,
+                               rng.normal(size=2 * basis.n_inner),
+                               np.zeros(2), tables, quad)
+            return [assemble_mass(basis, tables)]
+
+        for mix in (stiffness_and_mass, mass_and_jacobians,
+                    seminorm_picard_and_mass):
+            basis, quad, tables = disk_setup(n_cells=6)
+            built.clear()
+            matrices = mix(basis, quad, tables)
+            assert len(built) == 1 and built[0] is tables.web_plan
+            for M in matrices:
+                assert M.indptr is tables.web_plan.indptr
+                assert np.shares_memory(M.indices, tables.web_plan.indices)
 
     @settings(deadline=None, max_examples=25)
     @given(tree=r_trees(2), n_cells=st.integers(4, 7),

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 import webfem.solvers as solvers
 from webfem.assembly import (
     BasisTables, PressureSpace, assemble_mass, assemble_mixed, assemble_vcpe,
-    linear_form, web_reduce,
+    linear_form,
 )
 from webfem.geometry import Disk, ImplicitDomain
 from webfem.quadrature import build_quadrature
@@ -74,8 +74,8 @@ class TestPlapSolver:
         f = lambda p: 4.0 + 1.0 - p[:, 0] ** 2 - p[:, 1] ** 2
         stiff = assemble_vcpe(basis, 1.0, 0.0, tables).matrix
         mass = assemble_mass(basis, tables)
-        F = web_reduce(basis, F_full=linear_form(
-            tables.idx, tables.qw, [(f(quad.points), tables.wb)], tables.n_cols))
+        F = basis.coupling_matrix() @ linear_form(
+            tables.idx, tables.qw, [(f(quad.points), tables.wb)], tables.n_cols)
         c_lin = spla.spsolve((stiff + mass).tocsc(), F)
         sol = solve_plap(basis, 2.0, f, tables)
         assert np.max(np.abs(sol.coeffs - c_lin)) <= 1e-9
