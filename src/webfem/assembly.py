@@ -13,9 +13,9 @@ Jacobian and each Picard velocity block) reduces through the one
 :class:`WebReductionPlan` of its table: the web pattern and a linear map
 from the full-basis data to the web data, so that a reduction is one
 sparse mat-vec into a pattern shared by every matrix of the table. Load
-and residual vectors reduce as ``Ebar @ F``. The table also holds a
-:class:`StackedPattern` of the 2x2 Picard velocity block; a Picard step
-then computes values only, into fixed patterns.
+and residual vectors reduce as ``Ebar @ F`` (``BasisTables.web_load``).
+The table also holds a :class:`StackedPattern` of the 2x2 Picard velocity
+block; a Picard step then computes values only, into fixed patterns.
 """
 
 from dataclasses import dataclass, field
@@ -271,6 +271,11 @@ class BasisTables(BasisValues):
         data = web.R @ _form_data(self.plan, self.qw, terms)
         return sp.csr_matrix((data, web.indices, web.indptr), shape=web.shape)
 
+    def web_load(self, terms):
+        """Web-basis vector  Ebar F  of F = ``linear_form(idx, qw, terms)``."""
+        return self.basis.coupling_matrix() @ linear_form(
+            self.idx, self.qw, terms, self.n_cols)
+
     @cached_property
     def velocity_pattern(self):
         """:class:`StackedPattern` of [[A11, A12], [A12^T, A22]], all blocks
@@ -303,8 +308,7 @@ def assemble_vcpe(basis, a, f, tables):
     f_vals = f(tables.points) if callable(f) else np.full(tables.num_points, float(f))
     A = tables.web_form([(a_vals, tables.wbx, tables.wbx),
                          (a_vals, tables.wby, tables.wby)])
-    F = basis.coupling_matrix() @ linear_form(
-        tables.idx, tables.qw, [(f_vals, tables.wb)], tables.n_cols)
+    F = tables.web_load([(f_vals, tables.wb)])
     return AssembledSystem(matrix=A, rhs=F, basis=basis, kind="vcpe")
 
 
@@ -345,78 +349,70 @@ def assemble_dipole_rhs(basis, d, tables):
     """Load vector for a dipole source f = div d in weak form: -int d.grad B."""
     d_vals = d(tables.points) if callable(d) else np.broadcast_to(
         np.asarray(d, dtype=float), (tables.num_points, 2))
-    F_full = linear_form(tables.idx, tables.qw,
-                         [(-d_vals[:, 0], tables.wbx),
-                          (-d_vals[:, 1], tables.wby)], tables.n_cols)
-    return basis.coupling_matrix() @ F_full
+    return tables.web_load([(-d_vals[:, 0], tables.wbx),
+                            (-d_vals[:, 1], tables.wby)])
 
 
 # ---------------------------------------------------------------------------
 # p-Laplacian (regularized)
 # ---------------------------------------------------------------------------
 
-def _plap_pointwise(tables, basis, coeffs, p, eps):
-    c_full = basis.coupling_matrix().T @ coeffs
-    u, g = tables.field(c_full, grad=True)
-    s2 = np.sum(g * g, axis=1)
-    mu = (eps ** 2 + s2) ** (0.5 * (p - 2.0))
-    return u, g, s2, mu
+class PlapIterate:
+    """Regularized p-Laplacian with mass term at one iterate, sampled once.
 
-
-def _plap_residual_full(tables, u, g, mu, f_vals):
-    """Residual against every relevant B-spline, before the web reduction."""
-    return linear_form(tables.idx, tables.qw,
-                       [(mu * g[:, 0], tables.wbx),
-                        (mu * g[:, 1], tables.wby),
-                        (u - f_vals, tables.wb)], tables.n_cols)
-
-
-def assemble_plap_residual(basis, tables, coeffs, p, eps, f_vals):
-    """Residual of the regularized p-Laplacian with mass term.
-
-    R[j] = int mu_eps(|grad u|) grad u . grad B_j + int u B_j - int f B_j.
+    ``u``, ``g`` = grad u, ``base`` = eps^2 + |grad u|^2, ``mu`` =
+    base^{(p-2)/2} and ``energy`` never raise on non-finite values;
+    ``residual`` (computed on first use) and :meth:`jacobian` do.
     """
-    u, g, s2, mu = _plap_pointwise(tables, basis, coeffs, p, eps)
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(u))):
-        raise AssemblyError("non-finite iterate in p-Laplacian residual")
-    return basis.coupling_matrix() @ _plap_residual_full(
-        tables, u, g, mu, f_vals)
+
+    def __init__(self, basis, tables, coeffs, p, eps, f_vals):
+        if p <= 1.0:
+            raise AssemblyError(f"admissible exponents are p in (1, inf), got {p}")
+        if eps < 0.0 or (p < 2.0 and eps == 0.0):
+            raise AssemblyError("regularization eps must be positive for p < 2")
+        self.tables, self.coeffs, self.p, self.f_vals = tables, coeffs, p, f_vals
+        self.u, self.g = tables.field(basis.coupling_matrix().T @ coeffs,
+                                      grad=True)
+        self.base = eps ** 2 + np.sum(self.g * self.g, axis=1)
+        self.mu = self.base ** (0.5 * (p - 2.0))
+        # (1/p) int base^{p/2} + 1/2 int u^2 - int f u
+        dens = (self.base ** (0.5 * p) / p + 0.5 * self.u * self.u
+                - f_vals * self.u)
+        self.energy = float(np.sum(tables.qw * dens))
+
+    @cached_property
+    def residual(self):
+        """R[j] = int mu grad u . grad B_j + int u B_j - int f B_j."""
+        t, u, g, mu = self.tables, self.u, self.g, self.mu
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(u))):
+            raise AssemblyError("non-finite iterate in p-Laplacian assembly")
+        return t.web_load([(mu * g[:, 0], t.wbx), (mu * g[:, 1], t.wby),
+                           (u - self.f_vals, t.wb)])
+
+    def jacobian(self):
+        """Exact Jacobian of ``residual`` in the web coefficients, with the
+        rank-modifying term (p-2)(eps^2+s^2)^{(p-4)/2} (grad u (x) grad u)."""
+        self.residual  # rejects a non-finite iterate
+        t, g, base = self.tables, self.g, self.base
+        # where the base vanishes so does grad u, killing the rank-1 term
+        kappa = np.zeros_like(base)
+        pos = base > 0.0
+        kappa[pos] = (self.p - 2.0) * base[pos] ** (0.5 * (self.p - 4.0))
+        # directional factor d_a = grad u . grad wb_a
+        d = g[:, 0][:, None] * t.wbx + g[:, 1][:, None] * t.wby
+        return t.web_form([(self.mu, t.wbx, t.wbx), (self.mu, t.wby, t.wby),
+                           (kappa, d, d), (1.0, t.wb, t.wb)])
 
 
 def assemble_plap_jacobian_and_residual(basis, tables, coeffs, p, eps, f_vals):
-    """Exact Jacobian of the residual in the coefficients, plus the residual.
-
-    The Jacobian contains the rank-modifying term
-    (p-2)(eps^2+s^2)^{(p-4)/2} (grad u (x) grad u).
-    """
-    if p <= 1.0:
-        raise AssemblyError(f"admissible exponents are p in (1, inf), got {p}")
-    if eps < 0.0 or (p < 2.0 and eps == 0.0):
-        raise AssemblyError("regularization eps must be positive for p < 2")
-    u, g, s2, mu = _plap_pointwise(tables, basis, coeffs, p, eps)
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(u))):
-        raise AssemblyError("non-finite iterate in p-Laplacian assembly")
-    # where the base vanishes so does grad u, killing the rank-1 term
-    base = eps ** 2 + s2
-    kappa = np.zeros_like(base)
-    pos = base > 0.0
-    kappa[pos] = (p - 2.0) * base[pos] ** (0.5 * (p - 4.0))
-    # directional factor t_a = grad u . grad wb_a
-    t = g[:, 0][:, None] * tables.wbx + g[:, 1][:, None] * tables.wby
-    J = tables.web_form([(mu, tables.wbx, tables.wbx),
-                         (mu, tables.wby, tables.wby),
-                         (kappa, t, t),
-                         (1.0, tables.wb, tables.wb)])
-    R = basis.coupling_matrix() @ _plap_residual_full(
-        tables, u, g, mu, f_vals)
-    return J, R
+    """(Jacobian, residual) of :class:`PlapIterate` at ``coeffs``."""
+    state = PlapIterate(basis, tables, coeffs, p, eps, f_vals)
+    return state.jacobian(), state.residual
 
 
 def plap_energy(basis, tables, coeffs, p, eps, f_vals):
-    """Regularized energy (1/p) int (eps^2+|grad u|^2)^{p/2} + 1/2 int u^2 - int f u."""
-    u, g, s2, mu = _plap_pointwise(tables, basis, coeffs, p, eps)
-    dens = (eps ** 2 + s2) ** (0.5 * p) / p + 0.5 * u * u - f_vals * u
-    return float(np.sum(tables.qw * dens))
+    """Regularized energy of :class:`PlapIterate` at ``coeffs``."""
+    return PlapIterate(basis, tables, coeffs, p, eps, f_vals).energy
 
 
 # ---------------------------------------------------------------------------
@@ -629,9 +625,8 @@ def assemble_mixed(basis, pspace, a_fn, coeffs_prev, phi, tables, quad):
 
     phi_vals = phi(tables.points) if callable(phi) else np.broadcast_to(
         np.asarray(phi, dtype=float), (tables.num_points, 2))
-    Fv = np.concatenate([E @ linear_form(tables.idx, tables.qw,
-                                         [(phi_vals[:, k], tables.wb)],
-                                         tables.n_cols) for k in range(2)])
+    Fv = np.concatenate([tables.web_load([(phi_vals[:, k], tables.wb)])
+                         for k in range(2)])
 
     B, Mp, g = pspace.blocks(tables, quad)
     return A, B, Fv, Mp, g

@@ -308,7 +308,10 @@ def run(cfg, out_dir=None, check=False, dump_matrices=False):
     """Execute one study; returns (exit_code, report)."""
     case = _build_case(cfg)
     study = _study_from_config(cfg)
-    opts = SolveOptions(**cfg["solver"])
+    try:
+        opts = SolveOptions(**cfg["solver"])
+    except ValueError as exc:
+        raise ConfigError(f"solver: {exc}") from exc
     dump_matrices = dump_matrices or cfg["output"]["dump_matrices"]
     if dump_matrices and case.kind != "vcpe":
         raise ConfigError(

@@ -213,16 +213,33 @@ def domain_from_config(cfg):
                           exponent=cfg.get("exponent", 1.0))
 
 
+_PRIMITIVES = {"disk": (Disk, (("center", (2,)), ("radius", ()))),
+               "box": (box, (("lo", (2,)), ("hi", (2,)))),
+               "halfplane": (HalfPlane, (("normal", (2,)), ("offset", ())))}
+
+
+def _config_value(node, op, key, shape):
+    """``node[key]`` as a float array of ``shape``, or a GeometryError."""
+    if key not in node:
+        raise GeometryError(f"{op} node is missing key {key!r}")
+    try:
+        value = np.asarray(node[key], dtype=float)
+        if value.shape == shape:
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise GeometryError(f"{op} node has invalid {key!r}: {node[key]!r}")
+
+
 def _node_from_config(node):
+    if not isinstance(node, dict):
+        raise GeometryError(f"domain tree node must be an object, got {node!r}")
     op = node.get("op")
-    if op == "disk":
-        return Disk(node["center"], node["radius"])
-    if op == "box":
-        return box(node["lo"], node["hi"])
-    if op == "halfplane":
-        return HalfPlane(node["normal"], node["offset"])
+    if op in _PRIMITIVES:
+        make, args = _PRIMITIVES[op]
+        return make(*(_config_value(node, op, k, shape) for k, shape in args))
     if op == "conj" or op == "disj":
-        args = node["args"]
+        args = node.get("args", [])
         if len(args) < 2:
             raise GeometryError(f"{op} needs at least two operands")
         cls = Conjunction if op == "conj" else Disjunction
@@ -231,7 +248,7 @@ def _node_from_config(node):
             out = cls(out, _node_from_config(a))
         return out
     if op == "not":
-        return Complement(_node_from_config(node["arg"]))
+        return Complement(_node_from_config(node.get("arg")))
     raise GeometryError(f"unknown primitive op {op!r}")
 
 

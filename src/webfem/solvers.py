@@ -13,9 +13,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (
-    StackedPattern, assemble_mixed, assemble_plap_jacobian_and_residual,
-    assemble_vcpe, plap_energy,
+# assemble_plap_jacobian_and_residual and plap_energy are not called here but
+# stay importable: perfbench/spans.py patches them in this module
+from .assembly import (  # noqa: F401
+    PlapIterate, StackedPattern, assemble_mixed,
+    assemble_plap_jacobian_and_residual, assemble_vcpe, plap_energy,
 )
 from .webbasis import eval_fields
 
@@ -48,6 +50,9 @@ class SolveOptions:
             raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if self.eps_final > self.eps_start:
+            raise ValueError(
+                f"eps_final {self.eps_final} exceeds eps_start {self.eps_start}")
         if not self.eps_factor > 1:
             raise ValueError(
                 f"eps_factor must exceed 1, got {self.eps_factor}")
@@ -192,32 +197,32 @@ def solve_plap(basis, p, f, tables, opts=None):
 
 
 def _newton_stage(basis, tables, c, p, eps, f_vals, opts):
-    energy = plap_energy(basis, tables, c, p, eps, f_vals)
-    energies = [energy]
+    state = PlapIterate(basis, tables, c, p, eps, f_vals)
+    energies = [state.energy]
     residuals = []
     for it in range(opts.max_iterations + 1):
-        J, R = assemble_plap_jacobian_and_residual(basis, tables, c, p, eps, f_vals)
+        R = state.residual
         rnorm = float(np.linalg.norm(R))
         residuals.append(rnorm)
         if rnorm <= opts.nonlinear_tol or it == opts.max_iterations:
             break
-        delta = spla.spsolve(J.tocsc(), R)
+        delta = spla.spsolve(state.jacobian().tocsc(), R)
         slope = float(R @ delta)  # descent rate of the energy along -delta
-        t = 1.0
-        accepted = False
+        energy, t = state.energy, 1.0
         for _ in range(opts.max_damping_steps + 1):
-            cand = c - t * delta
-            e_new = plap_energy(basis, tables, cand, p, eps, f_vals)
-            if e_new <= energy - 1e-4 * t * slope + 1e-14 * abs(energy):
-                c, energy, accepted = cand, e_new, True
+            cand = PlapIterate(basis, tables, state.coeffs - t * delta, p,
+                               eps, f_vals)
+            # a non-finite candidate energy compares False and is damped
+            if cand.energy <= energy - 1e-4 * t * slope + 1e-14 * abs(energy):
                 break
             t *= opts.damping_factor
-        if not accepted:
+        else:
             raise SolverError(
                 f"line search failed at eps={eps:g}, residual {rnorm:.3e}",
                 residuals)
-        energies.append(energy)
-    return c, residuals, energies
+        state = cand
+        energies.append(state.energy)
+    return state.coeffs, residuals, energies
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from webfem.assembly import (
-    BasisTables, assemble_mass, assemble_plap_jacobian_and_residual,
-    assemble_plap_residual, assemble_vcpe, linear_form, raw_weighted_gram,
+    BasisTables, PlapIterate, assemble_mass,
+    assemble_plap_jacobian_and_residual, assemble_vcpe, linear_form,
+    raw_weighted_gram,
 )
 from webfem.cli import bundled_config_dir, load_config, run
 from webfem.geometry import Disk, ImplicitDomain, classify_cells
@@ -178,9 +179,9 @@ def test_criterion_08_jacobian_fd():
             J, _ = assemble_plap_jacobian_and_residual(
                 basis, tables, c, p, 1e-1, f_vals)
             step = 1e-6
-            fd = (assemble_plap_residual(basis, tables, c + step * d, p, 1e-1, f_vals)
-                  - assemble_plap_residual(basis, tables, c - step * d, p, 1e-1,
-                                           f_vals)) / (2 * step)
+            fd = (PlapIterate(basis, tables, c + step * d, p, 1e-1, f_vals).residual
+                  - PlapIterate(basis, tables, c - step * d, p, 1e-1,
+                                f_vals).residual) / (2 * step)
             Jd = J @ d
             rel = np.linalg.norm(Jd - fd) / np.linalg.norm(Jd)
             worst = max(worst, rel)

@@ -62,6 +62,30 @@ class TestConfigValidation:
         assert f"problem.{key}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("tree, names", [
+        ({"op": "disk", "center": [0, 0]}, ["disk", "radius"]),
+        ({"op": "halfplane", "normal": [1, 0]}, ["halfplane", "offset"]),
+        ({"op": "box", "lo": [-1, -1]}, ["box", "hi"]),
+        ({"op": "disk", "center": [0, 0], "radius": "a"}, ["disk", "radius"]),
+    ])
+    def test_malformed_domain_tree_exits_2(self, tmp_path, capsys, tree,
+                                           names):
+        path = write_config(tmp_path, domain={"tree": tree}, levels=1)
+        assert main(["run", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error")
+        assert all(name in err for name in names)
+
+    def test_eps_final_above_eps_start_exits_2(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, problem={"type": "plap", "case": "plap_p15_w2p",
+                               "p": 1.5},
+            solver={"eps_start": 1e-9, "eps_final": 1e-3}, levels=1)
+        assert main(["run", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error")
+        assert "eps_final" in err
+
     def test_nondecreasing_explicit_knots(self, tmp_path):
         path = write_config(tmp_path)
         cfg = load_config(path)

@@ -5,10 +5,11 @@ import scipy.sparse.linalg as spla
 
 import webfem.solvers as solvers
 from webfem.assembly import (
-    BasisTables, PressureSpace, assemble_mass, assemble_mixed, assemble_vcpe,
-    linear_form,
+    BasisTables, PlapIterate, PressureSpace, assemble_mass, assemble_mixed,
+    assemble_vcpe, linear_form,
 )
-from webfem.geometry import Disk, ImplicitDomain
+from webfem.cases import get_case
+from webfem.geometry import Disk, ImplicitDomain, domain_from_config
 from webfem.quadrature import build_quadrature
 from webfem.splines import TensorGrid, uniform_knots
 from webfem.solvers import (
@@ -136,6 +137,32 @@ class TestPlapSolver:
         sol = solve_plap(basis, 4.0, lambda p: np.ones(p.shape[0]), tables)
         ps = [s["p"] for s in sol.params["stages"]]
         assert ps[0] < 4.0 and ps[-1] == 4.0
+
+    def test_jacobian_assembled_only_for_a_step(self, monkeypatch):
+        # residual first: every assembled Jacobian is solved, and the last
+        # iterate of each stage is never assembled
+        case = get_case("plap_p15_w2p")
+        dom = domain_from_config(case.domain_config)
+        kv = uniform_knots(-1.1, 1.1, 8, 2)
+        grid = TensorGrid(kv, kv)
+        basis = build_web_basis(dom, grid)
+        quad = build_quadrature(dom, grid, basis.cls, 3, 6)
+        tables = BasisTables(basis, quad)
+        counts = {"jacobian": 0, "solve": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(PlapIterate, "jacobian",
+                            counting("jacobian", PlapIterate.jacobian))
+        monkeypatch.setattr(spla, "spsolve", counting("solve", spla.spsolve))
+        sol = solve_plap(basis, case.params["p"], case.source, tables)
+        steps = sum(len(s["residuals"]) - 1 for s in sol.params["stages"])
+        assert len(sol.params["stages"]) > 1
+        assert counts["jacobian"] == counts["solve"] == steps
 
     def test_invalid_p(self):
         basis, quad, tables = disk_setup(n_cells=6)
@@ -280,6 +307,13 @@ class TestOptions:
         # so only the construction is tried
         with pytest.raises(ValueError, match=next(iter(bad))):
             SolveOptions(**bad)
+
+    def test_rejects_eps_final_above_eps_start(self):
+        # eps_schedule would silently run the single stage eps_start
+        with pytest.raises(ValueError, match="eps_final"):
+            SolveOptions(eps_start=1e-9, eps_final=1e-3)
+        assert SolveOptions(eps_start=1e-3, eps_final=1e-3).eps_schedule() \
+            == [1e-3]
 
     def test_eps_schedule(self):
         s = SolveOptions().eps_schedule()
