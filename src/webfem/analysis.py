@@ -333,6 +333,7 @@ def _run_level(case, domain, grid, g, study, level, opts):
         vel, pres, info = solve_quasi_newtonian(
             basis, pspace, case.viscosity, case.body_force, tables, quad, opts)
         rec["iterations"] = info["iterations"]
+        rec["residual_history"] = [info["residuals"]]
         rec["incompressibility"] = info["incompressibility"]
         rec["errors"] = _error_norms(
             (vel, pres), case, ("Xnorm", "pressure_L2", "combined"), err_quad,

@@ -3,22 +3,22 @@
 Assembly is table-driven: the weighted tensor-product basis (w * b_k) and
 its first partials are tabulated once per quadrature rule, together with a
 sparsity plan of the per-cell blocks. Every operator (including each
-Newton/Picard reassembly) then reduces to batched per-cell matrix products
+Newton reassembly) then reduces to batched per-cell matrix products
 scattered into the fixed pattern. Systems are assembled in the full
 relevant basis and reduced to the web basis with the coupling matrix
 ``Ebar = diag(1/w(x_i)) E``:  A_web = Ebar A Ebar^T.
 
 Every web-basis matrix (stiffness, mass, seminorm Gram, each Newton
-Jacobian and each Picard velocity block) reduces through the one
-:class:`WebReductionPlan` of its table: the web pattern and a linear map
-from the full-basis data to the web data, so that a reduction is one
+Jacobian and each velocity block of the mixed system) reduces through the
+one :class:`WebReductionPlan` of its table: the web pattern and a linear
+map from the full-basis data to the web data, so that a reduction is one
 sparse mat-vec into a pattern shared by every matrix of the table. Load
 and residual vectors reduce as ``Ebar @ F`` (``BasisTables.web_load``).
-The table also holds a :class:`StackedPattern` of the 2x2 Picard velocity
-block; a Picard step then computes values only, into fixed patterns.
+The table also holds a :class:`StackedPattern` of the 2x2 velocity
+block; a Newton step then computes values only, into fixed patterns.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -227,8 +227,8 @@ class BasisTables(BasisValues):
         Web-basis pattern of ``plan``, built on first use and shared by
         every matrix :meth:`web_form` returns.
     velocity_pattern : :class:`StackedPattern`
-        Pattern of the Picard velocity block, built on first use by
-        :func:`assemble_mixed`.
+        Pattern of the 2x2 velocity block of the mixed system, built on
+        first use by :class:`StokesIterate`.
     """
 
     def __init__(self, basis, quad, nderiv=1):
@@ -293,9 +293,6 @@ class BasisTables(BasisValues):
 class AssembledSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    basis: object
-    kind: str
-    meta: dict = field(default_factory=dict)
 
 
 def assemble_vcpe(basis, a, f, tables):
@@ -309,7 +306,7 @@ def assemble_vcpe(basis, a, f, tables):
     A = tables.web_form([(a_vals, tables.wbx, tables.wbx),
                          (a_vals, tables.wby, tables.wby)])
     F = tables.web_load([(f_vals, tables.wb)])
-    return AssembledSystem(matrix=A, rhs=F, basis=basis, kind="vcpe")
+    return AssembledSystem(matrix=A, rhs=F)
 
 
 def assemble_mass(basis, tables, coefficient=1.0):
@@ -544,7 +541,7 @@ class PressureSpace:
         """Divergence block B (n_dofs x 2 n_inner), pressure mass and integrals.
 
         None of them depends on the velocity iterate, so they are assembled
-        once per (tables, quad) pair and shared by every Picard step.
+        once per (tables, quad) pair and shared by every Newton step.
         """
         if self._blocks is None or self._blocks[0] is not tables \
                 or self._blocks[1] is not quad:
@@ -593,43 +590,98 @@ def project_pressure(pspace, quad, p_exact):
     return out.ravel()
 
 
-def assemble_mixed(basis, pspace, a_fn, coeffs_prev, phi, tables, quad):
-    """Blocks of the quasi-Newtonian mixed system with Picard-frozen viscosity.
+class StokesIterate:
+    """Quasi-Newtonian Stokes at one iterate of the mixed system, sampled once.
 
-    Velocity dofs are the two stacked web-coefficient blocks; the viscosity
-    is evaluated at |D(u_prev)|^2 from ``coeffs_prev`` (2*n_inner,).
+    ``coeffs`` stacks the unknowns of the saddle system: the two velocity
+    blocks (``velocity``, ``Fv.size`` web coefficients), the pressure dofs
+    (``pressure``) and the mean-value multiplier. The symmetric gradient
+    D u (``d11``, ``d12``, ``d22``), ``s`` = |D u|^2 and the viscosity ``a``
+    = a(s) are sampled once; sampling raises :class:`CoercivityError` where
+    a(s) is not positive and finite.
+
+    ``energy`` (needs ``viscosity.primitive``) is the Carreau energy
+    1/2 int A(s) - Fv . u with A' = a. ``residual`` is the Newton right-hand
+    side [R, 0, 0], R = int a D u : D v + B^T p - Fv; its constraint rows
+    are zero because every Newton iterate keeps B u + g mu = 0.
+    :meth:`jacobian` (needs ``viscosity.derivative``) is the tangent of R,
+    :meth:`frozen_block` its part with the viscosity held at a(s).
+    """
+
+    def __init__(self, basis, tables, coeffs, viscosity, Fv, B):
+        self.tables, self.coeffs, self.viscosity = tables, coeffs, viscosity
+        self.Fv, self.B = Fv, B
+        n = basis.n_inner
+        self.velocity = coeffs[:2 * n]
+        self.pressure = coeffs[2 * n:-1]
+        Et = basis.coupling_matrix().T
+        _, g1 = tables.field(Et @ coeffs[:n], grad=True)
+        _, g2 = tables.field(Et @ coeffs[n:2 * n], grad=True)
+        self.d11, self.d22 = g1[:, 0], g2[:, 1]
+        self.d12 = 0.5 * (g1[:, 1] + g2[:, 0])
+        self.s = self.d11 ** 2 + self.d22 ** 2 + 2.0 * self.d12 ** 2
+        self.a = viscosity(self.s)
+        if np.any(self.a <= 0.0) or not np.all(np.isfinite(self.a)):
+            raise CoercivityError("viscosity must be positive and finite")
+
+    @cached_property
+    def energy(self):
+        dens = 0.5 * self.viscosity.primitive(self.s)
+        return float(np.sum(self.tables.qw * dens) - self.Fv @ self.velocity)
+
+    @cached_property
+    def residual(self):
+        t, a = self.tables, self.a
+        R = np.concatenate([
+            t.web_load([(a * self.d11, t.wbx), (a * self.d12, t.wby)]),
+            t.web_load([(a * self.d12, t.wbx), (a * self.d22, t.wby)])])
+        R += self.B.T @ self.pressure - self.Fv
+        return np.concatenate([R, np.zeros(self.coeffs.size - R.size)])
+
+    def _frozen_data(self):
+        t = self.tables
+        # A11 = Pxx + Pyy/2, A22 = Pyy + Pxx/2, A12 = Pyx/2; halving is exact
+        xx, yy, yx = (t.web_form([(self.a, fa, fb)]).data
+                      for fa, fb in ((t.wbx, t.wbx), (t.wby, t.wby),
+                                     (t.wby, t.wbx)))
+        return [xx + 0.5 * yy, 0.5 * yx, yy + 0.5 * xx]
+
+    def frozen_block(self):
+        """Velocity block  int a(s) D v : D w, the viscosity frozen at s."""
+        return self.tables.velocity_pattern.stack(*self._frozen_data())
+
+    def jacobian(self):
+        """Tangent of the velocity residual: :meth:`frozen_block` plus
+        2 a'(s) (D u : D v)(D u : D w), in the same pattern."""
+        t = self.tables
+        # D u : D(phi e_k) is e_k . (D u grad phi)
+        e1 = self.d11[:, None] * t.wbx + self.d12[:, None] * t.wby
+        e2 = self.d12[:, None] * t.wbx + self.d22[:, None] * t.wby
+        kappa = 2.0 * self.viscosity.derivative(self.s)
+        blocks = self._frozen_data()
+        for block, (fa, fb) in zip(blocks, ((e1, e1), (e1, e2), (e2, e2))):
+            block += t.web_form([(kappa, fa, fb)]).data
+        return t.velocity_pattern.stack(*blocks)
+
+
+def assemble_mixed(basis, pspace, a_fn, coeffs_prev, phi, tables, quad):
+    """Blocks of the quasi-Newtonian mixed system with frozen viscosity.
+
+    Velocity dofs are the two stacked web-coefficient blocks; A is the
+    :meth:`StokesIterate.frozen_block` at the velocity ``coeffs_prev``
+    (2*n_inner,), at zero velocity also the Newton tangent.
 
     Returns (A, B, Fv, Mp, g): velocity block A (2n x 2n), divergence block
     B (np x 2n), velocity load Fv, pressure mass Mp and pressure integrals g.
     """
-    n = basis.n_inner
-    E = basis.coupling_matrix()
-    c1 = E.T @ coeffs_prev[:n]
-    c2 = E.T @ coeffs_prev[n:]
-    _, g1 = tables.field(c1, grad=True)
-    _, g2 = tables.field(c2, grad=True)
-    d11 = g1[:, 0]
-    d22 = g2[:, 1]
-    d12 = 0.5 * (g1[:, 1] + g2[:, 0])
-    dnorm2 = d11 ** 2 + d22 ** 2 + 2.0 * d12 ** 2
-    a_vals = a_fn(dnorm2)
-    if np.any(a_vals <= 0.0) or not np.all(np.isfinite(a_vals)):
-        raise CoercivityError("viscosity must be positive and finite")
-
-    # A11 = Pxx + Pyy/2, A22 = Pyy + Pxx/2, A12 = Pyx/2; halving is exact
-    xx, yy, yx = (tables.web_form([(a_vals, fa, fb)]).data
-                  for fa, fb in ((tables.wbx, tables.wbx),
-                                 (tables.wby, tables.wby),
-                                 (tables.wby, tables.wbx)))
-    A = tables.velocity_pattern.stack(xx + 0.5 * yy, 0.5 * yx, yy + 0.5 * xx)
-
     phi_vals = phi(tables.points) if callable(phi) else np.broadcast_to(
         np.asarray(phi, dtype=float), (tables.num_points, 2))
     Fv = np.concatenate([tables.web_load([(phi_vals[:, k], tables.wb)])
                          for k in range(2)])
-
     B, Mp, g = pspace.blocks(tables, quad)
-    return A, B, Fv, Mp, g
+    state = StokesIterate(basis, tables, np.concatenate(
+        [coeffs_prev, np.zeros(B.shape[0] + 1)]), a_fn, Fv, B)
+    return state.frozen_block(), B, Fv, Mp, g
 
 
 def export_coo(path, matrix, header=None):

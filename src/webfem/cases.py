@@ -246,6 +246,8 @@ def _stokes_velocity():
 
 def stokes_newtonian():
     """Constant-viscosity Stokes: u = (-4y(1-r^2), 4x(1-r^2)), p = xy."""
+    from .solvers import carreau_viscosity
+
     vel, vgrad = _stokes_velocity()
 
     def phi(p):
@@ -257,7 +259,7 @@ def stokes_newtonian():
         domain_config=UNIT_DISK, params={"a0": 1.0, "a_inf": 1.0},
         velocity=vel, velocity_gradient=vgrad,
         pressure=lambda p: p[:, 0] * p[:, 1],
-        body_force=phi, viscosity=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        body_force=phi, viscosity=carreau_viscosity(1.0, 1.0),
         rate_targets={"combined": 1.0})
 
 
@@ -273,15 +275,13 @@ def stokes_carreau(a0=2.0, a_inf=1.0, exponent=1.5):
     from .solvers import carreau_viscosity
 
     viscosity = carreau_viscosity(a0, a_inf, exponent)
-    q = 0.5 * (exponent - 2.0)
     vel, vgrad = _stokes_velocity()
 
     def phi(p):
         x, y = p[:, 0], p[:, 1]
         r4 = (x ** 2 + y ** 2) ** 2
         s = 32.0 * r4
-        da = (a0 - a_inf) * q * (1.0 + s) ** (q - 1.0)
-        k = 16.0 * viscosity(s) + 512.0 * da * r4
+        k = 16.0 * viscosity(s) + 512.0 * viscosity.derivative(s) * r4
         return np.column_stack([y - k * y, x + k * x])
 
     return ManufacturedCase(

@@ -166,9 +166,7 @@ DEFAULTS = {
 def _merge_defaults(cfg):
     out = {}
     for key, default in DEFAULTS.items():
-        if isinstance(default, dict) and key in ("domain", "grid", "problem",
-                                                 "quadrature", "solver",
-                                                 "checks", "output"):
+        if isinstance(default, dict):
             sub = dict(default)
             sub.update(cfg.get(key, {}))
             out[key] = sub
@@ -204,6 +202,11 @@ def load_config(path):
         raise ConfigError(
             f"p-Laplacian exponent must satisfy p in (1, inf), got {p}; the "
             "weak formulation and the error theory require p > 1")
+    r = cfg["problem"]["r_carreau"]
+    if not r > 1.0:
+        raise ConfigError(
+            f"problem.r_carreau must satisfy r in (1, inf), got {r}; the "
+            "Carreau energy is convex, its Newton tangent SPD, only for r > 1")
     return cfg
 
 

@@ -3,11 +3,14 @@
 * variable-coefficient Poisson: conjugate gradients on the SPD web system,
 * p-Laplacian: damped Newton on the eps-regularized residual with
   eps-continuation (and p-continuation at extreme exponents),
-* quasi-Newtonian Stokes: Picard iteration on the frozen-viscosity mixed
-  saddle system with a mean-zero pressure multiplier.
+* quasi-Newtonian Stokes: damped Newton on the Carreau energy, each step a
+  solve of the mixed saddle system with a mean-zero pressure multiplier.
+
+Both nonlinear problems run the one damped Newton driver ``_newton_stage``.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,7 +19,7 @@ import scipy.sparse.linalg as spla
 # assemble_plap_jacobian_and_residual and plap_energy are not called here but
 # stay importable: perfbench/spans.py patches them in this module
 from .assembly import (  # noqa: F401
-    PlapIterate, StackedPattern, assemble_mixed,
+    PlapIterate, StackedPattern, StokesIterate, assemble_mixed,
     assemble_plap_jacobian_and_residual, assemble_vcpe, plap_energy,
 )
 from .webbasis import eval_fields
@@ -37,7 +40,7 @@ class SolveOptions:
     linear_tol: float = 1e-10
     nonlinear_tol: float = 1e-8
     max_linear_iterations: int = 20000
-    max_iterations: int = 40          # Newton/Picard steps per stage
+    max_iterations: int = 40          # Newton steps per stage
     damping_factor: float = 0.5
     max_damping_steps: int = 20
     eps_start: float = 1e-1
@@ -181,8 +184,10 @@ def solve_plap(basis, p, f, tables, opts=None):
     for p_cur in p_seq:
         schedule = eps_seq if p_cur == p_seq[-1] else [eps_seq[0]]
         for eps in schedule:
-            c, residuals, energies = _newton_stage(
-                basis, tables, c, p_cur, eps, f_vals, opts)
+            state, residuals, energies = _newton_stage(
+                partial(PlapIterate, basis, tables, p=p_cur, eps=eps,
+                        f_vals=f_vals), c, _plap_step, opts)
+            c = state.coeffs
             stages.append({"p": p_cur, "eps": eps, "residuals": residuals,
                            "energies": energies})
     final = stages[-1]["residuals"][-1]
@@ -196,8 +201,17 @@ def solve_plap(basis, p, f, tables, opts=None):
                                  "iterations": iterations})
 
 
-def _newton_stage(basis, tables, c, p, eps, f_vals, opts):
-    state = PlapIterate(basis, tables, c, p, eps, f_vals)
+def _plap_step(state, R):
+    return spla.spsolve(state.jacobian().tocsc(), R)
+
+
+def _newton_stage(make, coeffs, step, opts):
+    """Damped Newton on the energy of the states ``make(coeffs)``, whose
+    ``residual`` is its gradient; ``step(state, R)`` solves the tangent
+    system for the increment of ``coeffs``. Reads the residual first and
+    backtracks to the Armijo condition. Returns the last state and the
+    residual and energy histories."""
+    state = make(coeffs)
     energies = [state.energy]
     residuals = []
     for it in range(opts.max_iterations + 1):
@@ -206,23 +220,21 @@ def _newton_stage(basis, tables, c, p, eps, f_vals, opts):
         residuals.append(rnorm)
         if rnorm <= opts.nonlinear_tol or it == opts.max_iterations:
             break
-        delta = spla.spsolve(state.jacobian().tocsc(), R)
+        delta = step(state, R)
         slope = float(R @ delta)  # descent rate of the energy along -delta
         energy, t = state.energy, 1.0
         for _ in range(opts.max_damping_steps + 1):
-            cand = PlapIterate(basis, tables, state.coeffs - t * delta, p,
-                               eps, f_vals)
+            cand = make(state.coeffs - t * delta)
             # a non-finite candidate energy compares False and is damped
             if cand.energy <= energy - 1e-4 * t * slope + 1e-14 * abs(energy):
                 break
             t *= opts.damping_factor
         else:
             raise SolverError(
-                f"line search failed at eps={eps:g}, residual {rnorm:.3e}",
-                residuals)
+                f"line search failed at residual {rnorm:.3e}", residuals)
         state = cand
         energies.append(state.energy)
-    return state.coeffs, residuals, energies
+    return state, residuals, energies
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +242,25 @@ def _newton_stage(basis, tables, c, p, eps, f_vals, opts):
 # ---------------------------------------------------------------------------
 
 def carreau_viscosity(a0=2.0, a_inf=1.0, exponent=1.5):
-    """Carreau-type viscosity a(s) = a_inf + (a0 - a_inf)(1 + s)^{(r-2)/2}.
+    """Carreau viscosity a(s) = a_inf + (a0 - a_inf)(1 + s)^q, q = (r-2)/2.
 
     Positive and bounded for a0 >= a_inf > 0, r <= 2; shear thinning for
-    a0 > a_inf.
+    a0 > a_inf. Carries ``derivative`` a' and ``primitive`` A (A' = a,
+    A(0) = 0). r > 1 gives a + 2 s a' > 0: a convex energy, an SPD tangent.
     """
     if a_inf <= 0 or a0 <= 0:
         raise ValueError("viscosity bounds must be positive")
+    if not exponent > 1.0:
+        raise ValueError(
+            f"Carreau exponent must satisfy r in (1, inf), got {exponent}")
+    q = 0.5 * (exponent - 2.0)
 
     def a(s):
-        return a_inf + (a0 - a_inf) * (1.0 + s) ** (0.5 * (exponent - 2.0))
+        return a_inf + (a0 - a_inf) * (1.0 + s) ** q
 
+    a.derivative = lambda s: (a0 - a_inf) * q * (1.0 + s) ** (q - 1.0)
+    a.primitive = lambda s: a_inf * s + (a0 - a_inf) * (
+        (1.0 + s) ** (q + 1.0) - 1.0) / (q + 1.0)
     return a
 
 
@@ -284,41 +304,45 @@ def _saddle_solve(K, Fv):
 
 
 def solve_quasi_newtonian(basis, pspace, a_fn, phi, tables, quad, opts=None):
-    """Picard iteration on the frozen-viscosity mixed system.
+    """Damped Newton on the energy of the viscosity ``a_fn`` (a
+    :func:`carreau_viscosity`); each step solves the saddle system with the
+    tangent block and right-hand side [R, 0, 0], so B u + g mu stays 0.
 
     Returns (velocity, pressure, info); the pressure is mean-zero.
     """
     opts = opts or SolveOptions()
-    n = basis.n_inner
-    c = np.zeros(2 * n)
-    p_coeffs = None
-    updates = []
-    saddle = None
-    for it in range(opts.max_iterations):
-        A, B, Fv, Mp, g = assemble_mixed(basis, pspace, a_fn, c, phi, tables, quad)
-        if saddle is None:
-            saddle = SaddleMatrix(A, B, g)
-        c_new, p_coeffs, mult = _saddle_solve(saddle.refill(A), Fv)
-        delta = float(np.linalg.norm(c_new - c) / max(np.linalg.norm(c_new), 1e-300))
-        updates.append(delta)
-        c = c_new
-        if delta < opts.nonlinear_tol:
-            break
-    else:
+    n_u = 2 * basis.n_inner
+    A, B, Fv, _, g = assemble_mixed(basis, pspace, a_fn, np.zeros(n_u), phi,
+                                    tables, quad)
+    saddle = SaddleMatrix(A, B, g)
+    make = partial(StokesIterate, basis, tables, viscosity=a_fn, Fv=Fv, B=B)
+    start = np.zeros(n_u + B.shape[0] + 1)
+
+    def step(state, R):
+        # at zero velocity the tangent is the frozen block A, already in K
+        K = (saddle.K if state.coeffs is start
+             else saddle.refill(state.jacobian()))
+        du, dp, dmu = _saddle_solve(K, R[:n_u])
+        return np.concatenate([du, dp, [dmu]])
+
+    state, residuals, _ = _newton_stage(make, start, step, opts)
+    if residuals[-1] > opts.nonlinear_tol:
         raise SolverError(
-            f"Picard iteration did not contract below {opts.nonlinear_tol}",
-            updates)
+            f"Newton stalled at residual {residuals[-1]:.3e} "
+            f"(tol {opts.nonlinear_tol})", residuals)
+    c = state.velocity
     # exact mean-zero shift along the constant pressure mode
     area = float(np.sum(g))
     const = np.zeros(pspace.n_dofs)
     const[::pspace.ndof_cell] = 1.0
-    p_coeffs = p_coeffs - (float(g @ p_coeffs) / area) * const
+    p_coeffs = state.pressure - (float(g @ state.pressure) / area) * const
+    iterations = len(residuals) - 1
     velocity = SolutionField(basis=basis, coeffs=c, kind="quasi_newtonian",
-                             params={"iterations": len(updates),
-                                     "updates": updates})
+                             params={"iterations": iterations,
+                                     "residuals": residuals})
     pressure = PressureField(space=pspace, coeffs=p_coeffs)
-    info = {"iterations": len(updates), "updates": updates,
-            "multiplier": mult,
+    info = {"iterations": iterations, "residuals": residuals,
+            "multiplier": float(state.coeffs[-1]),
             "incompressibility": float(np.max(np.abs(B @ c)))}
     return velocity, pressure, info
 

@@ -62,6 +62,18 @@ class TestConfigValidation:
         assert f"problem.{key}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("r", [1.0, 0.5, -2.0])
+    def test_carreau_exponent_at_most_one_rejected(self, tmp_path, capsys, r):
+        path = write_config(
+            tmp_path, problem={"type": "quasi_newtonian",
+                               "case": "stokes_carreau", "r_carreau": r},
+            grid={"kind": "uniform", "degree": 2, "cells": 6}, levels=1)
+        assert main(["run", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "problem.r_carreau" in err
+        assert "r in (1, inf)" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("tree, names", [
         ({"op": "disk", "center": [0, 0]}, ["disk", "radius"]),
         ({"op": "halfplane", "normal": [1, 0]}, ["halfplane", "offset"]),

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,8 +7,8 @@ import scipy.sparse.linalg as spla
 
 import webfem.solvers as solvers
 from webfem.assembly import (
-    BasisTables, PlapIterate, PressureSpace, assemble_mass, assemble_mixed,
-    assemble_vcpe, linear_form,
+    BasisTables, PlapIterate, PressureSpace, StokesIterate, assemble_mass,
+    assemble_mixed, assemble_vcpe, linear_form,
 )
 from webfem.cases import get_case
 from webfem.geometry import Disk, ImplicitDomain, domain_from_config
@@ -121,11 +123,13 @@ class TestPlapSolver:
         f = lambda pts: 4.5 + 1.0 - (pts[:, 0] ** 2 + pts[:, 1] ** 2) ** 0.75
         sol = solve_plap(basis, 3.0, f, tables,
                          SolveOptions(nonlinear_tol=1e-11))
-        from webfem.solvers import _newton_stage
+        from webfem.solvers import _newton_stage, _plap_step
         rng = np.random.default_rng(40)
         c0 = sol.coeffs + 0.05 * rng.normal(size=sol.coeffs.size)
         f_vals = f(tables.points)
-        _, residuals, _ = _newton_stage(basis, tables, c0, 3.0, 1e-8, f_vals,
+        make = partial(PlapIterate, basis, tables, p=3.0, eps=1e-8,
+                       f_vals=f_vals)
+        _, residuals, _ = _newton_stage(make, c0, _plap_step,
                                         SolveOptions(nonlinear_tol=1e-12))
         tail = [r for r in residuals if r > 1e-13][-3:]
         assert len(tail) == 3
@@ -193,7 +197,7 @@ class TestQuasiNewtonian:
         ps = PressureSpace(basis.grid, quad, 0)
         phi = lambda p: np.column_stack([-15.0 * p[:, 1], 17.0 * p[:, 0]])
         vel, pres, info = solve_quasi_newtonian(
-            basis, ps, lambda s: 1.0 + 0.0 * s, phi, tables, quad)
+            basis, ps, carreau_viscosity(1.0, 1.0), phi, tables, quad)
         assert info["incompressibility"] <= 1e-8
         u1, u2 = stokes_exact()
         inside = basis.domain.phi(quad.points) > 1e-2
@@ -207,14 +211,107 @@ class TestQuasiNewtonian:
         _, g = pressure_mass_and_integral(ps, quad)
         assert abs(float(g @ pres.coeffs)) <= 1e-8
 
-    def test_carreau_picard_converges(self):
+    def test_carreau_newton_converges(self):
         basis, quad, tables = disk_setup(n_cells=8)
         ps = PressureSpace(basis.grid, quad, 0)
         phi = lambda p: np.column_stack([np.sin(p[:, 1]), np.cos(p[:, 0])])
+        a_fn = carreau_viscosity()
         vel, pres, info = solve_quasi_newtonian(
-            basis, ps, carreau_viscosity(), phi, tables, quad)
-        assert info["updates"][-1] < 1e-8
+            basis, ps, a_fn, phi, tables, quad)
+        assert info["residuals"][-1] <= SolveOptions().nonlinear_tol
+        # a fixed point of the frozen-viscosity (Picard) map
+        A, B, Fv, _, g = assemble_mixed(basis, ps, a_fn, vel.coeffs, phi,
+                                        tables, quad)
+        u, _, _ = _saddle_solve(SaddleMatrix(A, B, g).K, Fv)
+        assert np.linalg.norm(u - vel.coeffs) < 1e-8 * np.linalg.norm(u)
         assert info["incompressibility"] <= 1e-8
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    @pytest.mark.parametrize("macro", [1, 2])
+    def test_stokes_tangent_matches_finite_differences(self, degree, macro):
+        # the Stokes analogue of criterion 8, and the line-search slope:
+        # along a Newton direction (from a saddle solve, so that
+        # B du + g dmu = 0 and g . dp = 0) residual . d is the derivative
+        # of the energy
+        basis, quad, tables = disk_setup(n_cells=6)
+        ps = PressureSpace(basis.grid, quad, degree, macro=macro)
+        a_fn = carreau_viscosity()
+        n_u = 2 * basis.n_inner
+        phi = lambda p: np.column_stack([np.sin(p[:, 1]), np.cos(p[:, 0])])
+        _, B, Fv, _, g = assemble_mixed(basis, ps, a_fn, np.zeros(n_u), phi,
+                                        tables, quad)
+        state = lambda x: StokesIterate(basis, tables, x, a_fn, Fv, B)
+        rng = np.random.default_rng(48 + 2 * degree + macro)
+        worst_tangent = worst_slope = 0.0
+        for _ in range(3):
+            x = rng.normal(size=n_u + B.shape[0] + 1)
+            x[n_u:-1] -= (g @ x[n_u:-1]) / (g @ g) * g
+            J = state(x).jacobian()
+            d = rng.normal(size=x.size)
+            d /= np.linalg.norm(d)
+            step = 1e-6
+            fd = (state(x + step * d).residual
+                  - state(x - step * d).residual) / (2 * step)
+            Jd = J @ d[:n_u] + B.T @ d[n_u:-1]
+            assert np.all(fd[n_u:] == 0.0)
+            worst_tangent = max(worst_tangent, np.linalg.norm(Jd - fd[:n_u])
+                                / np.linalg.norm(Jd))
+            du, dp, dmu = _saddle_solve(SaddleMatrix(J, B, g).K,
+                                        rng.normal(size=n_u))
+            # the energy sees only the velocity part of d
+            d = np.concatenate([du, dp, [dmu]]) / np.linalg.norm(du)
+            fd_energy = (state(x + step * d).energy
+                         - state(x - step * d).energy) / (2 * step)
+            slope = state(x).residual @ d
+            worst_slope = max(worst_slope,
+                              abs(fd_energy - slope) / abs(slope))
+        assert worst_tangent <= 1e-4
+        assert worst_slope <= 1e-4
+
+    def test_one_saddle_solve_per_newton_step(self, monkeypatch):
+        # residual first: the zero-velocity block of assemble_mixed is the
+        # first tangent, and the converged iterate is never assembled
+        case = get_case("stokes_carreau")
+        basis, quad, tables = disk_setup(n_cells=8)
+        ps = PressureSpace(basis.grid, quad, 0, macro=2)
+        counts = {"assemble_mixed": 0, "jacobian": 0, "solve": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(solvers, "assemble_mixed", counting(
+            "assemble_mixed", solvers.assemble_mixed))
+        monkeypatch.setattr(StokesIterate, "jacobian",
+                            counting("jacobian", StokesIterate.jacobian))
+        monkeypatch.setattr(spla, "spsolve", counting("solve", spla.spsolve))
+        vel, pres, info = solve_quasi_newtonian(
+            basis, ps, case.viscosity, case.body_force, tables, quad)
+        steps = info["iterations"]
+        assert steps == len(info["residuals"]) - 1
+        assert 1 <= steps <= 5
+        assert counts == {"assemble_mixed": 1, "jacobian": steps - 1,
+                          "solve": steps}
+
+    def test_carreau_viscosity_derivative_and_primitive(self):
+        s = np.linspace(0.0, 50.0, 11)
+        h = 1e-6
+        for args in ((), (1.0, 1.0), (2.0, 1.0, 3.0), (1.0, 2.0, 1.2)):
+            a = carreau_viscosity(*args)
+            assert a.primitive(0.0) == 0.0
+            fd_a = (a.primitive(s + h) - a.primitive(s - h)) / (2 * h)
+            fd_da = (a(s + h) - a(s - h)) / (2 * h)
+            assert np.allclose(fd_a, a(s), rtol=1e-7, atol=1e-9)
+            assert np.allclose(fd_da, a.derivative(s), rtol=1e-6, atol=1e-9)
+            # convexity of the energy: a + 2 s a' > 0
+            assert np.all(a(s) + 2.0 * s * a.derivative(s) > 0.0)
+
+    @pytest.mark.parametrize("exponent", [1.0, 0.5, -1.0, float("nan")])
+    def test_carreau_viscosity_rejects_exponent_at_most_one(self, exponent):
+        with pytest.raises(ValueError, match=r"r in \(1, inf\)"):
+            carreau_viscosity(exponent=exponent)
 
     def test_divergence_compatibility(self):
         # b(P_h u - u_h, q_h) vanishes for all discrete pressures on the
