@@ -15,13 +15,13 @@ import numpy as np
 from .assembly import (
     BasisTables, PressureSpace, gram_condition_estimate, project_pressure,
 )
-from .geometry import CellLabel, domain_from_config
+from .geometry import CellLabel, GeometryError, domain_from_config
 from .quadrature import build_quadrature
 from .solvers import (
     SolveOptions, estimate_infsup, solve_plap, solve_quasi_newtonian,
     solve_vcpe,
 )
-from .splines import TensorGrid, graded_knots, uniform_knots
+from .splines import KnotVector, TensorGrid, graded_knots, uniform_knots
 from .webbasis import build_web_basis, eval_fields, jackson_error
 
 
@@ -210,7 +210,6 @@ class StudyConfig:
                 kv = graded_knots(lo, hi, self.base_cells, self.degree,
                                   self.grading_ratio, self.grading_side)
             elif self.grid_kind == "explicit":
-                from .splines import KnotVector
                 kv = KnotVector(np.asarray(self.explicit_knots[ax]), self.degree)
             else:
                 raise AnalysisError(f"unknown grid kind {self.grid_kind!r}")
@@ -274,7 +273,6 @@ def run_convergence(case, study, solver_opts=None):
     grid = study.base_grid()
     g = study.gauss or study.degree + 1
     records = []
-    extras = {}
     for level in range(study.levels):
         t0 = time.perf_counter()
         rec = _run_level(case, domain, grid, g, study, level, opts)
@@ -294,7 +292,7 @@ def run_convergence(case, study, solver_opts=None):
                "pressure_degree": study.pressure_degree,
                "pressure_macro": study.pressure_macro},
         levels=records, eoc_table=table,
-        targets=_resolve_targets(case, study), extras=extras)
+        targets=_resolve_targets(case, study))
     return report
 
 
@@ -302,6 +300,16 @@ def _run_level(case, domain, grid, g, study, level, opts):
     basis = build_web_basis(domain, grid, study.samples_per_axis)
     depth = study.depth_at(level)
     quad = build_quadrature(domain, grid, basis.cls, g, depth, study.gauss_leaf)
+    for ax, kv in enumerate(grid.kvs):
+        # the B-splines span the polynomials only on the core [t_m, t_nb]
+        lo, hi = kv.knots[kv.degree], kv.knots[kv.num_basis]
+        x = quad.points[:, ax]
+        if x.size and (x.min() < lo - 1e-12 or x.max() > hi + 1e-12):
+            raise GeometryError(
+                f"the domain reaches outside the grid: on axis {ax} it spans "
+                f"[{x.min():.6g}, {x.max():.6g}], beyond the grid core "
+                f"[{lo:.6g}, {hi:.6g}] that grid.bounds (or grid.knots) sets; "
+                "enlarge grid.bounds to contain the domain")
     # errors use one Gauss order more on full cells; leaves keep the assembly
     # order (their accuracy is capped by the geometric error regardless), so
     # the boundary cells of both rules hold the same points, and the norms

@@ -316,12 +316,6 @@ def assemble_mass(basis, tables, coefficient=1.0):
     return tables.web_form([(c, tables.wb, tables.wb)])
 
 
-def raw_weighted_gram(tables):
-    """Gram matrix of the raw weighted basis {w b_k, k in K} (no extension)."""
-    return bilinear_form(tables.plan, tables.qw,
-                         [(1.0, tables.wb, tables.wb)])
-
-
 def gram_condition_estimate(basis, tables):
     """l2-condition number of the web-basis Gram (mass) matrix.
 
@@ -340,14 +334,6 @@ def gram_condition_estimate(basis, tables):
     bottom = spla.eigsh(M, k=1, sigma=0.0, which="LM", v0=v0,
                         return_eigenvectors=False)
     return float(top[0] / bottom[0])
-
-
-def assemble_dipole_rhs(basis, d, tables):
-    """Load vector for a dipole source f = div d in weak form: -int d.grad B."""
-    d_vals = d(tables.points) if callable(d) else np.broadcast_to(
-        np.asarray(d, dtype=float), (tables.num_points, 2))
-    return tables.web_load([(-d_vals[:, 0], tables.wbx),
-                            (-d_vals[:, 1], tables.wby)])
 
 
 # ---------------------------------------------------------------------------

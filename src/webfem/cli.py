@@ -391,8 +391,8 @@ def check_suite(suite_dir=None, out_dir=None):
             _, report = run(cfg, out_dir=out_dir)
             failures = evaluate_floors(cfg, report)
             code = EXIT_CHECK if failures else EXIT_OK
-        except ConfigError as exc:
-            print(exc, file=sys.stderr)
+        except (ConfigError, GeometryError, SplineError) as exc:
+            print(f"configuration error: {path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except (SolverError, ResolutionError) as exc:
             code, failures = EXIT_SOLVER, [str(exc)]

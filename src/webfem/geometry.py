@@ -197,16 +197,6 @@ class ImplicitDomain:
         return {"exponent": self.exponent, "tree": self.root.to_config()}
 
 
-def weight(domain, x):
-    """Scalar weight value at a single point."""
-    return float(domain.weight(np.asarray(x, dtype=float)[None, :])[0])
-
-
-def weight_gradient(domain, x):
-    """Scalar weight gradient at a single point."""
-    return domain.weight_gradient(np.asarray(x, dtype=float)[None, :])[0]
-
-
 def domain_from_config(cfg):
     """Build an :class:`ImplicitDomain` from its declarative description."""
     return ImplicitDomain(_node_from_config(cfg["tree"]),
@@ -345,100 +335,108 @@ class IndexSets:
         return {i: r for r, i in enumerate(self.inner)}
 
 
-def _box_corner_hausdorff(alo, ahi, blo, bhi):
-    """Exact Hausdorff distance between axis-aligned boxes (corner formula).
+def _box_sums(mask, lo1, hi1, lo2, hi2):
+    """Number of True entries of ``mask`` in [lo1, hi1) x [lo2, hi2) for every
+    pair of a row range and a column range, from one summed-area table."""
+    s = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
+    s[1:, 1:] = mask.cumsum(0).cumsum(1)
+    return (s[np.ix_(hi1, hi2)] - s[np.ix_(lo1, hi2)]
+            - s[np.ix_(hi1, lo2)] + s[np.ix_(lo1, lo2)])
 
-    Vectorized over the second box: blo, bhi have shape (n, 2).
+
+def _windows(mask, lo1, hi1, lo2, hi2):
+    """``mask`` gathered over the boxes [lo1[r], hi1[r]) x [lo2[r], hi2[r]).
+
+    Returns ``win`` of shape (n, w1, w2), False outside each box, and the
+    row and column indices ``u`` (n, w1), ``v`` (n, w2) it was read at.
     """
-    corners_a = np.array([[alo[0], alo[1]], [alo[0], ahi[1]],
-                          [ahi[0], alo[1]], [ahi[0], ahi[1]]])
-    # distance from each corner of A to box B
-    d_ab = np.zeros(blo.shape[0])
-    for c in corners_a:
-        gap = np.maximum(np.maximum(blo - c, c - bhi), 0.0)
-        d_ab = np.maximum(d_ab, np.hypot(gap[:, 0], gap[:, 1]))
-    # distance from each corner of B to box A
-    d_ba = np.zeros(blo.shape[0])
-    for sx, sy in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        cx = np.where(sx, bhi[:, 0], blo[:, 0])
-        cy = np.where(sy, bhi[:, 1], blo[:, 1])
-        gx = np.maximum(np.maximum(alo[0] - cx, cx - ahi[0]), 0.0)
-        gy = np.maximum(np.maximum(alo[1] - cy, cy - ahi[1]), 0.0)
-        d_ba = np.maximum(d_ba, np.hypot(gx, gy))
-    return np.maximum(d_ab, d_ba)
+    u = lo1[:, None] + np.arange((hi1 - lo1).max(initial=0))
+    v = lo2[:, None] + np.arange((hi2 - lo2).max(initial=0))
+    inside = (u < hi1[:, None])[:, :, None] & (v < hi2[:, None])[:, None, :]
+    u = np.minimum(u, mask.shape[0] - 1)
+    v = np.minimum(v, mask.shape[1] - 1)
+    return mask[u[:, :, None], v[:, None, :]] & inside, u, v
+
+
+def _gap(p, lo, hi):
+    """Distance from the coordinate ``p`` to the interval [lo, hi]."""
+    return np.maximum(np.maximum(lo - p, p - hi), 0.0)
 
 
 def classify_indices(grid, cls):
     """Split the relevant B-spline indices into inner and outer sets.
 
     Relevant indices have a non-Exterior cell in their support; inner ones
-    have an Interior cell. Each outer index j is assigned the interior cell
-    ``Q_j`` minimizing the Hausdorff distance to supp b_j (ties broken by
-    lexicographically smallest cell index), and each inner index i gets the
-    center ``x_i`` of its lexicographically smallest interior support cell.
+    have an Interior cell. Per axis the support of b_i covers the cells
+    [a_i, b_i), so both tests are box sums over summed-area tables of the
+    cell masks. Each inner index i gets the center ``x_i`` of its
+    lexicographically smallest interior support cell. Each outer index j is
+    assigned the interior cell ``Q_j`` minimizing the Hausdorff distance to
+    supp b_j (exact for boxes by the corner formula; ties within a relative
+    1e-12 go to the lexicographically smallest cell). Since a_i and b_i are
+    nondecreasing in i, the indices whose support contains ``Q_j`` form one
+    range per axis, and ``i_of_j[j]`` keeps the inner ones of that box.
     """
-    labels = cls.labels
-    nbx, nby = grid.num_basis
-    interior_cells = cls.cells_with(CellLabel.INTERIOR)
-    if not interior_cells:
+    interior = cls.labels == CellLabel.INTERIOR
+    if not interior.any():
         raise ResolutionError(
             "no interior grid cells: the grid is too coarse for this domain; "
             "refine the grid or enlarge the domain")
-    int_arr = np.array(interior_cells)
-    bx = grid.kvs[0].breakpoints
-    by = grid.kvs[1].breakpoints
-    int_lo = np.column_stack([bx[int_arr[:, 0]], by[int_arr[:, 1]]])
-    int_hi = np.column_stack([bx[int_arr[:, 0] + 1], by[int_arr[:, 1] + 1]])
+    kx, ky = grid.kvs
+    bpx, bpy = kx.breakpoints, ky.breakpoints
+    ax, bx = (np.searchsorted(bpx, kx.knots[:kx.num_basis]),
+              np.searchsorted(bpx, kx.knots[kx.degree + 1:]))
+    ay, by = (np.searchsorted(bpy, ky.knots[:ky.num_basis]),
+              np.searchsorted(bpy, ky.knots[ky.degree + 1:]))
+    rel = _box_sums(cls.labels != CellLabel.EXTERIOR, ax, bx, ay, by) > 0
+    inn = _box_sums(interior, ax, bx, ay, by) > 0
+    r1, r2 = np.nonzero(rel)
+    i1, i2 = np.nonzero(inn)
+    o1, o2 = np.nonzero(rel & ~inn)
 
-    # per-axis cell ranges of each basis support
-    sup_x = [grid.kvs[0].support_cells(i) for i in range(nbx)]
-    sup_y = [grid.kvs[1].support_cells(i) for i in range(nby)]
+    # designated cell: first True of each inner support window, row-major
+    win, u, v = _windows(interior, ax[i1], bx[i1], ay[i2], by[i2])
+    fx, fy = np.divmod(win.reshape(i1.size, -1).argmax(axis=1), v.shape[1])
+    r = np.arange(i1.size)
+    cx, cy = u[r, fx], v[r, fy]
+    centers = np.column_stack([0.5 * (bpx[cx] + bpx[cx + 1]),
+                               0.5 * (bpy[cy] + bpy[cy + 1])])
 
-    relevant, inner, outer = [], [], []
-    center, center_cell = {}, {}
-    for i1 in range(nbx):
-        rx = sup_x[i1]
-        for i2 in range(nby):
-            sub = labels[rx.start:rx.stop, sup_y[i2].start:sup_y[i2].stop]
-            if sub.size == 0 or np.all(sub == CellLabel.EXTERIOR):
-                continue
-            k = (i1, i2)
-            relevant.append(k)
-            pos = np.argwhere(sub == CellLabel.INTERIOR)
-            if pos.size:
-                inner.append(k)
-                jx, jy = pos[0]  # argwhere scans lexicographically
-                cell = (rx.start + int(jx), sup_y[i2].start + int(jy))
-                center_cell[k] = cell
-                center[k] = grid.cell_center(cell)
-            else:
-                outer.append(k)
+    # Hausdorff distance of every outer support (rows) to every interior
+    # cell (columns): the largest distance of a corner of one box to the other
+    jx, jy = np.nonzero(interior)
+    lo_x, hi_x = kx.knots[o1], kx.knots[o1 + kx.degree + 1]
+    lo_y, hi_y = ky.knots[o2], ky.knots[o2 + ky.degree + 1]
+    sup = ((lo_x[:, None], hi_x[:, None]), (lo_y[:, None], hi_y[:, None]))
+    cell = ((bpx[jx], bpx[jx + 1]), (bpy[jy], bpy[jy + 1]))
+    d = 0.0
+    for a, b in ((sup, cell), (cell, sup)):
+        gxs = [_gap(p, *b[0]) for p in a[0]]
+        gys = [_gap(p, *b[1]) for p in a[1]]
+        for gx in gxs:
+            for gy in gys:
+                d = np.maximum(d, np.hypot(gx, gy))
+    q = (d <= d.min(axis=1, keepdims=True) * (1.0 + 1e-12)).argmax(axis=1)
+    qx, qy = jx[q], jy[q]
+    alpha = np.minimum((bpx[qx + 1] - bpx[qx]) / (hi_x - lo_x),
+                       (bpy[qy + 1] - bpy[qy]) / (hi_y - lo_y))
+    # inner indices i with a_i <= q < b_i on both axes
+    win, u, v = _windows(inn, np.searchsorted(bx, qx, "right"),
+                         np.searchsorted(ax, qx, "right"),
+                         np.searchsorted(by, qy, "right"),
+                         np.searchsorted(ay, qy, "right"))
+    cr, du, dv = np.nonzero(win)
 
-    if not inner:
-        raise ResolutionError(
-            "no inner B-splines: every relevant spline is cut by the boundary; "
-            "refine the grid")
-
-    q_cell, i_of_j, alpha = {}, {}, {}
-    inner_set = set(inner)
-    for j in outer:
-        alo, ahi = grid.support_box(j)
-        d = _box_corner_hausdorff(alo, ahi, int_lo, int_hi)
-        near = np.nonzero(d <= d.min() * (1.0 + 1e-12))[0]
-        # interior_cells is lexicographically sorted, so the first hit wins ties
-        q = interior_cells[near[0]]
-        q_cell[j] = q
-        i_of_j[j] = sorted(i for i in grid.covering_indices(q) if i in inner_set)
-        (x0, x1), (y0, y1) = grid.cell_bounds(q)
-        alpha[j] = min((x1 - x0) / (ahi[0] - alo[0]), (y1 - y0) / (ahi[1] - alo[1]))
-
+    inner = list(zip(i1.tolist(), i2.tolist()))
+    outer = list(zip(o1.tolist(), o2.tolist()))
+    i_of_j = {j: [] for j in outer}
     j_of_i = {i: [] for i in inner}
-    for j in outer:
-        for i in i_of_j[j]:
-            j_of_i[i].append(j)
-    for i in j_of_i:
-        j_of_i[i].sort()
-
-    return IndexSets(relevant=relevant, inner=inner, outer=outer, q_cell=q_cell,
-                     i_of_j=i_of_j, j_of_i=j_of_i, center=center,
-                     center_cell=center_cell, alpha=alpha)
+    for c, i in zip(cr.tolist(), zip(u[cr, du].tolist(), v[cr, dv].tolist())):
+        i_of_j[outer[c]].append(i)
+        j_of_i[i].append(outer[c])
+    return IndexSets(
+        relevant=list(zip(r1.tolist(), r2.tolist())), inner=inner, outer=outer,
+        q_cell=dict(zip(outer, zip(qx.tolist(), qy.tolist()))),
+        i_of_j=i_of_j, j_of_i=j_of_i, center=dict(zip(inner, centers)),
+        center_cell=dict(zip(inner, zip(cx.tolist(), cy.tolist()))),
+        alpha=dict(zip(outer, alpha.tolist())))

@@ -40,13 +40,9 @@ def gauss_2d(g):
     return np.column_stack([X.ravel(), Y.ravel()]), W.ravel()
 
 
-def cell_rule(lo, hi, g):
-    """Tensor Gauss points and weights on the box [lo, hi]."""
-    return _box_rules(np.array([[*lo, *hi]], dtype=float), g)
-
-
 def _box_rules(boxes, g):
-    """``cell_rule`` on every (x0, y0, x1, y1) row of ``boxes``, flattened."""
+    """Tensor Gauss points and weights on every (x0, y0, x1, y1) row of
+    ``boxes``, flattened box by box."""
     ref, w = gauss_2d(g)
     size = boxes[:, 2:] - boxes[:, :2]
     pts = boxes[:, None, :2] + ref * size[:, None, :]
@@ -181,8 +177,3 @@ def build_quadrature(domain, grid, cls, g, depth, g_leaf=None):
         cell_ids[slots] = np.repeat(owner[part], gg * gg)
     return DomainQuadrature(points=points, weights=weights, cell_ids=cell_ids,
                             gauss_order=g, depth=depth)
-
-
-def integrate(domain, grid, cls, f, g=3, depth=6):
-    """Integral of ``f`` over the domain using the cut-cell rule."""
-    return build_quadrature(domain, grid, cls, g, depth).integrate(f)

@@ -83,10 +83,6 @@ class SolutionField:
     kind: str
     params: dict = field(default_factory=dict)
 
-    @property
-    def meshsize(self):
-        return self.basis.grid.meshsize
-
     def component(self, k):
         n = self.basis.n_inner
         if self.coeffs.size == n:

@@ -1,9 +1,10 @@
 """Univariate and tensor-product non-uniform B-splines.
 
-Provides the Cox-de Boor evaluation of B-splines and their derivatives on
-arbitrary nondecreasing knot sequences, extraction of local polynomial
-pieces on grid cells (stored in Bernstein form), and the de Boor-Fix dual
-functionals that are bi-orthogonal to the B-spline basis. On polynomials a
+Provides the values and derivatives of the nonzero B-splines at many points
+at once (:func:`nonzero_basis`) on arbitrary nondecreasing knot sequences,
+the univariate polynomial piece of a B-spline on a cell (Bernstein form,
+:func:`local_polynomial_1d`), and the de Boor-Fix dual functionals that are
+bi-orthogonal to the B-spline basis. On polynomials a
 dual functional is the blossom at the interior knots of the support, so it
 is one de Casteljau pass over the Bernstein coefficients (:func:`dual_row`).
 
@@ -95,13 +96,6 @@ class KnotVector:
         b = int(np.searchsorted(self.breakpoints, hi, side="left"))
         return range(a, b)
 
-    def cells_covered_by(self, lo, hi):
-        """Basis indices whose support contains the interval [lo, hi]."""
-        m = self.degree
-        t = self.knots
-        return [i for i in range(self.num_basis)
-                if t[i] <= lo and hi <= t[i + m + 1]]
-
     def find_cell(self, x):
         """Cell index (or array of them) containing ``x`` (right-continuous;
         last cell closed)."""
@@ -131,72 +125,6 @@ def find_spans(kv, x):
 # ---------------------------------------------------------------------------
 # B-spline evaluation
 # ---------------------------------------------------------------------------
-
-def eval_bspline(kv, index, x):
-    """Value of the non-uniform B-spline ``b_index`` at ``x``.
-
-    Straightforward Cox-de Boor recursion; serves as the reference path
-    against which the vectorized evaluators are checked.
-    """
-    m = kv.degree
-    t = kv.knots
-    if not 0 <= index < kv.num_basis:
-        raise SplineError(f"basis index {index} out of range [0, {kv.num_basis})")
-    if not np.isfinite(x):
-        raise SplineError(f"evaluation point must be finite, got {x}")
-    return _cox_de_boor(t, index, m, float(x), t[-1])
-
-
-def _cox_de_boor(t, i, k, x, t_end):
-    if k == 0:
-        if t[i] <= x < t[i + 1]:
-            return 1.0
-        # closed on the right at the global last knot
-        if x == t_end and t[i] < t[i + 1] == t_end:
-            return 1.0
-        return 0.0
-    val = 0.0
-    d1 = t[i + k] - t[i]
-    if d1 > 0.0:
-        val += (x - t[i]) / d1 * _cox_de_boor(t, i, k - 1, x, t_end)
-    d2 = t[i + k + 1] - t[i + 1]
-    if d2 > 0.0:
-        val += (t[i + k + 1] - x) / d2 * _cox_de_boor(t, i + 1, k - 1, x, t_end)
-    return val
-
-
-def eval_bspline_deriv(kv, index, x, order):
-    """Order-th derivative of ``b_index`` at ``x``.
-
-    One-sided limits are taken from the right at interior knots and from
-    the left at the last knot. Orders above the degree return 0 (the
-    pointwise a.e. derivative of a piecewise polynomial).
-    """
-    if order < 0:
-        raise SplineError(f"derivative order must be nonnegative, got {order}")
-    if order == 0:
-        return eval_bspline(kv, index, x)
-    m = kv.degree
-    if order > m:
-        return 0.0
-    t = kv.knots
-    if not 0 <= index < kv.num_basis:
-        raise SplineError(f"basis index {index} out of range [0, {kv.num_basis})")
-    return _deriv_rec(t, index, m, float(x), order, t[-1])
-
-
-def _deriv_rec(t, i, k, x, order, t_end):
-    if order == 0:
-        return _cox_de_boor(t, i, k, x, t_end)
-    val = 0.0
-    d1 = t[i + k] - t[i]
-    if d1 > 0.0:
-        val += k / d1 * _deriv_rec(t, i, k - 1, x, order - 1, t_end)
-    d2 = t[i + k + 1] - t[i + 1]
-    if d2 > 0.0:
-        val -= k / d2 * _deriv_rec(t, i + 1, k - 1, x, order - 1, t_end)
-    return val
-
 
 def nonzero_basis(kv, x, nderiv=0):
     """Values (and derivatives) of the nonvanishing B-splines at points ``x``.
@@ -295,10 +223,6 @@ class TensorGrid:
         jx, jy = cell
         return self.kvs[0].cell_bounds(jx), self.kvs[1].cell_bounds(jy)
 
-    def cell_center(self, cell):
-        (x0, x1), (y0, y1) = self.cell_bounds(cell)
-        return np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
-
     def cells(self):
         nx, ny = self.num_cells
         return ((jx, jy) for jx in range(nx) for jy in range(ny))
@@ -315,26 +239,12 @@ class TensorGrid:
         sy = self.kvs[1].support(k[1])
         return np.array([sx[0], sy[0]]), np.array([sx[1], sy[1]])
 
-    def covering_indices(self, cell):
-        """Tensor-basis indices whose support contains ``cell``."""
-        (x0, x1), (y0, y1) = self.cell_bounds(cell)
-        ix = self.kvs[0].cells_covered_by(x0, x1)
-        iy = self.kvs[1].cells_covered_by(y0, y1)
-        return [(a, b) for a in ix for b in iy]
-
     def refined(self):
         return TensorGrid(self.kvs[0].refined(), self.kvs[1].refined())
 
     def __repr__(self):
         return (f"TensorGrid(cells={self.num_cells}, degrees={self.degrees}, "
                 f"h={self.meshsize:.4g})")
-
-
-def eval_tensor_bspline(grid, multi_index, point, deriv=(0, 0)):
-    """Product of univariate B-spline factors with per-axis derivative orders."""
-    vx = eval_bspline_deriv(grid.kvs[0], multi_index[0], point[0], deriv[0])
-    vy = eval_bspline_deriv(grid.kvs[1], multi_index[1], point[1], deriv[1])
-    return vx * vy
 
 
 # ---------------------------------------------------------------------------
@@ -450,21 +360,6 @@ def local_polynomial_1d(kv, index, cell_idx):
     return _mono_to_bern(level[index])
 
 
-def local_polynomial(grid, multi_index, cell):
-    """Tensor polynomial agreeing with B-spline ``multi_index`` on ``cell``.
-
-    The piece is valid for evaluation anywhere; outside the cell it is the
-    polynomial extension of the restriction.
-    """
-    (x0, x1), (y0, y1) = grid.cell_bounds(cell)
-    if not (x1 > x0 and y1 > y0):
-        raise SplineError(f"degenerate cell {cell}")
-    cx = local_polynomial_1d(grid.kvs[0], multi_index[0], cell[0])
-    cy = local_polynomial_1d(grid.kvs[1], multi_index[1], cell[1])
-    return PolynomialPiece(lo=np.array([x0, y0]), hi=np.array([x1, y1]),
-                           coeffs=np.outer(cx, cy), factors=(cx, cy))
-
-
 def interpolate_piece(f, lo, hi, degrees):
     """Degree-``degrees`` tensor interpolant of ``f`` on the cell [lo, hi].
 
@@ -532,18 +427,6 @@ def deboor_fix(kv_pair, multi_index, piece):
         return float((r1 @ _elevated(cx, m1)) * (r2 @ _elevated(cy, m2)))
     c = _elevated(_elevated(piece.coeffs, m1).T, m2).T
     return float(r1 @ c @ r2)
-
-
-def dual_functional_1d(kv, index, coeffs, lo, hi):
-    """Univariate de Boor-Fix functional applied to a Bernstein polynomial.
-
-    ``coeffs`` are Bernstein coefficients on [lo, hi].
-    """
-    c = np.asarray(coeffs, dtype=float)
-    if c.size > kv.degree + 1:
-        raise SplineError(
-            f"polynomial degree {c.size - 1} exceeds basis degree {kv.degree}")
-    return float(dual_row(kv, index, lo, hi) @ _elevated(c, kv.degree))
 
 
 def uniform_knots(lo, hi, n_cells, degree):

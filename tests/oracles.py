@@ -1,4 +1,4 @@
-"""Reference evaluation paths that the tests compare the library against.
+"""Reference paths that the tests compare the library against.
 
 ``eval_web`` sums one web-spline's eb-spline expansion point by point;
 ``eval_field_loop`` is the chunked field evaluation that tabulated the basis
@@ -6,6 +6,23 @@ separately from the assembly tables. Neither shares code with
 :class:`webfem.webbasis.BasisValues`. ``extension_exact`` computes the
 extension coefficients in exact rational arithmetic, sharing no code with
 :mod:`webfem.splines`.
+
+Scalar references the library itself does not need:
+
+* ``eval_bspline``, ``eval_bspline_deriv`` and ``eval_tensor_bspline``:
+  the Cox-de Boor recursion at one point, against which
+  :func:`webfem.splines.nonzero_basis` is checked;
+* ``local_polynomial`` (tensor piece of one B-spline on one cell) and
+  ``dual_functional_1d`` (univariate de Boor-Fix functional of a Bernstein
+  polynomial), the two halves of the bi-orthogonality checks;
+* ``weight`` and ``weight_gradient`` at a single point;
+* ``cell_rule`` (Gauss rule on one box) and ``integrate`` (one cut-cell
+  integral);
+* ``raw_weighted_gram`` (Gram matrix of the unextended weighted basis) and
+  ``assemble_dipole_rhs`` (load of a dipole source ``f = div d``);
+* ``classify_indices_loop``: the index classification one B-spline at a
+  time, with the Hausdorff distance taken one outer support at a time, which
+  :func:`webfem.geometry.classify_indices` must reproduce exactly.
 """
 
 from fractions import Fraction
@@ -13,7 +30,13 @@ from math import comb
 
 import numpy as np
 
-from webfem.splines import eval_bspline_deriv, nonzero_basis
+from webfem.assembly import bilinear_form
+from webfem.geometry import CellLabel, IndexSets, ResolutionError
+from webfem.quadrature import build_quadrature, gauss_2d
+from webfem.splines import (
+    PolynomialPiece, SplineError, _elevated, dual_row, local_polynomial_1d,
+    nonzero_basis,
+)
 from webfem.webbasis import BasisError
 
 
@@ -150,3 +173,258 @@ def extension_exact(grid, idx):
         for i in idx.i_of_j[j]:
             out[(i, j)] = factor(0, i[0], j[0], q[0]) * factor(1, i[1], j[1], q[1])
     return out
+
+
+# ---------------------------------------------------------------------------
+# scalar B-spline evaluation (Cox-de Boor)
+# ---------------------------------------------------------------------------
+
+def eval_bspline(kv, index, x):
+    """Value of the non-uniform B-spline ``b_index`` at ``x``.
+
+    Evaluation at interior knots is right-continuous; at the last knot of
+    the knot vector the value is the limit from the left.
+    """
+    m = kv.degree
+    t = kv.knots
+    if not 0 <= index < kv.num_basis:
+        raise SplineError(f"basis index {index} out of range [0, {kv.num_basis})")
+    if not np.isfinite(x):
+        raise SplineError(f"evaluation point must be finite, got {x}")
+    return _cox_de_boor(t, index, m, float(x), t[-1])
+
+
+def _cox_de_boor(t, i, k, x, t_end):
+    if k == 0:
+        if t[i] <= x < t[i + 1]:
+            return 1.0
+        # closed on the right at the global last knot
+        if x == t_end and t[i] < t[i + 1] == t_end:
+            return 1.0
+        return 0.0
+    val = 0.0
+    d1 = t[i + k] - t[i]
+    if d1 > 0.0:
+        val += (x - t[i]) / d1 * _cox_de_boor(t, i, k - 1, x, t_end)
+    d2 = t[i + k + 1] - t[i + 1]
+    if d2 > 0.0:
+        val += (t[i + k + 1] - x) / d2 * _cox_de_boor(t, i + 1, k - 1, x, t_end)
+    return val
+
+
+def eval_bspline_deriv(kv, index, x, order):
+    """Order-th derivative of ``b_index`` at ``x``.
+
+    One-sided limits are taken from the right at interior knots and from
+    the left at the last knot. Orders above the degree return 0 (the
+    pointwise a.e. derivative of a piecewise polynomial).
+    """
+    if order < 0:
+        raise SplineError(f"derivative order must be nonnegative, got {order}")
+    if order == 0:
+        return eval_bspline(kv, index, x)
+    m = kv.degree
+    if order > m:
+        return 0.0
+    t = kv.knots
+    if not 0 <= index < kv.num_basis:
+        raise SplineError(f"basis index {index} out of range [0, {kv.num_basis})")
+    return _deriv_rec(t, index, m, float(x), order, t[-1])
+
+
+def _deriv_rec(t, i, k, x, order, t_end):
+    if order == 0:
+        return _cox_de_boor(t, i, k, x, t_end)
+    val = 0.0
+    d1 = t[i + k] - t[i]
+    if d1 > 0.0:
+        val += k / d1 * _deriv_rec(t, i, k - 1, x, order - 1, t_end)
+    d2 = t[i + k + 1] - t[i + 1]
+    if d2 > 0.0:
+        val -= k / d2 * _deriv_rec(t, i + 1, k - 1, x, order - 1, t_end)
+    return val
+
+
+def eval_tensor_bspline(grid, multi_index, point, deriv=(0, 0)):
+    """Product of univariate B-spline factors with per-axis derivative orders."""
+    vx = eval_bspline_deriv(grid.kvs[0], multi_index[0], point[0], deriv[0])
+    vy = eval_bspline_deriv(grid.kvs[1], multi_index[1], point[1], deriv[1])
+    return vx * vy
+
+
+# ---------------------------------------------------------------------------
+# local pieces and dual functionals
+# ---------------------------------------------------------------------------
+
+def local_polynomial(grid, multi_index, cell):
+    """Tensor polynomial agreeing with B-spline ``multi_index`` on ``cell``.
+
+    The piece is valid for evaluation anywhere; outside the cell it is the
+    polynomial extension of the restriction.
+    """
+    (x0, x1), (y0, y1) = grid.cell_bounds(cell)
+    if not (x1 > x0 and y1 > y0):
+        raise SplineError(f"degenerate cell {cell}")
+    cx = local_polynomial_1d(grid.kvs[0], multi_index[0], cell[0])
+    cy = local_polynomial_1d(grid.kvs[1], multi_index[1], cell[1])
+    return PolynomialPiece(lo=np.array([x0, y0]), hi=np.array([x1, y1]),
+                           coeffs=np.outer(cx, cy), factors=(cx, cy))
+
+
+def dual_functional_1d(kv, index, coeffs, lo, hi):
+    """Univariate de Boor-Fix functional applied to a Bernstein polynomial.
+
+    ``coeffs`` are Bernstein coefficients on [lo, hi].
+    """
+    c = np.asarray(coeffs, dtype=float)
+    if c.size > kv.degree + 1:
+        raise SplineError(
+            f"polynomial degree {c.size - 1} exceeds basis degree {kv.degree}")
+    return float(dual_row(kv, index, lo, hi) @ _elevated(c, kv.degree))
+
+
+# ---------------------------------------------------------------------------
+# weight, quadrature and assembly at small scale
+# ---------------------------------------------------------------------------
+
+def weight(domain, x):
+    """Scalar weight value at a single point."""
+    return float(domain.weight(np.asarray(x, dtype=float)[None, :])[0])
+
+
+def weight_gradient(domain, x):
+    """Scalar weight gradient at a single point."""
+    return domain.weight_gradient(np.asarray(x, dtype=float)[None, :])[0]
+
+
+def cell_rule(lo, hi, g):
+    """Tensor Gauss points and weights on the box [lo, hi]."""
+    ref, w = gauss_2d(g)
+    lo = np.asarray(lo, dtype=float)
+    size = np.asarray(hi, dtype=float) - lo
+    return lo + ref * size, w * size[0] * size[1]
+
+
+def integrate(domain, grid, cls, f, g=3, depth=6):
+    """Integral of ``f`` over the domain using the cut-cell rule."""
+    return build_quadrature(domain, grid, cls, g, depth).integrate(f)
+
+
+def raw_weighted_gram(tables):
+    """Gram matrix of the raw weighted basis {w b_k, k in K} (no extension)."""
+    return bilinear_form(tables.plan, tables.qw,
+                         [(1.0, tables.wb, tables.wb)])
+
+
+def assemble_dipole_rhs(basis, d, tables):
+    """Load vector for a dipole source f = div d in weak form: -int d.grad B."""
+    d_vals = d(tables.points) if callable(d) else np.broadcast_to(
+        np.asarray(d, dtype=float), (tables.num_points, 2))
+    return tables.web_load([(-d_vals[:, 0], tables.wbx),
+                            (-d_vals[:, 1], tables.wby)])
+
+
+# ---------------------------------------------------------------------------
+# index classification, one B-spline at a time
+# ---------------------------------------------------------------------------
+
+def _box_corner_hausdorff(alo, ahi, blo, bhi):
+    """Exact Hausdorff distance between axis-aligned boxes (corner formula).
+
+    Vectorized over the second box: blo, bhi have shape (n, 2).
+    """
+    corners_a = np.array([[alo[0], alo[1]], [alo[0], ahi[1]],
+                          [ahi[0], alo[1]], [ahi[0], ahi[1]]])
+    # distance from each corner of A to box B
+    d_ab = np.zeros(blo.shape[0])
+    for c in corners_a:
+        gap = np.maximum(np.maximum(blo - c, c - bhi), 0.0)
+        d_ab = np.maximum(d_ab, np.hypot(gap[:, 0], gap[:, 1]))
+    # distance from each corner of B to box A
+    d_ba = np.zeros(blo.shape[0])
+    for sx, sy in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        cx = np.where(sx, bhi[:, 0], blo[:, 0])
+        cy = np.where(sy, bhi[:, 1], blo[:, 1])
+        gx = np.maximum(np.maximum(alo[0] - cx, cx - ahi[0]), 0.0)
+        gy = np.maximum(np.maximum(alo[1] - cy, cy - ahi[1]), 0.0)
+        d_ba = np.maximum(d_ba, np.hypot(gx, gy))
+    return np.maximum(d_ab, d_ba)
+
+
+def _covered_by(kv, lo, hi):
+    """Basis indices whose support contains the interval [lo, hi]."""
+    m = kv.degree
+    t = kv.knots
+    return [i for i in range(kv.num_basis) if t[i] <= lo and hi <= t[i + m + 1]]
+
+
+def classify_indices_loop(grid, cls):
+    """Relevant / inner / outer split, one (i1, i2) at a time; same contract
+    as :func:`webfem.geometry.classify_indices`."""
+    labels = cls.labels
+    nbx, nby = grid.num_basis
+    interior_cells = cls.cells_with(CellLabel.INTERIOR)
+    if not interior_cells:
+        raise ResolutionError(
+            "no interior grid cells: the grid is too coarse for this domain; "
+            "refine the grid or enlarge the domain")
+    int_arr = np.array(interior_cells)
+    bx = grid.kvs[0].breakpoints
+    by = grid.kvs[1].breakpoints
+    int_lo = np.column_stack([bx[int_arr[:, 0]], by[int_arr[:, 1]]])
+    int_hi = np.column_stack([bx[int_arr[:, 0] + 1], by[int_arr[:, 1] + 1]])
+
+    sup_x = [grid.kvs[0].support_cells(i) for i in range(nbx)]
+    sup_y = [grid.kvs[1].support_cells(i) for i in range(nby)]
+
+    relevant, inner, outer = [], [], []
+    center, center_cell = {}, {}
+    for i1 in range(nbx):
+        rx = sup_x[i1]
+        for i2 in range(nby):
+            sub = labels[rx.start:rx.stop, sup_y[i2].start:sup_y[i2].stop]
+            if sub.size == 0 or np.all(sub == CellLabel.EXTERIOR):
+                continue
+            k = (i1, i2)
+            relevant.append(k)
+            pos = np.argwhere(sub == CellLabel.INTERIOR)
+            if pos.size:
+                inner.append(k)
+                jx, jy = pos[0]  # argwhere scans lexicographically
+                cell = (rx.start + int(jx), sup_y[i2].start + int(jy))
+                center_cell[k] = cell
+                (x0, x1), (y0, y1) = grid.cell_bounds(cell)
+                center[k] = np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
+            else:
+                outer.append(k)
+
+    if not inner:
+        raise ResolutionError(
+            "no inner B-splines: every relevant spline is cut by the boundary; "
+            "refine the grid")
+
+    q_cell, i_of_j, alpha = {}, {}, {}
+    inner_set = set(inner)
+    for j in outer:
+        alo, ahi = grid.support_box(j)
+        d = _box_corner_hausdorff(alo, ahi, int_lo, int_hi)
+        near = np.nonzero(d <= d.min() * (1.0 + 1e-12))[0]
+        # interior_cells is lexicographically sorted, so the first hit wins ties
+        q = interior_cells[near[0]]
+        q_cell[j] = q
+        (x0, x1), (y0, y1) = grid.cell_bounds(q)
+        covering = [(a, b) for a in _covered_by(grid.kvs[0], x0, x1)
+                    for b in _covered_by(grid.kvs[1], y0, y1)]
+        i_of_j[j] = sorted(i for i in covering if i in inner_set)
+        alpha[j] = min((x1 - x0) / (ahi[0] - alo[0]), (y1 - y0) / (ahi[1] - alo[1]))
+
+    j_of_i = {i: [] for i in inner}
+    for j in outer:
+        for i in i_of_j[j]:
+            j_of_i[i].append(j)
+    for i in j_of_i:
+        j_of_i[i].sort()
+
+    return IndexSets(relevant=relevant, inner=inner, outer=outer, q_cell=q_cell,
+                     i_of_j=i_of_j, j_of_i=j_of_i, center=center,
+                     center_cell=center_cell, alpha=alpha)

@@ -15,16 +15,15 @@ import scipy.sparse.linalg as spla
 from webfem.assembly import (
     BasisTables, PlapIterate, assemble_mass,
     assemble_plap_jacobian_and_residual, assemble_vcpe, linear_form,
-    raw_weighted_gram,
 )
 from webfem.cli import bundled_config_dir, load_config, run
 from webfem.geometry import Disk, ImplicitDomain, classify_cells
-from webfem.quadrature import build_quadrature, integrate
-from webfem.splines import (
-    KnotVector, TensorGrid, deboor_fix, local_polynomial, uniform_knots,
-)
+from webfem.quadrature import build_quadrature
+from webfem.splines import KnotVector, TensorGrid, deboor_fix, uniform_knots
 from webfem.solvers import solve_plap
 from webfem.webbasis import build_web_basis
+
+from oracles import integrate, local_polynomial, raw_weighted_gram
 
 
 def _passline(n, text):

@@ -8,7 +8,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from webfem.assembly import (
     AssemblyError, BasisTables, CoercivityError, PressureSpace, SparsityPlan,
-    WebReductionPlan, assemble_dipole_rhs, assemble_mass, assemble_mixed,
+    WebReductionPlan, assemble_mass, assemble_mixed,
     PlapIterate, assemble_plap_jacobian_and_residual, assemble_vcpe,
     bilinear_form, export_coo, linear_form, plap_energy,
     pressure_mass_and_integral, project_pressure,
@@ -21,7 +21,7 @@ from webfem.solvers import velocity_seminorm_gram
 from webfem.splines import TensorGrid, uniform_knots
 from webfem.webbasis import build_web_basis, project
 
-from oracles import eval_web
+from oracles import assemble_dipole_rhs, eval_web
 from strategies import r_trees
 
 

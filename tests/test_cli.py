@@ -98,6 +98,24 @@ class TestConfigValidation:
         assert err.startswith("configuration error")
         assert "eps_final" in err
 
+    def test_domain_outside_grid_bounds_exits_2(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, grid={"kind": "uniform", "degree": 1, "cells": 6,
+                            "bounds": [[-0.9, 0.9], [-0.9, 0.9]]}, levels=1)
+        assert main(["run", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error")
+        assert "grid.bounds" in err
+        assert "Traceback" not in err
+
+    def test_box_domain_equal_to_grid_bounds_runs(self, tmp_path):
+        path = write_config(
+            tmp_path, domain={"tree": {"op": "box", "lo": [-1, -1],
+                                       "hi": [1, 1]}},
+            grid={"kind": "uniform", "degree": 1, "cells": 6,
+                  "bounds": [[-1, 1], [-1, 1]]}, levels=1)
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == EXIT_OK
+
     def test_nondecreasing_explicit_knots(self, tmp_path):
         path = write_config(tmp_path)
         cfg = load_config(path)
@@ -298,6 +316,22 @@ class TestCheckSuite:
         code = main(["check", str(d), "--out", str(tmp_path / "o")])
         assert code == EXIT_CHECK
 
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"domain": {"tree": {"op": "blob"}}}, "unknown primitive op 'blob'"),
+        ({"problem": {"type": "projector", "case": "no_such_case"}},
+         "no_such_case"),
+    ])
+    def test_config_error_names_the_config(self, tmp_path, capsys, overrides,
+                                           message):
+        d = tmp_path / "suite"
+        d.mkdir()
+        write_config(tmp_path, name="suite/broken.json", **overrides)
+        code = main(["check", str(d), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error")
+        assert str(d / "broken.json") in err and message in err
 
     def test_suite_reports_each_violation_once(self, tmp_path, capsys):
         d = tmp_path / "suite"

@@ -1,12 +1,24 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from webfem import cli
 from webfem.geometry import (
     CellLabel, Conjunction, Disk, GeometryError, ImplicitDomain,
     ResolutionError, annulus, box, classify_cells, classify_indices,
-    domain_from_config, weight, weight_gradient,
+    domain_from_config,
 )
-from webfem.splines import KnotVector, TensorGrid, uniform_knots
+from webfem.splines import KnotVector, TensorGrid, graded_knots, uniform_knots
+
+from oracles import classify_indices_loop, weight, weight_gradient
+from strategies import r_trees
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def unit_disk(r=1.0):
@@ -263,6 +275,63 @@ class TestClassifyIndices:
         dom = ImplicitDomain(Disk([0.0, 0.0], 0.3))
         with pytest.raises(ResolutionError):
             classify_indices(g, classify_cells(dom, g))
+
+
+def assert_same_index_sets(got, want):
+    """Field-by-field equality of two IndexSets, centers by array_equal."""
+    for name in ("relevant", "inner", "outer", "q_cell", "i_of_j", "j_of_i",
+                 "center_cell", "alpha"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.center.keys() == want.center.keys()
+    for k, x in want.center.items():
+        assert np.array_equal(got.center[k], x), k
+
+
+def knot_vector(kind, degree, n_cells, shift):
+    lo, hi = -1.1 + shift, 1.1 + shift
+    if kind == "uniform":
+        return uniform_knots(lo, hi, n_cells, degree)
+    if kind in ("min", "max"):
+        return graded_knots(lo, hi, n_cells, degree, 1.3, side=kind)
+    # explicit: uniform knots with one interior knot doubled
+    t = uniform_knots(lo, hi, n_cells, degree).knots
+    mid = degree + n_cells // 2
+    return KnotVector(np.insert(t, mid, t[mid]), degree)
+
+
+class TestClassifyIndicesOracle:
+    """The array classification against the one-index-at-a-time loop."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(tree=r_trees(2), degree=st.integers(1, 3),
+           n_cells=st.integers(3, 10),
+           kind=st.sampled_from(["uniform", "min", "max", "explicit"]),
+           shift=st.floats(-0.05, 0.05))
+    def test_random_domains(self, tree, degree, n_cells, kind, shift):
+        kv = knot_vector(kind, degree, n_cells, shift)
+        g = TensorGrid(kv, knot_vector(kind, degree, n_cells + 1, -shift))
+        cls = classify_cells(ImplicitDomain(tree), g)
+        try:
+            want = classify_indices_loop(g, cls)
+        except ResolutionError:
+            with pytest.raises(ResolutionError):
+                classify_indices(g, cls)
+            return
+        assert_same_index_sets(classify_indices(g, cls), want)
+
+    @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+    def test_benchmark_grids(self, workload, tmp_path):
+        for seed in range(5):
+            cfg = cli.load_config(workloads.write_config(workload, seed,
+                                                         tmp_path))
+            study = cli._study_from_config(cfg)
+            dom = domain_from_config(cli._build_case(cfg).domain_config)
+            g = study.base_grid()
+            for _ in range(study.levels):
+                cls = classify_cells(dom, g, study.samples_per_axis)
+                assert_same_index_sets(classify_indices(g, cls),
+                                       classify_indices_loop(g, cls))
+                g = g.refined()
 
 
 class TestConfig:

@@ -4,9 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from webfem.splines import (
     KnotVector, PolynomialPiece, SplineError, TensorGrid, deboor_fix,
+    graded_knots, interpolate_piece, nonzero_basis, uniform_knots,
+)
+
+from oracles import (
     dual_functional_1d, eval_bspline, eval_bspline_deriv, eval_tensor_bspline,
-    graded_knots, interpolate_piece, local_polynomial, nonzero_basis,
-    uniform_knots,
+    local_polynomial,
 )
 
 

@@ -8,7 +8,7 @@ from webfem.geometry import Disk, ImplicitDomain, box, classify_cells, classify_
 from webfem.quadrature import build_quadrature
 from webfem.splines import (
     KnotVector, TensorGrid, deboor_fix, graded_knots, interpolate_piece,
-    local_polynomial, nonzero_basis, uniform_knots,
+    nonzero_basis, uniform_knots,
 )
 from webfem.solvers import SolutionField
 from webfem.webbasis import (
@@ -16,7 +16,10 @@ from webfem.webbasis import (
     jackson_error, project,
 )
 
-from oracles import eval_field_loop, eval_web, extension_exact
+from oracles import (
+    eval_field_loop, eval_tensor_bspline, eval_web, extension_exact,
+    local_polynomial,
+)
 
 
 def disk_basis(n_cells=14, degree=2, half=1.1):
@@ -202,7 +205,6 @@ class TestEvalWeb:
         deep = min(basis.idx.inner,
                    key=lambda i: np.linalg.norm(basis.idx.center[i]))
         x = basis.idx.center[deep]
-        from webfem.splines import eval_tensor_bspline
         expect = eval_tensor_bspline(basis.grid, deep, x)
         assert eval_web(basis, deep, x) == pytest.approx(expect, rel=1e-12)
 
