@@ -195,6 +195,11 @@ class StudyConfig:
     pressure_macro: int = 1           # pressure patch size in grid cells
     samples_per_axis: int = 5
 
+    @property
+    def gauss_order(self):
+        """Gauss points per axis of the assembly rule on full cells."""
+        return self.gauss or self.degree + 1
+
     def depth_at(self, level):
         if isinstance(self.depth, (list, tuple)):
             return int(self.depth[min(level, len(self.depth) - 1)])
@@ -271,11 +276,10 @@ def run_convergence(case, study, solver_opts=None):
     opts = solver_opts or SolveOptions()
     domain = domain_from_config(case.domain_config)
     grid = study.base_grid()
-    g = study.gauss or study.degree + 1
     records = []
     for level in range(study.levels):
         t0 = time.perf_counter()
-        rec = _run_level(case, domain, grid, g, study, level, opts)
+        rec = _run_level(case, domain, grid, study, level, opts)
         rec["wall_time"] = time.perf_counter() - t0
         rec["level"] = level
         records.append(rec)
@@ -288,7 +292,7 @@ def run_convergence(case, study, solver_opts=None):
         case=case.name, kind=case.kind,
         study={"degree": study.degree, "levels": study.levels,
                "base_cells": study.base_cells, "grid_kind": study.grid_kind,
-               "gauss": g, "depth": study.depth,
+               "gauss": study.gauss_order, "depth": study.depth,
                "pressure_degree": study.pressure_degree,
                "pressure_macro": study.pressure_macro},
         levels=records, eoc_table=table,
@@ -296,11 +300,13 @@ def run_convergence(case, study, solver_opts=None):
     return report
 
 
-def _run_level(case, domain, grid, g, study, level, opts):
-    basis = build_web_basis(domain, grid, study.samples_per_axis)
-    depth = study.depth_at(level)
-    quad = build_quadrature(domain, grid, basis.cls, g, depth, study.gauss_leaf)
-    for ax, kv in enumerate(grid.kvs):
+def assembly_quadrature(basis, study, level):
+    """The assembly rule of ``basis`` at ``level``; a GeometryError if the
+    domain reaches outside the grid core."""
+    quad = build_quadrature(basis.domain, basis.grid, basis.cls,
+                            study.gauss_order, study.depth_at(level),
+                            study.gauss_leaf)
+    for ax, kv in enumerate(basis.grid.kvs):
         # the B-splines span the polynomials only on the core [t_m, t_nb]
         lo, hi = kv.knots[kv.degree], kv.knots[kv.num_basis]
         x = quad.points[:, ax]
@@ -310,12 +316,19 @@ def _run_level(case, domain, grid, g, study, level, opts):
                 f"[{x.min():.6g}, {x.max():.6g}], beyond the grid core "
                 f"[{lo:.6g}, {hi:.6g}] that grid.bounds (or grid.knots) sets; "
                 "enlarge grid.bounds to contain the domain")
+    return quad
+
+
+def _run_level(case, domain, grid, study, level, opts):
+    basis = build_web_basis(domain, grid, study.samples_per_axis)
+    quad = assembly_quadrature(basis, study, level)
     # errors use one Gauss order more on full cells; leaves keep the assembly
     # order (their accuracy is capped by the geometric error regardless), so
     # the boundary cells of both rules hold the same points, and the norms
     # read them from the assembly tables
-    err_quad = build_quadrature(domain, grid, basis.cls, g + 1, depth,
-                                study.gauss_leaf or g)
+    g = study.gauss_order
+    err_quad = build_quadrature(domain, grid, basis.cls, g + 1,
+                                study.depth_at(level), study.gauss_leaf or g)
     rec = {"h": grid.meshsize, "n_inner": basis.n_inner,
            "basis": basis.summary(), "errors": {}}
     tables = None

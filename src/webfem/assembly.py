@@ -231,8 +231,8 @@ class BasisTables(BasisValues):
         first use by :class:`StokesIterate`.
     """
 
-    def __init__(self, basis, quad, nderiv=1):
-        super().__init__(basis, quad.points, nderiv)
+    def __init__(self, basis, quad):
+        super().__init__(basis, quad.points)
         if np.any(self.idx < 0):
             raise AssemblyError(
                 "quadrature point activates a basis function outside the "
@@ -309,11 +309,9 @@ def assemble_vcpe(basis, a, f, tables):
     return AssembledSystem(matrix=A, rhs=F)
 
 
-def assemble_mass(basis, tables, coefficient=1.0):
-    """Web-basis mass matrix (optionally with a variable coefficient)."""
-    c = (coefficient(tables.points) if callable(coefficient)
-         else float(coefficient))
-    return tables.web_form([(c, tables.wb, tables.wb)])
+def assemble_mass(basis, tables):
+    """Web-basis mass matrix."""
+    return tables.web_form([(1.0, tables.wb, tables.wb)])
 
 
 def gram_condition_estimate(basis, tables):

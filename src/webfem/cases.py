@@ -43,10 +43,6 @@ class ManufacturedCase:
     viscosity: object = None      # s -> a(s)
     rate_targets: dict = field(default_factory=dict)
 
-    def describe(self):
-        return {"name": self.name, "kind": self.kind, "params": self.params,
-                "rate_targets": self.rate_targets}
-
 
 def _r(pts):
     return np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)

@@ -18,7 +18,9 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
-from .analysis import StudyConfig, level_csv, run_convergence
+from .analysis import (
+    StudyConfig, assembly_quadrature, level_csv, run_convergence,
+)
 from .cases import get_case
 from .geometry import GeometryError, ResolutionError, domain_from_config
 from .solvers import SolveOptions, SolverError
@@ -260,11 +262,13 @@ def _study_from_config(cfg):
 
 
 def describe(cfg):
-    """Basis statistics for the base grid, without solving."""
+    """Basis statistics for the base grid, without solving; a domain outside
+    the grid core is rejected as in a run."""
     case = _build_case(cfg)
     study = _study_from_config(cfg)
     domain = domain_from_config(case.domain_config)
     basis = build_web_basis(domain, study.base_grid(), study.samples_per_axis)
+    assembly_quadrature(basis, study, 0)
     info = {"name": cfg["name"], "case": case.name, "kind": case.kind,
             "h": basis.grid.meshsize}
     info.update(basis.summary())
@@ -337,7 +341,7 @@ def run(cfg, out_dir=None, check=False, dump_matrices=False):
     with open(stem + ".txt", "w") as fh:
         fh.write(report.text_table() + "\n")
     if dump_matrices:
-        _dump_matrices(case, study, opts, stem)
+        _dump_matrices(case, study, stem)
     failures = evaluate_floors(cfg, report) if check else []
     for line in report.text_table().splitlines():
         print(line)
@@ -346,16 +350,11 @@ def run(cfg, out_dir=None, check=False, dump_matrices=False):
     return (EXIT_CHECK if failures else EXIT_OK), report
 
 
-def _dump_matrices(case, study, opts, stem):
+def _dump_matrices(case, study, stem):
     from .assembly import BasisTables, assemble_vcpe, export_coo
-    from .quadrature import build_quadrature
     domain = domain_from_config(case.domain_config)
-    grid = study.base_grid()
-    basis = build_web_basis(domain, grid, study.samples_per_axis)
-    g = study.gauss or study.degree + 1
-    quad = build_quadrature(domain, grid, basis.cls, g, study.depth_at(0),
-                            study.gauss_leaf)
-    tables = BasisTables(basis, quad)
+    basis = build_web_basis(domain, study.base_grid(), study.samples_per_axis)
+    tables = BasisTables(basis, assembly_quadrature(basis, study, 0))
     a = case.diffusion if case.diffusion is not None else 1.0
     f = case.source if case.source is not None else 0.0
     system = assemble_vcpe(basis, a, f, tables)
@@ -382,7 +381,6 @@ def check_suite(suite_dir=None, out_dir=None):
         print("no configs found in the suite directory", file=sys.stderr)
         return EXIT_CONFIG
     results = []
-    worst = EXIT_OK
     for path in paths:
         t0 = time.perf_counter()
         try:
@@ -393,19 +391,19 @@ def check_suite(suite_dir=None, out_dir=None):
             code = EXIT_CHECK if failures else EXIT_OK
         except (ConfigError, GeometryError, SplineError) as exc:
             print(f"configuration error: {path}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            code, failures = EXIT_CONFIG, [str(exc)]
         except (SolverError, ResolutionError) as exc:
             code, failures = EXIT_SOLVER, [str(exc)]
         results.append((os.path.basename(path), code, failures,
                         time.perf_counter() - t0))
-        worst = max(worst, code)
     print(f"\n{'config':<32} {'status':<8} {'time':>8}")
     for name, code, failures, dt in results:
         status = "ok" if code == EXIT_OK else "FAIL"
         print(f"{name:<32} {status:<8} {dt:8.1f}s")
         for f in failures:
             print(f"    {f}")
-    return worst
+    codes = [code for _, code, _, _ in results]
+    return EXIT_CONFIG if EXIT_CONFIG in codes else max(codes)
 
 
 def main(argv=None):

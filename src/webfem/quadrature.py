@@ -61,8 +61,6 @@ class DomainQuadrature:
     points: np.ndarray      # (N, 2)
     weights: np.ndarray     # (N,)
     cell_ids: np.ndarray    # (N,) int
-    gauss_order: int
-    depth: int
 
     @property
     def num_points(self):
@@ -175,5 +173,4 @@ def build_quadrature(domain, grid, cls, g, depth, g_leaf=None):
         slots = (start[part, None] + np.arange(gg * gg)).ravel()
         points[slots], weights[slots] = _box_rules(boxes, gg)
         cell_ids[slots] = np.repeat(owner[part], gg * gg)
-    return DomainQuadrature(points=points, weights=weights, cell_ids=cell_ids,
-                            gauss_order=g, depth=depth)
+    return DomainQuadrature(points=points, weights=weights, cell_ids=cell_ids)

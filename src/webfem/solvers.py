@@ -2,7 +2,7 @@
 
 * variable-coefficient Poisson: conjugate gradients on the SPD web system,
 * p-Laplacian: damped Newton on the eps-regularized residual with
-  eps-continuation (and p-continuation at extreme exponents),
+  eps-continuation, every stage at the requested exponent,
 * quasi-Newtonian Stokes: damped Newton on the Carreau energy, each step a
   solve of the mixed saddle system with a mean-zero pressure multiplier.
 
@@ -33,40 +33,36 @@ class SolverError(RuntimeError):
         self.history = list(history) if history is not None else []
 
 
+EPS_FACTOR = 10.0        # ratio of consecutive eps-continuation stages
+DAMPING_FACTOR = 0.5     # step shrink per rejected line-search trial
+MAX_DAMPING_STEPS = 20
+
+
 @dataclass
 class SolveOptions:
-    """Iteration limits, tolerances and continuation schedules."""
+    """The ``solver`` keys of a config: limits, tolerances, eps range."""
 
     linear_tol: float = 1e-10
     nonlinear_tol: float = 1e-8
     max_linear_iterations: int = 20000
     max_iterations: int = 40          # Newton steps per stage
-    damping_factor: float = 0.5
-    max_damping_steps: int = 20
     eps_start: float = 1e-1
     eps_final: float = 1e-8
-    eps_factor: float = 10.0
-    p_continuation_step: float = 0.5  # largest |p - 2| jump per warm start
 
     def __post_init__(self):
         if self.linear_tol <= 0 or self.nonlinear_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.eps_final > self.eps_start:
+        if not 0.0 < self.eps_final <= self.eps_start < np.inf:
             raise ValueError(
-                f"eps_final {self.eps_final} exceeds eps_start {self.eps_start}")
-        if not self.eps_factor > 1:
-            raise ValueError(
-                f"eps_factor must exceed 1, got {self.eps_factor}")
-        if not self.p_continuation_step > 0:
-            raise ValueError(
-                f"p_continuation_step must be positive, got {self.p_continuation_step}")
+                f"need 0 < eps_final <= eps_start < inf, got eps_final "
+                f"{self.eps_final} and eps_start {self.eps_start}")
 
     def eps_schedule(self):
         out = [self.eps_start]
         while out[-1] > self.eps_final * (1.0 + 1e-12):
-            out.append(max(out[-1] / self.eps_factor, self.eps_final))
+            out.append(max(out[-1] / EPS_FACTOR, self.eps_final))
         return out
 
 
@@ -80,7 +76,6 @@ class SolutionField:
 
     basis: object
     coeffs: np.ndarray
-    kind: str
     params: dict = field(default_factory=dict)
 
     def component(self, k):
@@ -137,7 +132,7 @@ def solve_vcpe(basis, a, f, tables, opts=None):
         raise SolverError(
             f"CG failed to reach rtol {opts.linear_tol} within "
             f"{opts.max_linear_iterations} iterations", history)
-    return SolutionField(basis=basis, coeffs=c, kind="vcpe",
+    return SolutionField(basis=basis, coeffs=c,
                          params={"iterations": len(history)})
 
 
@@ -145,29 +140,13 @@ def solve_vcpe(basis, a, f, tables, opts=None):
 # p-Laplacian
 # ---------------------------------------------------------------------------
 
-def _p_schedule(p, step):
-    """Intermediate exponents warm-starting Newton toward extreme p."""
-    if 1.3 <= p <= 3.0:
-        return [p]
-    anchor = 2.0
-    seq = []
-    current = anchor if p > 3.0 else 1.5
-    if p > 3.0:
-        while current < p - 1e-12:
-            current = min(current + step, p)
-            seq.append(current)
-        return seq or [p]
-    while current > p + 1e-12:
-        current = max(current - step / 2.0, p)
-        seq.append(current)
-    return seq or [p]
-
-
 def solve_plap(basis, p, f, tables, opts=None):
-    """Damped Newton with eps- (and p-) continuation for the p-Laplacian.
+    """Damped Newton with eps-continuation for the p-Laplacian.
 
-    The accepted iterates decrease the regularized energy at each stage;
-    the returned field carries the per-stage residual and energy histories.
+    Every stage runs at ``p``: the regularized energy with its mass term is
+    strictly convex for all p > 1, so no homotopy in p is needed. The
+    accepted iterates decrease the energy at each stage; the returned field
+    carries the per-stage residual and energy histories.
     """
     if p <= 1.0:
         raise SolverError(f"admissible exponents are p in (1, inf), got {p}")
@@ -175,24 +154,20 @@ def solve_plap(basis, p, f, tables, opts=None):
     f_vals = f(tables.points) if callable(f) else np.full(tables.num_points, float(f))
     c = np.zeros(basis.n_inner)
     stages = []
-    p_seq = _p_schedule(p, opts.p_continuation_step)
-    eps_seq = opts.eps_schedule() if p != 2.0 else [0.0]
-    for p_cur in p_seq:
-        schedule = eps_seq if p_cur == p_seq[-1] else [eps_seq[0]]
-        for eps in schedule:
-            state, residuals, energies = _newton_stage(
-                partial(PlapIterate, basis, tables, p=p_cur, eps=eps,
-                        f_vals=f_vals), c, _plap_step, opts)
-            c = state.coeffs
-            stages.append({"p": p_cur, "eps": eps, "residuals": residuals,
-                           "energies": energies})
+    for eps in opts.eps_schedule() if p != 2.0 else [0.0]:
+        state, residuals, energies = _newton_stage(
+            partial(PlapIterate, basis, tables, p=p, eps=eps, f_vals=f_vals),
+            c, _plap_step, opts)
+        c = state.coeffs
+        stages.append({"eps": eps, "residuals": residuals,
+                       "energies": energies})
     final = stages[-1]["residuals"][-1]
     if final > opts.nonlinear_tol:
         raise SolverError(
             f"Newton stalled at residual {final:.3e} (tol {opts.nonlinear_tol})",
             stages[-1]["residuals"])
     iterations = sum(len(s["residuals"]) - 1 for s in stages)
-    return SolutionField(basis=basis, coeffs=c, kind="plap",
+    return SolutionField(basis=basis, coeffs=c,
                          params={"p": p, "stages": stages,
                                  "iterations": iterations})
 
@@ -219,12 +194,12 @@ def _newton_stage(make, coeffs, step, opts):
         delta = step(state, R)
         slope = float(R @ delta)  # descent rate of the energy along -delta
         energy, t = state.energy, 1.0
-        for _ in range(opts.max_damping_steps + 1):
+        for _ in range(MAX_DAMPING_STEPS + 1):
             cand = make(state.coeffs - t * delta)
             # a non-finite candidate energy compares False and is damped
             if cand.energy <= energy - 1e-4 * t * slope + 1e-14 * abs(energy):
                 break
-            t *= opts.damping_factor
+            t *= DAMPING_FACTOR
         else:
             raise SolverError(
                 f"line search failed at residual {rnorm:.3e}", residuals)
@@ -332,12 +307,9 @@ def solve_quasi_newtonian(basis, pspace, a_fn, phi, tables, quad, opts=None):
     const = np.zeros(pspace.n_dofs)
     const[::pspace.ndof_cell] = 1.0
     p_coeffs = state.pressure - (float(g @ state.pressure) / area) * const
-    iterations = len(residuals) - 1
-    velocity = SolutionField(basis=basis, coeffs=c, kind="quasi_newtonian",
-                             params={"iterations": iterations,
-                                     "residuals": residuals})
+    velocity = SolutionField(basis=basis, coeffs=c)
     pressure = PressureField(space=pspace, coeffs=p_coeffs)
-    info = {"iterations": iterations, "residuals": residuals,
+    info = {"iterations": len(residuals) - 1, "residuals": residuals,
             "multiplier": float(state.coeffs[-1]),
             "incompressibility": float(np.max(np.abs(B @ c)))}
     return velocity, pressure, info

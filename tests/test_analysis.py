@@ -45,7 +45,7 @@ class TestErrorNorm:
     def test_exact_coefficients_give_zero(self):
         case, basis, quad = disk_fixture()
         coeffs = project(basis, case.solution)
-        field = SolutionField(basis=basis, coeffs=coeffs, kind="vcpe")
+        field = SolutionField(basis=basis, coeffs=coeffs)
         # the projector is not interpolation, so compare against itself:
         # fabricate the case whose solution IS the discrete field
         from webfem.webbasis import eval_field
@@ -60,8 +60,7 @@ class TestErrorNorm:
     def test_l2_of_bump_against_zero_field(self):
         # || 1 - r^2 ||_L2 over the unit disk = sqrt(pi/3)
         case, basis, quad = disk_fixture()
-        zero = SolutionField(basis=basis, coeffs=np.zeros(basis.n_inner),
-                             kind="vcpe")
+        zero = SolutionField(basis=basis, coeffs=np.zeros(basis.n_inner))
         quadr = get_case("disk_poisson_quadratic")
         val = error_norm(zero, quadr, "L2", quad)
         assert val == pytest.approx(np.sqrt(np.pi / 3), rel=1e-3)
@@ -77,9 +76,9 @@ class TestErrorNorm:
         for _ in range(4):
             a = rng.normal(size=basis.n_inner)
             b = rng.normal(size=basis.n_inner)
-            fa = SolutionField(basis=basis, coeffs=a, kind="vcpe")
-            fb = SolutionField(basis=basis, coeffs=b, kind="vcpe")
-            fab = SolutionField(basis=basis, coeffs=a + b, kind="vcpe")
+            fa = SolutionField(basis=basis, coeffs=a)
+            fb = SolutionField(basis=basis, coeffs=b)
+            fab = SolutionField(basis=basis, coeffs=a + b)
             for norm in ("L2", "H1"):
                 na = error_norm(fa, zero_case, norm, quad)
                 nb = error_norm(fb, zero_case, norm, quad)
@@ -96,7 +95,7 @@ class TestErrorNorm:
         basis = build_web_basis(dom, grid)
         quad = build_quadrature(dom, grid, basis.cls, 4, 6)
         coeffs = project(basis, case.solution)
-        field = SolutionField(basis=basis, coeffs=coeffs, kind="plap")
+        field = SolutionField(basis=basis, coeffs=coeffs)
         p = case.params["p"]
         q2 = error_norm(field, case, "quasinorm", quad) ** 2
         w1p = error_norm(field, case, "W1p", quad)
@@ -113,8 +112,7 @@ class TestErrorNorm:
 
     def test_invalid_exponent(self):
         case, basis, quad = disk_fixture(n_cells=8)
-        field = SolutionField(basis=basis, coeffs=np.zeros(basis.n_inner),
-                              kind="plap")
+        field = SolutionField(basis=basis, coeffs=np.zeros(basis.n_inner))
         with pytest.raises(AnalysisError):
             error_norm(field, case, "quasinorm", quad, p=1.0)
         with pytest.raises(AnalysisError):
@@ -134,7 +132,7 @@ class TestErrorNorms:
         quad = build_quadrature(dom, grid, basis.cls, 4, 5, 3)
         coeffs = np.random.default_rng(seed).normal(
             scale=0.1, size=components * basis.n_inner)
-        field = SolutionField(basis=basis, coeffs=coeffs, kind=case.kind)
+        field = SolutionField(basis=basis, coeffs=coeffs)
         return case, field, quad
 
     def test_vcpe_matches_per_norm_calls(self):
@@ -256,8 +254,7 @@ class TestQuasinormCea:
         err_quad = build_quadrature(dom, grid, basis.cls, 4, 6, 3)
         tables = BasisTables(basis, quad)
         sol = solve_plap(basis, case.params["p"], case.source, tables)
-        proj = SolutionField(basis=basis, coeffs=project(basis, case.solution),
-                             kind="plap")
+        proj = SolutionField(basis=basis, coeffs=project(basis, case.solution))
         qs = error_norm(sol, case, "quasinorm", err_quad)
         qp = error_norm(proj, case, "quasinorm", err_quad)
         assert qs <= 5.0 * qp
@@ -281,7 +278,7 @@ class TestSharedTables:
         tables = BasisTables(basis, quad)
         coeffs = np.random.default_rng(11).normal(
             scale=0.1, size=components * basis.n_inner)
-        field = SolutionField(basis=basis, coeffs=coeffs, kind=case.kind)
+        field = SolutionField(basis=basis, coeffs=coeffs)
         shared = analysis._shared_sampler(basis, tables, quad, err_quad)
         return case, field, err_quad, shared
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -107,6 +108,17 @@ class TestConfigValidation:
         assert err.startswith("configuration error")
         assert "grid.bounds" in err
         assert "Traceback" not in err
+
+    def test_describe_rejects_domain_outside_grid_bounds(self, tmp_path,
+                                                          capsys):
+        # the same grid-core check as the run
+        path = write_config(
+            tmp_path, grid={"kind": "uniform", "degree": 1, "cells": 6,
+                            "bounds": [[-0.9, 0.9], [-0.9, 0.9]]}, levels=1)
+        assert main(["run", path, "--describe"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error")
+        assert "grid.bounds" in err
 
     def test_box_domain_equal_to_grid_bounds_runs(self, tmp_path):
         path = write_config(
@@ -332,6 +344,27 @@ class TestCheckSuite:
         assert code == EXIT_CONFIG
         assert err.startswith("configuration error")
         assert str(d / "broken.json") in err and message in err
+
+    def test_broken_config_does_not_stop_the_suite(self, tmp_path, capsys):
+        d = tmp_path / "suite"
+        d.mkdir()
+        for stem in ("a_ok", "c_ok"):
+            write_config(tmp_path, name=f"suite/{stem}.json",
+                         output={"dir": str(tmp_path / stem)})
+        write_config(tmp_path, name="suite/b_broken.json",
+                     domain={"tree": {"op": "blob"}})
+        code = main(["check", str(d)])
+        out = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert str(d / "b_broken.json") in out.err
+        # the config after the broken one ran and wrote its report
+        assert (tmp_path / "c_ok" / "disk_bump.json").exists()
+        summary = out.out.split("\nconfig")[-1]
+        for name, status in (("a_ok.json", "ok"), ("b_broken.json", "FAIL"),
+                             ("c_ok.json", "ok")):
+            assert re.search(rf"^{re.escape(name)}\s+{status}\s", summary,
+                             re.M)
+        assert "unknown primitive op 'blob'" in summary
 
     def test_suite_reports_each_violation_once(self, tmp_path, capsys):
         d = tmp_path / "suite"

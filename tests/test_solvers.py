@@ -136,11 +136,24 @@ class TestPlapSolver:
         for r0, r1 in zip(tail, tail[1:]):
             assert r1 <= 10.0 * r0 ** 1.5
 
-    def test_p_continuation_high_exponent(self):
+    @pytest.mark.parametrize("p, max_steps", [(1.05, None), (4.0, 15),
+                                              (10.0, 30)])
+    def test_direct_solve_at_extreme_exponents(self, p, max_steps):
+        # every eps-stage runs at the requested p; the step bounds sit
+        # between the direct solve (11 steps at p = 4, 18 at p = 10) and a
+        # warm start through intermediate exponents (21 and 60 steps)
         basis, quad, tables = disk_setup(n_cells=6)
-        sol = solve_plap(basis, 4.0, lambda p: np.ones(p.shape[0]), tables)
-        ps = [s["p"] for s in sol.params["stages"]]
-        assert ps[0] < 4.0 and ps[-1] == 4.0
+        opts = SolveOptions()
+        sol = solve_plap(basis, p, lambda x: 1.0 + x[:, 0], tables, opts)
+        stages = sol.params["stages"]
+        assert stages[-1]["residuals"][-1] <= opts.nonlinear_tol
+        assert len(stages) == len(opts.eps_schedule())
+        for stage in stages:
+            e = stage["energies"]
+            for a, b in zip(e, e[1:]):
+                assert b <= a + 1e-12 + 1e-12 * abs(a)
+        if max_steps is not None:
+            assert sol.params["iterations"] <= max_steps
 
     def test_jacobian_assembled_only_for_a_step(self, monkeypatch):
         # residual first: every assembled Jacobian is solved, and the last
@@ -395,15 +408,24 @@ class TestOptions:
             SolveOptions(max_iterations=0)
 
     @pytest.mark.parametrize("bad", [
-        {"eps_factor": 1.0}, {"eps_factor": 0.5}, {"eps_factor": float("nan")},
-        {"p_continuation_step": 0.0}, {"p_continuation_step": -0.5},
-        {"p_continuation_step": float("nan")},
+        {"eps_final": -1.0}, {"eps_final": 0.0}, {"eps_final": float("nan")},
+        {"eps_start": float("inf")}, {"eps_start": float("nan")},
+        {"eps_start": -1.0},
     ])
     def test_rejects_non_terminating_schedules(self, bad):
-        # either value would make eps_schedule or _p_schedule loop forever,
-        # so only the construction is tried
+        # a negative eps_final or an infinite eps_start makes eps_schedule
+        # loop forever, eps_final = 0 runs 324 stages down to underflow,
+        # and a nan bound fails every comparison; only the construction is
+        # tried
         with pytest.raises(ValueError, match=next(iter(bad))):
             SolveOptions(**bad)
+
+    def test_fields_are_the_solver_config_keys(self):
+        # every option is reachable from a config, and every key is an option
+        from dataclasses import fields
+        from webfem.cli import CONFIG_SCHEMA
+        keys = CONFIG_SCHEMA["properties"]["solver"]["properties"]
+        assert {f.name for f in fields(SolveOptions)} == set(keys)
 
     def test_rejects_eps_final_above_eps_start(self):
         # eps_schedule would silently run the single stage eps_start

@@ -304,7 +304,7 @@ class TestEvalFieldOracle:
         rng = np.random.default_rng(45)
         coeffs = rng.normal(size=2 * basis.n_inner)
         pts = rng.uniform(-1.05, 1.05, size=(1000, 2))
-        field = SolutionField(basis=basis, coeffs=coeffs, kind="quasi_newtonian")
+        field = SolutionField(basis=basis, coeffs=coeffs)
         vals, grads = field(pts, grad=True)
         monkeypatch.setattr(webbasis, "EVAL_CHUNK", 77)
         chunked_vals, chunked_grads = field(pts, grad=True)
