@@ -22,7 +22,7 @@ from .solvers import (
     solve_vcpe,
 )
 from .splines import KnotVector, TensorGrid, graded_knots, uniform_knots
-from .webbasis import build_web_basis, eval_fields, jackson_error
+from .webbasis import build_web_basis, eval_fields, jackson_error, prolong
 
 
 class AnalysisError(ValueError):
@@ -269,6 +269,11 @@ def _resolve_targets(case, study):
 def run_convergence(case, study, solver_opts=None):
     """Solve the case on a dyadic grid hierarchy and report errors and EOC.
 
+    Nested iteration: every nonlinear level after the first starts from the
+    solution of the level before, prolonged exactly to its basis
+    (:func:`~webfem.webbasis.prolong`), and its record says how it started
+    (``"start"``: ``"zero"`` or ``"prolonged"``). Only that level's basis
+    and coefficients are kept between levels, not its tables.
     Mixed runs also report the (dense) inf-sup estimate of every level.
     """
     if study.levels < 1:
@@ -277,9 +282,11 @@ def run_convergence(case, study, solver_opts=None):
     domain = domain_from_config(case.domain_config)
     grid = study.base_grid()
     records = []
+    coarse = None
     for level in range(study.levels):
         t0 = time.perf_counter()
-        rec = _run_level(case, domain, grid, study, level, opts)
+        rec, coarse = _run_level(case, domain, grid, study, level, opts,
+                                 coarse)
         rec["wall_time"] = time.perf_counter() - t0
         rec["level"] = level
         records.append(rec)
@@ -319,7 +326,11 @@ def assembly_quadrature(basis, study, level):
     return quad
 
 
-def _run_level(case, domain, grid, study, level, opts):
+def _run_level(case, domain, grid, study, level, opts, coarse=None):
+    """Record of one level and, for a nonlinear case, its solution field
+    (the velocity of a mixed one) for the next level to start from; a
+    ``coarse`` field of the level before is prolonged to this level's basis
+    as the initial guess."""
     basis = build_web_basis(domain, grid, study.samples_per_axis)
     quad = assembly_quadrature(basis, study, level)
     # errors use one Gauss order more on full cells; leaves keep the assembly
@@ -331,19 +342,24 @@ def _run_level(case, domain, grid, study, level, opts):
                                 study.depth_at(level), study.gauss_leaf or g)
     rec = {"h": grid.meshsize, "n_inner": basis.n_inner,
            "basis": basis.summary(), "errors": {}}
-    tables = None
+    tables = sol = start = None
     if case.kind in ("vcpe", "plap", "quasi_newtonian"):
         tables = BasisTables(basis, quad)
         rec["basis"]["gram_condition"] = gram_condition_estimate(basis, tables)
         sample = _shared_sampler(basis, tables, quad, err_quad)
+    if case.kind in ("plap", "quasi_newtonian"):
+        if coarse is not None:
+            start = prolong(coarse.basis, basis, coarse.coeffs)
+        rec["start"] = "zero" if start is None else "prolonged"
 
     if case.kind == "vcpe":
         a = case.diffusion if case.diffusion is not None else 1.0
-        sol = solve_vcpe(basis, a, case.source, tables, opts)
-        rec["iterations"] = sol.params["iterations"]
-        rec["errors"] = _error_norms(sol, case, ("L2", "H1"), err_quad, sample)
+        u = solve_vcpe(basis, a, case.source, tables, opts)
+        rec["iterations"] = u.params["iterations"]
+        rec["errors"] = _error_norms(u, case, ("L2", "H1"), err_quad, sample)
     elif case.kind == "plap":
-        sol = solve_plap(basis, case.params["p"], case.source, tables, opts)
+        sol = solve_plap(basis, case.params["p"], case.source, tables, opts,
+                         start)
         rec["iterations"] = sol.params["iterations"]
         rec["residual_history"] = [s["residuals"] for s in sol.params["stages"]]
         rec["errors"] = _error_norms(
@@ -351,13 +367,14 @@ def _run_level(case, domain, grid, study, level, opts):
     elif case.kind == "quasi_newtonian":
         pspace = PressureSpace(grid, quad, study.pressure_degree,
                                macro=study.pressure_macro)
-        vel, pres, info = solve_quasi_newtonian(
-            basis, pspace, case.viscosity, case.body_force, tables, quad, opts)
+        sol, pres, info = solve_quasi_newtonian(
+            basis, pspace, case.viscosity, case.body_force, tables, quad, opts,
+            start)
         rec["iterations"] = info["iterations"]
         rec["residual_history"] = [info["residuals"]]
         rec["incompressibility"] = info["incompressibility"]
         rec["errors"] = _error_norms(
-            (vel, pres), case, ("Xnorm", "pressure_L2", "combined"), err_quad,
+            (sol, pres), case, ("Xnorm", "pressure_L2", "combined"), err_quad,
             sample)
         rec["infsup"] = estimate_infsup(basis, pspace, tables, quad)
     elif case.kind == "projector":
@@ -370,7 +387,7 @@ def _run_level(case, domain, grid, study, level, opts):
             pspace, err_quad, case.pressure)
     else:
         raise AnalysisError(f"unknown problem kind {case.kind!r}")
-    return rec
+    return rec, sol
 
 
 def pressure_projection_error(pspace, quad, p_exact):

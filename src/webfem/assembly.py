@@ -587,7 +587,10 @@ class StokesIterate:
     ``energy`` (needs ``viscosity.primitive``) is the Carreau energy
     1/2 int A(s) - Fv . u with A' = a. ``residual`` is the Newton right-hand
     side [R, 0, 0], R = int a D u : D v + B^T p - Fv; its constraint rows
-    are zero because every Newton iterate keeps B u + g mu = 0.
+    are zero, as they are on every iterate with B u + g mu = 0, which every
+    damped Newton step keeps. A prolonged start need not satisfy it:
+    ``solvers.solve_quasi_newtonian`` first takes one step with the
+    constraint rows [B u, 0] added to this right-hand side.
     :meth:`jacobian` (needs ``viscosity.derivative``) is the tangent of R,
     :meth:`frozen_block` its part with the viscosity held at a(s).
     """

@@ -6,7 +6,8 @@
 * quasi-Newtonian Stokes: damped Newton on the Carreau energy, each step a
   solve of the mixed saddle system with a mean-zero pressure multiplier.
 
-Both nonlinear problems run the one damped Newton driver ``_newton_stage``.
+Both nonlinear problems run the one damped Newton loop ``_newton_stage``,
+from zero or from a given start such as a prolonged coarse solution.
 """
 
 from dataclasses import dataclass, field
@@ -140,21 +141,30 @@ def solve_vcpe(basis, a, f, tables, opts=None):
 # p-Laplacian
 # ---------------------------------------------------------------------------
 
-def solve_plap(basis, p, f, tables, opts=None):
+def solve_plap(basis, p, f, tables, opts=None, start=None):
     """Damped Newton with eps-continuation for the p-Laplacian.
 
     Every stage runs at ``p``: the regularized energy with its mass term is
-    strictly convex for all p > 1, so no homotopy in p is needed. The
-    accepted iterates decrease the energy at each stage; the returned field
-    carries the per-stage residual and energy histories.
+    strictly convex for all p > 1, so no homotopy in p is needed. From zero
+    the stages walk all of ``opts.eps_schedule()``. From ``start`` (web
+    coefficients, such as a prolonged coarse solution) they walk its last
+    two stages (by default 10 eps_final, then eps_final), or all of it if
+    it has fewer: eps_final alone can stall near p = 1. p = 2 runs one stage
+    at eps = 0 either way.
+    The accepted iterates decrease the energy at each stage; the returned
+    field carries the per-stage residual and energy histories.
     """
     if p <= 1.0:
         raise SolverError(f"admissible exponents are p in (1, inf), got {p}")
     opts = opts or SolveOptions()
     f_vals = f(tables.points) if callable(f) else np.full(tables.num_points, float(f))
-    c = np.zeros(basis.n_inner)
+    schedule = opts.eps_schedule() if p != 2.0 else [0.0]
+    if start is None:
+        c = np.zeros(basis.n_inner)
+    else:
+        c, schedule = start, schedule[-2:]
     stages = []
-    for eps in opts.eps_schedule() if p != 2.0 else [0.0]:
+    for eps in schedule:
         state, residuals, energies = _newton_stage(
             partial(PlapIterate, basis, tables, p=p, eps=eps, f_vals=f_vals),
             c, _plap_step, opts)
@@ -274,10 +284,32 @@ def _saddle_solve(K, Fv):
     return sol[:n_u], sol[n_u:n_u + n_p], float(sol[-1])
 
 
-def solve_quasi_newtonian(basis, pspace, a_fn, phi, tables, quad, opts=None):
+def _constraint_step(make, saddle, B, start):
+    """The undamped Newton step from x0 = (start, 0, 0) to x1, on which
+    B u + g mu = 0: K (x0 - x1) = [R, B start, 0] with K x0 = [J start,
+    B start, 0], so K x1 = [J start - R, 0, 0]. Returns the norm of
+    [R, B start, 0] and x1."""
+    state = make(np.concatenate([start, np.zeros(B.shape[0] + 1)]))
+    J, R = state.jacobian(), state.residual[:start.size]
+    u1, p1, mu1 = _saddle_solve(saddle.refill(J), J @ start - R)
+    return (float(np.linalg.norm(np.concatenate([R, B @ start]))),
+            np.concatenate([u1, p1, [mu1]]))
+
+
+def solve_quasi_newtonian(basis, pspace, a_fn, phi, tables, quad, opts=None,
+                          start=None):
     """Damped Newton on the energy of the viscosity ``a_fn`` (a
     :func:`carreau_viscosity`); each step solves the saddle system with the
     tangent block and right-hand side [R, 0, 0], so B u + g mu stays 0.
+
+    From zero velocity the first tangent is the frozen block at zero. A
+    ``start`` velocity (two stacked web-coefficient blocks, such as a
+    prolonged coarse solution) need not be discretely divergence-free: the
+    solve first takes one undamped Newton step from it, with pressure and
+    multiplier 0, the tangent at ``start`` and right-hand side [R, B start,
+    0], after which B u + g mu = 0 holds and the damped steps follow. The
+    residual history then begins with the norm of that right-hand side, and
+    ``iterations`` counts every saddle solve.
 
     Returns (velocity, pressure, info); the pressure is mean-zero.
     """
@@ -287,16 +319,21 @@ def solve_quasi_newtonian(basis, pspace, a_fn, phi, tables, quad, opts=None):
                                     tables, quad)
     saddle = SaddleMatrix(A, B, g)
     make = partial(StokesIterate, basis, tables, viscosity=a_fn, Fv=Fv, B=B)
-    start = np.zeros(n_u + B.shape[0] + 1)
+    zero = np.zeros(n_u + B.shape[0] + 1)
+    residuals, coeffs = [], zero
+    if start is not None:
+        first, coeffs = _constraint_step(make, saddle, B, start)
+        residuals.append(first)
 
     def step(state, R):
         # at zero velocity the tangent is the frozen block A, already in K
-        K = (saddle.K if state.coeffs is start
+        K = (saddle.K if state.coeffs is zero
              else saddle.refill(state.jacobian()))
         du, dp, dmu = _saddle_solve(K, R[:n_u])
         return np.concatenate([du, dp, [dmu]])
 
-    state, residuals, _ = _newton_stage(make, start, step, opts)
+    state, stage_residuals, _ = _newton_stage(make, coeffs, step, opts)
+    residuals += stage_residuals
     if residuals[-1] > opts.nonlinear_tol:
         raise SolverError(
             f"Newton stalled at residual {residuals[-1]:.3e} "

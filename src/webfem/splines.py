@@ -7,6 +7,8 @@ the univariate polynomial piece of a B-spline on a cell (Bernstein form,
 bi-orthogonal to the B-spline basis. On polynomials a
 dual functional is the blossom at the interior knots of the support, so it
 is one de Casteljau pass over the Bernstein coefficients (:func:`dual_row`).
+The same functionals give the exact knot-refinement matrix
+(:func:`refinement_matrix`) that writes coarse B-splines in fine ones.
 
 Conventions:
     * evaluation at interior knots is right-continuous; at the last knot
@@ -16,7 +18,7 @@ Conventions:
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -101,6 +103,23 @@ class KnotVector:
         last cell closed)."""
         j = np.searchsorted(self.breakpoints, x, side="right") - 1
         return np.clip(j, 0, self.num_cells - 1)
+
+    @cached_property
+    def cell_pieces(self):
+        """``(first, pieces)``: the B-splines nonzero on cell ``q`` are
+        ``first[q] + a`` for ``a = 0..degree``, and ``pieces[q, a]`` holds the
+        Bernstein coefficients on ``q`` of ``b_{first[q] + a}`` (zero where
+        that index is not a B-spline of this knot vector)."""
+        m = self.degree
+        # the B-splines nonzero on a cell end at its knot span
+        first = np.searchsorted(self.knots, self.breakpoints[:-1],
+                                side="right") - 1 - m
+        k = first[:, None] + np.arange(m + 1)
+        valid = (k >= 0) & (k < self.num_basis)
+        pieces = np.zeros(k.shape + (m + 1,))
+        pieces[valid] = local_polynomial_1d(self, k[valid],
+                                            np.nonzero(valid)[0])
+        return first, pieces
 
     def refined(self):
         """Dyadic refinement: insert the midpoint of every nonempty span."""
@@ -311,53 +330,75 @@ class PolynomialPiece:
         return _bern_row(c.shape[0] - 1, tx) @ c @ _bern_row(c.shape[1] - 1, ty)
 
 
+@lru_cache(maxsize=64)
+def _comb_table(n):
+    """Binomial coefficients comb(a, k) as floats, row a and column k."""
+    return np.array([[comb(a, k) for k in range(n + 1)] for a in range(n + 1)],
+                    dtype=float)
+
+
 def _mono_to_bern(mono):
-    """Monomial coefficients on [0, 1] to Bernstein coefficients (exact)."""
-    n = mono.size - 1
-    return np.array([sum(mono[k] * comb(a, k) / comb(n, k) for k in range(a + 1))
-                     for a in range(n + 1)])
+    """Monomial coefficients on [0, 1] (last axis) to Bernstein coefficients
+    (exact)."""
+    n = mono.shape[-1] - 1
+    table = _comb_table(n)
+    out = np.zeros(mono.shape)
+    for k in range(n + 1):
+        # comb(a, k) is 0 for a < k; the sum runs over k <= a in order
+        out += mono[..., k, None] * table[:, k] / comb(n, k)
+    return out
+
+
+def _times_linear(c, alpha, beta):
+    """Monomial coefficients (last axis, top one zero) of the product
+    c(xi) * (alpha + beta * xi)."""
+    out = np.zeros(c.shape)
+    out[..., :-1] += alpha[..., None] * c[..., :-1]
+    out[..., 1:] += beta[..., None] * c[..., :-1]
+    return out
 
 
 def local_polynomial_1d(kv, index, cell_idx):
     """Bernstein coefficients of ``b_index`` restricted to cell ``cell_idx``.
 
+    ``index`` and ``cell_idx`` broadcast against each other; the result has
+    their shape and a last axis of ``degree + 1`` coefficients.
     The Cox-de Boor recursion is carried out on polynomial coefficients in
     the cell-local coordinate, which keeps every coefficient O(1)-accurate
     even on very small cells (value interpolation would lose the leading
     coefficients there).
     """
     m = kv.degree
-    a, b = kv.cell_bounds(cell_idx)
+    index, cell_idx = np.broadcast_arrays(index, cell_idx)
+    if np.any((cell_idx < 0) | (cell_idx >= kv.num_cells)):
+        raise SplineError(
+            f"cell index {cell_idx} out of range [0, {kv.num_cells})")
+    a = kv.breakpoints[cell_idx][..., None]
+    b = kv.breakpoints[cell_idx + 1][..., None]
     h = b - a
     t = kv.knots
 
-    def times_linear(c, alpha, beta):
-        # polynomial product c(xi) * (alpha + beta * xi), monomial basis
-        out = np.zeros(c.size + 1)
-        out[:-1] += alpha * c
-        out[1:] += beta * c
-        return out
-
-    # degree-0 pieces: indicator of the span containing the cell
-    level = {i: (np.array([1.0]) if t[i] <= a and b <= t[i + 1] else np.array([0.0]))
-             for i in range(index, index + m + 1)}
+    # level[..., r, :]: the piece of the degree-k B-spline index + r, with
+    # monomial coefficients in the local coordinate xi = (x - a) / h;
+    # degree 0 is the indicator of the span containing the cell
+    i = index[..., None] + np.arange(m + 1)
+    level = np.zeros(index.shape + (m + 1, m + 1))
+    level[..., 0] = (t[i] <= a) & (b <= t[i + 1])
     for k in range(1, m + 1):
-        nxt = {}
-        for i in range(index, index + m + 1 - k):
-            c = np.zeros(k + 1)
-            d1 = t[i + k] - t[i]
-            if d1 > 0.0:
-                # (x - t_i)/d1 with x = a + h*xi
-                lo = times_linear(level[i], (a - t[i]) / d1, h / d1)
-                c[:lo.size] += lo
-            d2 = t[i + k + 1] - t[i + 1]
-            if d2 > 0.0:
-                # (t_{i+k+1} - x)/d2
-                hi = times_linear(level[i + 1], (t[i + k + 1] - a) / d2, -h / d2)
-                c[:hi.size] += hi
-            nxt[i] = c
-        level = nxt
-    return _mono_to_bern(level[index])
+        i = i[..., :-1]
+        # (x - t_i)/d1 and (t_{i+k+1} - x)/d2; a zero span adds nothing
+        d1 = t[i + k] - t[i]
+        on1 = d1 > 0.0
+        d1 = np.where(on1, d1, 1.0)
+        d2 = t[i + k + 1] - t[i + 1]
+        on2 = d2 > 0.0
+        d2 = np.where(on2, d2, 1.0)
+        level = _times_linear(
+            level[..., :-1, :], np.where(on1, (a - t[i]) / d1, 0.0),
+            np.where(on1, h / d1, 0.0)) + _times_linear(
+            level[..., 1:, :], np.where(on2, (t[i + k + 1] - a) / d2, 0.0),
+            np.where(on2, -h / d2, 0.0))
+    return _mono_to_bern(level[..., 0, :])
 
 
 def interpolate_piece(f, lo, hi, degrees):
@@ -385,16 +426,55 @@ def dual_row(kv, index, lo, hi):
     """Row ``r`` with ``lambda_index(p) = r @ c`` for every polynomial ``p``
     of degree ``kv.degree`` whose Bernstein coefficients on [lo, hi] are ``c``.
 
+    ``index``, ``lo`` and ``hi`` broadcast against each other; the rows
+    take a last axis of ``degree + 1`` entries.
     On polynomials the de Boor-Fix functional is the blossom at the interior
     knots ``t_{index+1..index+m}`` of the support (Ramshaw 1989): one de
     Casteljau pass with one parameter per stage, run on the identity.
     """
     m = kv.degree
-    u = (kv.knots[index + 1:index + m + 1] - lo) / (hi - lo)
-    r = np.eye(m + 1)
+    lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
+    u = ((kv.knots[np.asarray(index)[..., None] + np.arange(1, m + 1)] - lo)
+         / (hi - lo))
+    r = np.broadcast_to(np.eye(m + 1), u.shape[:-1] + (m + 1, m + 1))
     for s in range(m):
-        r = (1.0 - u[s]) * r[:-1] + u[s] * r[1:]
-    return r[0]
+        us = u[..., s, None, None]
+        r = (1.0 - us) * r[..., :-1, :] + us * r[..., 1:, :]
+    return r[..., 0, :]
+
+
+def refinement_matrix(coarse, fine):
+    """Matrix ``S`` with ``b_k = sum_l S[l, k] f_l`` for every B-spline ``b_k``
+    of ``coarse`` and the B-splines ``f_l`` of ``fine``.
+
+    ``fine`` has the degree of ``coarse`` and holds each of its knots at
+    least as often (``coarse.refined()`` does), so every ``b_k`` is a spline
+    on ``fine`` and ``S[l, k]`` is the de Boor-Fix functional of ``f_l``
+    applied to it. That functional is the blossom of any one polynomial
+    piece of ``b_k`` on the support of ``f_l``: the one on the coarse cell
+    ``q`` that holds the nonempty fine span of that support nearest its
+    middle, in Bernstein form on ``q`` (``coarse.cell_pieces``). Only the
+    ``degree + 1`` B-splines nonzero on ``q`` have nonzero entries.
+    """
+    m = coarse.degree
+    if fine.degree != m:
+        raise SplineError(f"refinement needs equal degrees, got {m} and "
+                          f"{fine.degree}")
+    first, pieces = coarse.cell_pieces
+    bp, tf = coarse.breakpoints, fine.knots
+    rows = np.arange(fine.num_basis)
+    # the nonempty span of supp f_l nearest its middle; empty ones rank last
+    spans = rows[:, None] + np.arange(m + 1)
+    off = np.argmin((tf[spans + 1] <= tf[spans]) * (m + 2)
+                    + np.abs(np.arange(m + 1) - 0.5 * m), axis=1)
+    q = coarse.find_cell(0.5 * (tf[rows + off] + tf[rows + off + 1]))
+    vals = np.einsum("la,lka->lk", dual_row(fine, rows, bp[q], bp[q + 1]),
+                     pieces[q])
+    # columns past either end of the basis carry zero pieces; drop them
+    cols = first[q][:, None] + np.arange(m + 1)
+    S = np.zeros((fine.num_basis, coarse.num_basis + 2 * m))
+    S[rows[:, None], cols + m] = vals
+    return S[:, m:m + coarse.num_basis]
 
 
 def _elevated(c, m):

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .geometry import classify_cells, classify_indices
 from .splines import (
-    deboor_fix, dual_row, interpolate_piece, local_polynomial_1d, nonzero_basis,
+    deboor_fix, dual_row, interpolate_piece, nonzero_basis, refinement_matrix,
 )
 
 
@@ -48,30 +48,24 @@ def build_extension(grid, idx):
 
     The piece of ``b_i`` on ``Q_j`` is a product of univariate pieces, so
     ``e_{i,j} = e^x_{i1,j1} * e^y_{i2,j2}`` with one de Boor-Fix factor per
-    axis. The dual row of a factor depends only on (axis, j_a, q_a) and the
-    factor only on (axis, i_a, j_a, q_a); both are computed once per key.
+    axis: the dual row of ``(j_a, q_a)`` applied to the piece of ``b_{i_a}``
+    on ``q_a``, taken from the knot vector's ``cell_pieces``. Each axis
+    computes the factor once per distinct ``(i_a, j_a, q_a)``.
     """
-    kvs = grid.kvs
-    rows = {}
-    factors = {}
-
-    def factor(axis, i_a, j_a, q_a):
-        key = (axis, i_a, j_a, q_a)
-        if key not in factors:
-            kv = kvs[axis]
-            rkey = (axis, j_a, q_a)
-            if rkey not in rows:
-                rows[rkey] = dual_row(kv, j_a, *kv.cell_bounds(q_a))
-            factors[key] = rows[rkey] @ local_polynomial_1d(kv, i_a, q_a)
-        return factors[key]
-
-    entries = {}
-    for j in idx.outer:
-        q = idx.q_cell[j]
-        for i in idx.i_of_j[j]:
-            entries[(i, j)] = float(factor(0, i[0], j[0], q[0])
-                                    * factor(1, i[1], j[1], q[1]))
-    return ExtensionTable(entries=entries)
+    pairs = [(i, j) for j in idx.outer for i in idx.i_of_j[j]]
+    keys = np.array([(i, j, idx.q_cell[j]) for i, j in pairs],
+                    dtype=np.int64).reshape(-1, 3, 2)
+    e = np.ones(len(pairs))
+    for axis, kv in enumerate(grid.kvs):
+        uniq, inv = np.unique(keys[:, :, axis], axis=0, return_inverse=True)
+        i_a, j_a, q_a = uniq.T
+        first, pieces = kv.cell_pieces
+        bp = kv.breakpoints
+        rows = dual_row(kv, j_a, bp[q_a], bp[q_a + 1])
+        factors = np.array([r @ c for r, c in
+                            zip(rows, pieces[q_a, i_a - first[q_a]])])
+        e = e * factors[inv.reshape(-1)]
+    return ExtensionTable(entries=dict(zip(pairs, e.tolist())))
 
 
 class WebBasis:
@@ -152,6 +146,32 @@ def build_web_basis(domain, grid, samples_per_axis=5):
     idx = classify_indices(grid, cls)
     ext = build_extension(grid, idx)
     return WebBasis(grid, domain, cls, idx, ext)
+
+
+def prolong(coarse, fine, coeffs):
+    """Web coefficients on ``fine`` of the field with web coefficients
+    ``coeffs`` on ``coarse``; ``fine.grid`` refines ``coarse.grid``
+    (``coarse.grid.refined()``) and both bases share the domain.
+
+    The coarse field is w times the tensor spline with coefficients
+    ``coupling_matrix().T @ coeffs``. Per axis,
+    :func:`~webfem.splines.refinement_matrix` writes that spline exactly in
+    the fine B-splines, and the fine coefficient of each fine inner ``i``,
+    times ``w(x_i)``, is its web coefficient. The prolonged field equals the
+    coarse one on every fine cell whose B-splines are all inner. ``coeffs``
+    may stack several components (the velocity blocks), each prolonged
+    alike.
+    """
+    Sx, Sy = (refinement_matrix(kc, kf)
+              for kc, kf in zip(coarse.grid.kvs, fine.grid.kvs))
+    ix, iy = np.array(fine.idx.inner).T
+    Et = coarse.coupling_matrix().T
+    out = []
+    for c in np.reshape(coeffs, (-1, coarse.n_inner)):
+        # tensor coefficients on the coarse grid, 0 off the relevant set
+        tensor = np.append(Et @ c, 0.0)[coarse.kcol]
+        out.append(fine.w_center * (Sx @ tensor @ Sy.T)[ix, iy])
+    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------

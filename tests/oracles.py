@@ -15,6 +15,9 @@ Scalar references the library itself does not need:
 * ``local_polynomial`` (tensor piece of one B-spline on one cell) and
   ``dual_functional_1d`` (univariate de Boor-Fix functional of a Bernstein
   polynomial), the two halves of the bi-orthogonality checks;
+* ``local_polynomial_1d_loop``: the piece of one B-spline on one cell by the
+  Cox-de Boor recursion one B-spline at a time, which the batched
+  :func:`webfem.splines.local_polynomial_1d` must reproduce exactly;
 * ``weight`` and ``weight_gradient`` at a single point;
 * ``cell_rule`` (Gauss rule on one box) and ``integrate`` (one cut-cell
   integral);
@@ -269,6 +272,45 @@ def local_polynomial(grid, multi_index, cell):
     cy = local_polynomial_1d(grid.kvs[1], multi_index[1], cell[1])
     return PolynomialPiece(lo=np.array([x0, y0]), hi=np.array([x1, y1]),
                            coeffs=np.outer(cx, cy), factors=(cx, cy))
+
+
+def local_polynomial_1d_loop(kv, index, cell_idx):
+    """Bernstein coefficients of ``b_index`` on cell ``cell_idx``: the
+    Cox-de Boor recursion on monomial coefficients in the cell-local
+    coordinate, one lower-degree B-spline at a time."""
+    m = kv.degree
+    a, b = kv.cell_bounds(cell_idx)
+    h = b - a
+    t = kv.knots
+
+    def times_linear(c, alpha, beta):
+        # polynomial product c(xi) * (alpha + beta * xi), monomial basis
+        out = np.zeros(c.size + 1)
+        out[:-1] += alpha * c
+        out[1:] += beta * c
+        return out
+
+    level = {i: (np.array([1.0]) if t[i] <= a and b <= t[i + 1]
+                 else np.array([0.0]))
+             for i in range(index, index + m + 1)}
+    for k in range(1, m + 1):
+        nxt = {}
+        for i in range(index, index + m + 1 - k):
+            c = np.zeros(k + 1)
+            d1 = t[i + k] - t[i]
+            if d1 > 0.0:
+                lo = times_linear(level[i], (a - t[i]) / d1, h / d1)
+                c[:lo.size] += lo
+            d2 = t[i + k + 1] - t[i + 1]
+            if d2 > 0.0:
+                hi = times_linear(level[i + 1], (t[i + k + 1] - a) / d2,
+                                  -h / d2)
+                c[:hi.size] += hi
+            nxt[i] = c
+        level = nxt
+    mono = level[index]
+    return np.array([sum(mono[k] * comb(a_, k) / comb(m, k)
+                         for k in range(a_ + 1)) for a_ in range(m + 1)])
 
 
 def dual_functional_1d(kv, index, coeffs, lo, hi):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,6 +239,68 @@ class TestRunConvergence:
         grid = study.base_grid()
         d = np.diff(grid.kvs[0].breakpoints)[1:-1]
         assert np.allclose(d[1:] / d[:-1], 1.3)
+
+
+# the studies of the plap_newton and stokes_picard benchmark workloads at
+# their base grid position, and their level-0 iteration counts from zero
+BENCH_STUDIES = {
+    "plap": (lambda: get_case("plap_p15_w2p"),
+             StudyConfig(degree=2, levels=2, base_cells=8, depth=4), 9),
+    "stokes": (lambda: get_case("stokes_carreau", a0=2.0, a_inf=1.0,
+                                exponent=1.5),
+               StudyConfig(degree=2, levels=2, base_cells=8, depth=3,
+                           pressure_degree=0, pressure_macro=2), 4),
+}
+
+
+class TestNestedIteration:
+    @pytest.mark.parametrize("name", sorted(BENCH_STUDIES))
+    def test_first_level_starts_from_zero_as_alone(self, name):
+        # level 0 is the study of one level, to the last bit
+        make, study, iterations = BENCH_STUDIES[name]
+        two = run_convergence(make(), study)
+        one = run_convergence(make(), replace(study, levels=1))
+        first = two.levels[0]
+        for key in ("errors", "residual_history", "iterations", "start"):
+            assert first[key] == one.levels[0][key]
+        assert first["start"] == "zero"
+        assert first["iterations"] == iterations
+        assert two.levels[1]["start"] == "prolonged"
+
+    def test_warm_levels_take_fewer_steps(self):
+        # the prolonged coarse solution saves most of the eps-stages and one
+        # saddle solve: 9 -> at most 4 Newton steps, 4 -> at most 3 solves
+        plap = run_convergence(BENCH_STUDIES["plap"][0](),
+                               BENCH_STUDIES["plap"][1])
+        assert plap.levels[1]["iterations"] <= 4
+        assert len(plap.levels[1]["residual_history"]) == 2
+        stokes = run_convergence(BENCH_STUDIES["stokes"][0](),
+                                 BENCH_STUDIES["stokes"][1])
+        warm = stokes.levels[1]
+        assert warm["iterations"] <= 3
+        # the residual before the first (undamped) step leads the history
+        assert warm["iterations"] == len(warm["residual_history"][0]) - 1
+        assert warm["incompressibility"] <= 1e-8
+
+    def test_nearly_degenerate_exponent_converges_from_prolonged_starts(self):
+        # the bundled case solved at p = 1.05 (its source stays that of
+        # p = 1.5): from the prolonged start the eps_final stage alone stalls
+        # near residual 2e-2, while 10 eps_final and then eps_final converge
+        case = get_case("plap_p15_smooth")
+        case.params = {**case.params, "p": 1.05}
+        rep = run_convergence(case, StudyConfig(degree=2, levels=3,
+                                                base_cells=8, depth=4))
+        assert [lv["start"] for lv in rep.levels] == [
+            "zero", "prolonged", "prolonged"]
+        for lv in rep.levels[1:]:
+            assert len(lv["residual_history"]) == 2
+            assert lv["residual_history"][-1][-1] <= 1e-8
+
+    def test_linear_levels_record_no_start(self):
+        rep = run_convergence(get_case("disk_poisson"),
+                              StudyConfig(degree=1, levels=2, base_cells=6,
+                                          depth=4))
+        assert all("start" not in lv for lv in rep.levels)
 
 
 class TestQuasinormCea:

@@ -181,6 +181,28 @@ class TestPlapSolver:
         assert len(sol.params["stages"]) > 1
         assert counts["jacobian"] == counts["solve"] == steps
 
+    def test_warm_start_runs_the_last_two_stages(self):
+        # from a start near the solution only 10 eps_final and eps_final
+        # run; p = 2 keeps its one eps = 0 stage, and a one-stage schedule
+        # runs whole
+        basis, quad, tables = disk_setup(n_cells=8)
+        f = lambda p: 3.0 + p[:, 0]
+        rng = np.random.default_rng(61)
+        for p, opts, eps in [
+                (1.5, SolveOptions(), [1e-7, 1e-8]),
+                (2.0, SolveOptions(), [0.0]),
+                (1.5, SolveOptions(eps_start=1e-6, eps_final=1e-6), [1e-6])]:
+            cold = solve_plap(basis, p, f, tables, opts)
+            start = cold.coeffs + 1e-3 * rng.normal(size=cold.coeffs.size)
+            warm = solve_plap(basis, p, f, tables, opts, start=start)
+            assert [s["eps"] for s in warm.params["stages"]] == \
+                pytest.approx(eps)
+            assert warm.params["stages"][-1]["residuals"][-1] <= \
+                opts.nonlinear_tol
+            assert 1 <= warm.params["iterations"] <= cold.params["iterations"]
+            assert np.max(np.abs(warm.coeffs - cold.coeffs)) <= \
+                1e-6 * np.max(np.abs(cold.coeffs))
+
     def test_invalid_p(self):
         basis, quad, tables = disk_setup(n_cells=6)
         with pytest.raises(SolverError):
@@ -307,6 +329,49 @@ class TestQuasiNewtonian:
         assert 1 <= steps <= 5
         assert counts == {"assemble_mixed": 1, "jacobian": steps - 1,
                           "solve": steps}
+
+    def test_warm_start_takes_one_undamped_step_onto_the_constraint(
+            self, monkeypatch):
+        # a start that is not discretely divergence-free: the first saddle
+        # solve uses the tangent at the start and the right-hand side
+        # [R, B start, 0]; it is counted, and its residual leads the history
+        case = get_case("stokes_carreau")
+        basis, quad, tables = disk_setup(n_cells=8)
+        ps = PressureSpace(basis.grid, quad, 0, macro=2)
+        args = (basis, ps, case.viscosity, case.body_force, tables, quad)
+        cold, _, cold_info = solve_quasi_newtonian(*args)
+        start = cold.coeffs + 1e-3 * np.random.default_rng(62).normal(
+            size=cold.coeffs.size)
+        n_u = start.size
+        _, B, Fv, _, g = assemble_mixed(basis, ps, case.viscosity,
+                                        np.zeros(n_u), case.body_force,
+                                        tables, quad)
+        first = StokesIterate(basis, tables, np.concatenate(
+            [start, np.zeros(B.shape[0] + 1)]), case.viscosity, Fv, B)
+        assert np.linalg.norm(B @ start) > 1e-6
+        counts = {"jacobian": 0, "solve": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(StokesIterate, "jacobian",
+                            counting("jacobian", StokesIterate.jacobian))
+        monkeypatch.setattr(spla, "spsolve", counting("solve", spla.spsolve))
+        vel, pres, info = solve_quasi_newtonian(*args, start=start)
+        steps = info["iterations"]
+        assert steps == len(info["residuals"]) - 1
+        assert 2 <= steps < cold_info["iterations"]
+        assert counts == {"jacobian": steps, "solve": steps}
+        assert info["residuals"][0] == pytest.approx(np.linalg.norm(
+            np.concatenate([first.residual[:n_u], B @ start])), rel=1e-12)
+        assert info["residuals"][-1] <= SolveOptions().nonlinear_tol
+        assert info["incompressibility"] <= 1e-8
+        assert abs(float(g @ pres.coeffs)) <= 1e-8
+        assert np.max(np.abs(vel.coeffs - cold.coeffs)) <= \
+            1e-6 * np.max(np.abs(cold.coeffs))
 
     def test_carreau_viscosity_derivative_and_primitive(self):
         s = np.linspace(0.0, 50.0, 11)

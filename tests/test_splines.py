@@ -4,12 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from webfem.splines import (
     KnotVector, PolynomialPiece, SplineError, TensorGrid, deboor_fix,
-    graded_knots, interpolate_piece, nonzero_basis, uniform_knots,
+    dual_row, graded_knots, interpolate_piece, local_polynomial_1d,
+    nonzero_basis, refinement_matrix, uniform_knots,
 )
 
 from oracles import (
     dual_functional_1d, eval_bspline, eval_bspline_deriv, eval_tensor_bspline,
-    local_polynomial,
+    local_polynomial, local_polynomial_1d_loop,
 )
 
 
@@ -31,6 +32,22 @@ def random_knot_vector(rng, degree, n_cells=6, lo=0.0, hi=1.0, max_ratio=4.0):
     left = core[0] - h0 * np.arange(degree, 0, -1)
     right = core[-1] + h1 * np.arange(1, degree + 1)
     return KnotVector(np.concatenate([left, core, right]), degree)
+
+
+def refinement_knot_vectors(degree):
+    """Uniform, graded (both sides), one doubled interior knot, clamped
+    ends, and random non-uniform spacings."""
+    kvs = [uniform_knots(-1.1, 1.1, 8, degree),
+           graded_knots(-1.0, 1.2, 7, degree, 1.3, "min"),
+           graded_knots(-1.0, 1.2, 7, degree, 1.3, "max"),
+           random_knot_vector(np.random.default_rng(70 + degree), degree,
+                              n_cells=7)]
+    if degree > 0:
+        t = uniform_knots(-1.0, 1.0, 6, degree).knots
+        kvs.append(KnotVector(np.sort(np.append(t, t[t.size // 2])), degree))
+    kvs.append(KnotVector(np.concatenate(
+        [[-1.0] * degree, np.linspace(-1.0, 1.0, 6), [1.0] * degree]), degree))
+    return kvs
 
 
 class TestKnotVector:
@@ -361,6 +378,73 @@ class TestDeBoorFix:
             deboor_fix((kv, kv), (0, 0), piece)
         with pytest.raises(SplineError):
             dual_functional_1d(kv, 0, [1.0, 2.0, 3.0], 1.0, 2.0)
+
+
+class TestBatchedKernels:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_pieces_and_dual_rows_equal_the_scalar_loop(self, degree):
+        # same operations in the same order: equal to the last bit
+        for kv in refinement_knot_vectors(degree):
+            ks, qs = np.meshgrid(np.arange(kv.num_basis),
+                                 np.arange(kv.num_cells), indexing="ij")
+            ks, qs = ks.ravel(), qs.ravel()
+            batched = local_polynomial_1d(kv, ks, qs)
+            for k, q, c in zip(ks, qs, batched):
+                assert np.array_equal(c, local_polynomial_1d_loop(kv, k, q))
+                assert np.array_equal(c, local_polynomial_1d(kv, k, q))
+            first, pieces = kv.cell_pieces
+            for q in range(kv.num_cells):
+                for a in range(degree + 1):
+                    k = first[q] + a
+                    expect = (local_polynomial_1d_loop(kv, k, q)
+                              if 0 <= k < kv.num_basis else 0.0)
+                    assert np.array_equal(pieces[q, a], np.broadcast_to(
+                        expect, (degree + 1,)))
+            lo, hi = kv.breakpoints[qs], kv.breakpoints[qs + 1]
+            rows = dual_row(kv, ks, lo, hi)
+            for k, a, b, r in zip(ks, lo, hi, rows):
+                assert np.array_equal(r, dual_row(kv, k, a, b))
+
+    def test_out_of_range_cell_rejected(self):
+        kv = uniform_knots(0.0, 1.0, 4, 2)
+        with pytest.raises(SplineError, match="out of range"):
+            local_polynomial_1d(kv, [0, 1], [0, kv.num_cells])
+
+
+class TestRefinementMatrix:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_coarse_bsplines_are_fine_combinations(self, degree):
+        # over the whole knot range, ends and repeated knots included
+        for kv in refinement_knot_vectors(degree):
+            fine = kv.refined()
+            S = refinement_matrix(kv, fine)
+            assert S.shape == (fine.num_basis, kv.num_basis)
+            xs = np.linspace(kv.knots[0], kv.knots[-1], 97)[1:-1]
+            F = np.array([[eval_bspline(fine, l, x)
+                           for l in range(fine.num_basis)] for x in xs])
+            C = np.array([[eval_bspline(kv, k, x)
+                           for k in range(kv.num_basis)] for x in xs])
+            assert np.max(np.abs(F @ S - C)) <= 1e-12
+
+    def test_entries_are_the_fine_dual_functionals(self):
+        # S[l, k] = lambda_l(b_k), taken on a fine cell of supp f_l
+        kv = graded_knots(-1.0, 1.0, 6, 2, 1.4, "max")
+        fine = kv.refined()
+        S = refinement_matrix(kv, fine)
+        for l in range(fine.num_basis):
+            q = fine.support_cells(l)[0]
+            lo, hi = fine.cell_bounds(q)
+            qc = int(kv.find_cell(0.5 * (lo + hi)))
+            for k in range(kv.num_basis):
+                piece = local_polynomial_1d(kv, k, qc)
+                a, b = kv.cell_bounds(qc)
+                assert S[l, k] == pytest.approx(
+                    dual_functional_1d(fine, l, piece, a, b), abs=1e-12)
+
+    def test_degree_mismatch_rejected(self):
+        kv = uniform_knots(0.0, 1.0, 4, 2)
+        with pytest.raises(SplineError, match="equal degrees"):
+            refinement_matrix(kv, uniform_knots(0.0, 1.0, 8, 1))
 
 
 class TestGenerators:

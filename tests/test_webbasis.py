@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
-from webfem.geometry import Disk, ImplicitDomain, box, classify_cells, classify_indices
+from webfem.geometry import (
+    Conjunction, Disk, ImplicitDomain, ResolutionError, box, classify_cells,
+    classify_indices,
+)
 from webfem.quadrature import build_quadrature
 from webfem.splines import (
     KnotVector, TensorGrid, deboor_fix, graded_knots, interpolate_piece,
@@ -13,13 +16,14 @@ from webfem.splines import (
 from webfem.solvers import SolutionField
 from webfem.webbasis import (
     BasisError, BasisValues, build_extension, build_web_basis, eval_field,
-    jackson_error, project,
+    jackson_error, project, prolong,
 )
 
 from oracles import (
     eval_field_loop, eval_tensor_bspline, eval_web, extension_exact,
     local_polynomial,
 )
+from strategies import r_trees
 
 
 def disk_basis(n_cells=14, degree=2, half=1.1):
@@ -356,6 +360,81 @@ class TestProjector:
         c1 = project(basis, f)
         c2 = project(basis, lambda pts: eval_field(basis, c1, pts))
         assert np.max(np.abs(c2 - c1)) <= 1e-10
+
+
+def prolongation_grid(kind, degree):
+    """Grids around the unit disk: uniform, graded toward either side, and
+    explicit knots with one doubled interior knot."""
+    if kind == "uniform":
+        kv = uniform_knots(-1.1, 1.1, 8, degree)
+        return TensorGrid(kv, kv)
+    if kind in ("min", "max"):
+        return TensorGrid(graded_knots(-1.12, 1.08, 8, degree, 1.15, kind),
+                          graded_knots(-1.07, 1.13, 8, degree, 1.1, kind))
+    t = uniform_knots(-1.1, 1.1, 8, degree).knots
+    doubled = KnotVector(np.sort(np.append(t, t[t.size // 2 + 1])), degree)
+    return TensorGrid(doubled, uniform_knots(-1.1, 1.1, 8, degree))
+
+
+def check_prolongation(coarse, fine, components, seed):
+    """Prolong random coefficients of ``components`` stacked fields; each
+    component equals the projection of the coarse field onto the fine basis,
+    and the coarse field itself on every fine cell whose B-splines are all
+    inner. Returns the number of points so compared."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=components * coarse.n_inner)
+    got = prolong(coarse, fine, c)
+    assert got.shape == (components * fine.n_inner,)
+    # points of the fine cells whose (m+1)^2 B-splines are all inner
+    grid = fine.grid
+    quad = build_quadrature(fine.domain, grid, fine.cls, grid.degrees[0] + 1, 3)
+    inner = np.zeros(grid.num_basis, dtype=bool)
+    inner[tuple(np.array(fine.idx.inner).T)] = True
+    (sx, _), (sy, _) = (nonzero_basis(kv, quad.points[:, ax])
+                        for ax, kv in enumerate(grid.kvs))
+    m1, m2 = grid.degrees
+    all_inner = np.ones(quad.num_points, dtype=bool)
+    for a in range(m1 + 1):
+        for b in range(m2 + 1):
+            all_inner &= inner[sx - m1 + a, sy - m2 + b]
+    pts = quad.points[all_inner]
+    for k in range(components):
+        ck = c[k * coarse.n_inner:(k + 1) * coarse.n_inner]
+        gk = got[k * fine.n_inner:(k + 1) * fine.n_inner]
+        ref = project(fine, lambda x: eval_field(coarse, ck, x))
+        assert np.max(np.abs(gk - ref)) <= 1e-12 * np.max(np.abs(ref))
+        want = eval_field(coarse, ck, pts)
+        assert np.max(np.abs(eval_field(fine, gk, pts) - want)) <= \
+            1e-12 * np.max(np.abs(want))
+    return pts.shape[0]
+
+
+class TestProlongation:
+    @pytest.mark.parametrize("kind", ["uniform", "min", "max", "doubled"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_scalar_and_velocity(self, degree, kind):
+        dom = ImplicitDomain(Disk([0.0, 0.0], 1.0))
+        grid = prolongation_grid(kind, degree)
+        coarse = build_web_basis(dom, grid)
+        fine = build_web_basis(dom, grid.refined())
+        for components in (1, 2):
+            assert check_prolongation(coarse, fine, components,
+                                      seed=10 * degree + components) > 0
+
+    @settings(deadline=None, max_examples=15, derandomize=True)
+    @given(tree=r_trees(2), n_cells=st.integers(4, 7),
+           degree=st.integers(1, 3), half=st.floats(1.0, 1.2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_domains(self, tree, n_cells, degree, half, seed):
+        dom = ImplicitDomain(Conjunction(tree, box([-0.95, -0.95], [0.95, 0.95])))
+        kv = uniform_knots(-half, half, n_cells, degree)
+        grid = TensorGrid(kv, kv)
+        try:
+            coarse = build_web_basis(dom, grid)
+            fine = build_web_basis(dom, grid.refined())
+        except ResolutionError:
+            reject()
+        check_prolongation(coarse, fine, 1, seed)
 
 
 class TestJackson:
