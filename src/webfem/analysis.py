@@ -334,12 +334,13 @@ def _run_level(case, domain, grid, study, level, opts, coarse=None):
     basis = build_web_basis(domain, grid, study.samples_per_axis)
     quad = assembly_quadrature(basis, study, level)
     # errors use one Gauss order more on full cells; leaves keep the assembly
-    # order (their accuracy is capped by the geometric error regardless), so
-    # the boundary cells of both rules hold the same points, and the norms
-    # read them from the assembly tables
+    # order (their accuracy is capped by the geometric error regardless) and
+    # are the assembly rule's own, so the boundary cells of both rules hold
+    # the same points, and the norms read them from the assembly tables
     g = study.gauss_order
     err_quad = build_quadrature(domain, grid, basis.cls, g + 1,
-                                study.depth_at(level), study.gauss_leaf or g)
+                                study.depth_at(level), study.gauss_leaf or g,
+                                leaves=quad.leaves)
     rec = {"h": grid.meshsize, "n_inner": basis.n_inner,
            "basis": basis.summary(), "errors": {}}
     tables = sol = start = None

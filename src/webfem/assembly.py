@@ -42,11 +42,12 @@ class CoercivityError(AssemblyError):
 class CellSegments:
     """Quadrature points grouped into per-cell runs, batched by run length.
 
-    A quadrature rule lists its points cell by cell, so each grid cell is
-    one contiguous run. ``perm`` reorders the points so that runs of equal
-    length sit next to each other. Each batch is a tuple
-    ``(first_run, end_run, first_point, end_point, run_length)`` in that
-    order, so its points reshape to (runs, run_length, ...) without a copy.
+    A quadrature rule lists its points cell by cell, each grid cell one
+    contiguous run, with the runs sorted by length
+    (:func:`~webfem.quadrature.build_quadrature`). Each batch is a tuple
+    ``(first_run, end_run, first_point, end_point, run_length)`` of runs of
+    one length, so its points reshape to (runs, run_length, ...) without a
+    copy.
     """
 
     def __init__(self, cell_ids):
@@ -54,14 +55,14 @@ class CellSegments:
         n = cell_ids.size
         self.starts = np.flatnonzero(np.diff(cell_ids, prepend=cell_ids[:1] - 1))
         self.counts = np.diff(np.append(self.starts, n))
-        self.order = np.argsort(self.counts, kind="stable")
-        counts = self.counts[self.order]
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        self.perm = np.arange(n) + np.repeat(
-            self.starts[self.order] - offsets[:-1], counts)
-        first = np.flatnonzero(np.diff(counts, prepend=-1))
-        ends = np.append(first[1:], counts.size)
-        self.batches = [(lo, hi, offsets[lo], offsets[hi], counts[lo])
+        if np.any(np.diff(self.counts) < 0):
+            raise AssemblyError(
+                "quadrature cells are not sorted by point count; build the "
+                "rule with quadrature.build_quadrature")
+        offsets = np.append(self.starts, n)
+        first = np.flatnonzero(np.diff(self.counts, prepend=-1))
+        ends = np.append(first[1:], self.counts.size)
+        self.batches = [(lo, hi, offsets[lo], offsets[hi], self.counts[lo])
                         for lo, hi in zip(first.tolist(), ends.tolist())]
 
     @property
@@ -76,14 +77,12 @@ class SparsityPlan:
     and column of each cell's local matrix, one line per run of
     ``segments``. Every matrix assembled with the plan shares its read-only
     ``indices`` and ``indptr``; ``scatter`` maps each local entry
-    (cell, a, b), cells in batch order, to its slot in ``data``.
+    (cell, a, b) to its slot in ``data``.
     """
 
     def __init__(self, segments, rows, cols, shape):
         self.segments = segments
         self.shape = shape
-        rows = rows[segments.order]
-        cols = cols[segments.order]
         keys = (rows[:, :, None] * shape[1] + cols[:, None, :]).ravel()
         slots, self.scatter = np.unique(keys, return_inverse=True)
         self.nnz = slots.size
@@ -185,13 +184,12 @@ def _form_data(plan, qw, terms):
     seg = plan.segments
     local = None
     for c, fa, fb in terms:
-        wa = ((qw * c)[:, None] * fa)[seg.perm]
-        wb = fb[seg.perm]
+        wa = (qw * c)[:, None] * fa
         if local is None:
-            local = np.zeros((seg.num_cells, wa.shape[1], wb.shape[1]))
+            local = np.zeros((seg.num_cells, fa.shape[1], fb.shape[1]))
         for lo, hi, p0, p1, k in seg.batches:
             a = wa[p0:p1].reshape(hi - lo, k, -1)
-            b = wb[p0:p1].reshape(hi - lo, k, -1)
+            b = fb[p0:p1].reshape(hi - lo, k, -1)
             local[lo:hi] += np.matmul(a.transpose(0, 2, 1), b)
     return np.bincount(plan.scatter, weights=local.ravel(), minlength=plan.nnz)
 
@@ -233,10 +231,6 @@ class BasisTables(BasisValues):
 
     def __init__(self, basis, quad):
         super().__init__(basis, quad.points)
-        if np.any(self.idx < 0):
-            raise AssemblyError(
-                "quadrature point activates a basis function outside the "
-                "relevant set; the domain is not covered by the grid core")
         self.qw = quad.weights
         self.points = quad.points
         self.cell_ids = quad.cell_ids
@@ -245,12 +239,17 @@ class BasisTables(BasisValues):
         # all points of a cell activate the same basis row, which makes the
         # pattern a union of dense per-cell blocks fixed for the table's life
         self.segments = CellSegments(quad.cell_ids)
-        self.cell_idx = self.idx[self.segments.starts]
-        if np.any(self.idx != np.repeat(self.cell_idx, self.segments.counts,
-                                        axis=0)):
+        starts = self.segments.starts
+        if np.any(self.span_key != np.repeat(self.span_key[starts],
+                                             self.segments.counts)):
             raise AssemblyError(
                 "points of one quadrature cell activate different basis "
                 "rows; cell ids do not match the points")
+        self.cell_idx = self.idx[starts]
+        if np.any(self.cell_idx < 0):
+            raise AssemblyError(
+                "quadrature point activates a basis function outside the "
+                "relevant set; the domain is not covered by the grid core")
         self.plan = SparsityPlan(self.segments, self.cell_idx, self.cell_idx,
                                  (self.n_cols, self.n_cols))
 

@@ -15,7 +15,8 @@ import sys
 import time
 from importlib import resources
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 import numpy as np
 
 from .analysis import (
@@ -146,6 +147,10 @@ CONFIG_SCHEMA = {
     },
 }
 
+# checked against its metaschema once, in the tests, rather than on every
+# load as jsonschema.validate does
+CONFIG_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
 DEFAULTS = {
     "name": None,
     "domain": {"exponent": 1.0,
@@ -192,12 +197,11 @@ def load_config(path):
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     raw = _strip_nones(raw)
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = best_match(CONFIG_VALIDATOR.iter_errors(raw))
+    if exc is not None:
         where = ".".join(str(k) for k in exc.absolute_path)
         raise ConfigError(
-            f"invalid config {path}: {where or 'top level'}: {exc.message}") from exc
+            f"invalid config {path}: {where or 'top level'}: {exc.message}")
     cfg = _merge_defaults(raw)
     p = cfg["problem"].get("p")
     if cfg["problem"]["type"] == "plap" and (p is None or not p > 1.0):

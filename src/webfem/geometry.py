@@ -167,9 +167,7 @@ class ImplicitDomain:
 
     def weight(self, pts):
         """phi^r where phi > 0, and 0 on the boundary and outside."""
-        p = self.phi(pts)
-        r = self.exponent
-        return np.where(p > 0.0, np.maximum(p, 0.0) ** r, 0.0)
+        return self._weight(self.phi(pts))
 
     def weight_gradient(self, pts):
         """Analytic gradient of the weight via the chain rule.
@@ -178,7 +176,17 @@ class ImplicitDomain:
         outside limit); for r < 1 the gradient is unbounded there and a
         :class:`GeometryError` is raised.
         """
+        return self._weight_gradient(pts, self.phi(pts))
+
+    def weight_and_gradient(self, pts):
+        """``(weight(pts), weight_gradient(pts))`` from one phi evaluation."""
         p = self.phi(pts)
+        return self._weight(p), self._weight_gradient(pts, p)
+
+    def _weight(self, p):
+        return np.where(p > 0.0, np.maximum(p, 0.0) ** self.exponent, 0.0)
+
+    def _weight_gradient(self, pts, p):
         r = self.exponent
         outside = p <= 0.0
         if np.any(outside) and r < 1.0:

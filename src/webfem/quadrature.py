@@ -5,9 +5,11 @@ subdivided dyadically: sub-cells entirely inside or outside (judged by a
 corner + center sample) are resolved immediately, straddling ones recurse
 until the depth limit, where leaves are kept or dropped by their center
 sample. Exterior cells contribute nothing. The subdivision runs level by
-level over the boxes of all boundary cells at once, and the rule keeps the
-per-cell point order: cells by id, and within a cell, leaves by level and
-then by child order.
+level over the boxes of all boundary cells at once. The rule lists each
+cell as one run of points, the runs sorted by (point count, cell id), so
+that cells of equal point count sit next to each other (the batch order of
+:class:`~webfem.assembly.CellSegments`); within a cell, leaves come by
+level and then by child order.
 """
 
 from dataclasses import dataclass
@@ -54,13 +56,17 @@ class DomainQuadrature:
     """Flattened quadrature rule over all cells intersecting the domain.
 
     ``cell_ids`` maps every point to the (jx, jy) grid cell it came from,
-    encoded as jx * ny + jy; point order is deterministic (cells in
-    lexicographic order, subdivision leaves in a fixed traversal order).
+    encoded as jx * ny + jy. Each cell is one contiguous run of points, and
+    the runs are sorted by their length, then by cell id; within a cell,
+    subdivision leaves keep a fixed traversal order. ``leaves`` holds the
+    kept leaf boxes (x0, y0, x1, y1) of the boundary cells and their cell
+    ids, for a rule of another Gauss order on the same leaves.
     """
 
     points: np.ndarray      # (N, 2)
     weights: np.ndarray     # (N,)
     cell_ids: np.ndarray    # (N,) int
+    leaves: tuple           # ((L, 4) boxes, (L,) int cell ids)
 
     @property
     def num_points(self):
@@ -127,7 +133,7 @@ def _subdivide_boundary(domain, boxes, owner, depth):
     return np.concatenate(kept), np.concatenate(kept_owner)
 
 
-def build_quadrature(domain, grid, cls, g, depth, g_leaf=None):
+def build_quadrature(domain, grid, cls, g, depth, g_leaf=None, leaves=None):
     """Quadrature rule over all non-exterior cells of the grid.
 
     Parameters
@@ -143,6 +149,9 @@ def build_quadrature(domain, grid, cls, g, depth, g_leaf=None):
         Gauss points per axis on subdivision leaves (default: same as g).
         The leaves carry an O(leaf^2) geometric error anyway, so a lower
         order there trades nothing measurable for a large point-count cut.
+    leaves : (boxes, owners), optional
+        The ``leaves`` of a rule built with the same domain, grid, cells and
+        depth; its boundary cells are then not subdivided again.
     """
     if depth < 0:
         raise QuadratureError(f"subdivision depth must be nonnegative, got {depth}")
@@ -154,23 +163,28 @@ def build_quadrature(domain, grid, cls, g, depth, g_leaf=None):
     cell_boxes = np.column_stack([bx[jx], by[jy], bx[jx + 1], by[jy + 1]])
     labels = cls.labels.ravel()
     interior = np.flatnonzero(labels == CellLabel.INTERIOR)
-    boundary = np.flatnonzero(labels == CellLabel.BOUNDARY)
-    leaves, leaf_owner = _subdivide_boundary(
-        domain, cell_boxes[boundary], boundary.astype(np.int64), depth)
-    # boxes in cell-id order (stable: a cell keeps its leaf order) and the
-    # offset of each box's points in the rule; each group of boxes is then
-    # written straight to its slots, with no point-level sort or copy
+    if leaves is None:
+        boundary = np.flatnonzero(labels == CellLabel.BOUNDARY)
+        leaves = _subdivide_boundary(domain, cell_boxes[boundary],
+                                     boundary.astype(np.int64), depth)
+    leaf_boxes, leaf_owner = leaves
+    # boxes in (cell point count, cell id) order (stable: a cell keeps its
+    # leaf order) and the offset of each box's points in the rule; each
+    # group of boxes is then written straight to its slots, with no
+    # point-level sort or copy
     owner = np.concatenate([interior, leaf_owner])
     sizes = np.repeat([g * g, g_leaf * g_leaf], [interior.size, leaf_owner.size])
-    order = np.argsort(owner, kind="stable")
+    cell_count = np.bincount(owner, weights=sizes, minlength=nx * ny)
+    order = np.lexsort((owner, cell_count[owner]))
     start = np.empty_like(sizes)
     start[order] = np.cumsum(sizes[order]) - sizes[order]
     n = int(sizes.sum())
     points, weights = np.empty((n, 2)), np.empty(n)
     cell_ids = np.empty(n, dtype=np.int64)
     for part, boxes, gg in ((slice(0, interior.size), cell_boxes[interior], g),
-                            (slice(interior.size, None), leaves, g_leaf)):
+                            (slice(interior.size, None), leaf_boxes, g_leaf)):
         slots = (start[part, None] + np.arange(gg * gg)).ravel()
         points[slots], weights[slots] = _box_rules(boxes, gg)
         cell_ids[slots] = np.repeat(owner[part], gg * gg)
-    return DomainQuadrature(points=points, weights=weights, cell_ids=cell_ids)
+    return DomainQuadrature(points=points, weights=weights, cell_ids=cell_ids,
+                            leaves=leaves)

@@ -185,28 +185,44 @@ class BasisValues:
     ``idx`` (N, na) holds the column (in the relevant-index enumeration) of
     each of the na B-splines nonzero at a point, -1 outside the relevant
     set; ``wb`` (N, na) the weighted values and, for ``nderiv >= 1``,
-    ``wbx``/``wby`` the first partials.
+    ``wbx``/``wby`` the first partials. ``span_key`` (N,) numbers the pair
+    of knot spans of each point; points with equal keys share their
+    ``idx`` row.
+
+    The univariate B-splines are evaluated once per distinct coordinate of
+    each axis, the ``idx`` rows once per distinct span pair, and each table
+    is one separable product: ``wb = (w Bx) (x) By``,
+    ``wbx = (w_x Bx + w Bx') (x) By`` and ``wby = Bx (x) (w_y By + w By')``.
     """
 
     def __init__(self, basis, pts, nderiv=1):
         grid = basis.grid
-        m1, m2 = grid.degrees
-        sx, dx = nonzero_basis(grid.kvs[0], pts[:, 0], nderiv)
-        sy, dy = nonzero_basis(grid.kvs[1], pts[:, 1], nderiv)
-        ax = sx[:, None] - m1 + np.arange(m1 + 1)[None, :]
-        ay = sy[:, None] - m2 + np.arange(m2 + 1)[None, :]
-        n = pts.shape[0]
-        na = (m1 + 1) * (m2 + 1)
-        self.idx = basis.kcol[ax[:, :, None], ay[:, None, :]].reshape(n, na)
-        b = (dx[0][:, :, None] * dy[0][:, None, :]).reshape(n, na)
-        w = basis.domain.weight(pts)
-        self.wb = w[:, None] * b
+        (m1, m2), (nbx, nby) = grid.degrees, grid.num_basis
+        spans, ders = [], []
+        for ax, kv in enumerate(grid.kvs):
+            coords, inv = np.unique(pts[:, ax], return_inverse=True)
+            s, d = nonzero_basis(kv, coords, nderiv)
+            spans.append(np.take(s, inv))
+            ders.append(np.take(d, inv, axis=1))
+        (sx, sy), (dx, dy) = spans, ders
+        self.span_key = sx * nby + sy
+        used = np.zeros(nbx * nby, dtype=bool)
+        used[self.span_key] = True
+        kx, ky = np.divmod(np.flatnonzero(used), nby)
+        rows = basis.kcol[(kx[:, None] - m1 + np.arange(m1 + 1))[:, :, None],
+                          (ky[:, None] - m2 + np.arange(m2 + 1))[:, None, :]]
+        self.idx = np.take(rows.reshape(kx.size, (m1 + 1) * (m2 + 1)),
+                           (np.cumsum(used) - 1)[self.span_key], axis=0)
+        if nderiv == 0:
+            w = basis.domain.weight(pts)
+        else:
+            w, gw = basis.domain.weight_and_gradient(pts)
+        by = np.tile(dy[0], m1 + 1)
+        self.wb = _outer(w[:, None] * dx[0], by)
         if nderiv >= 1:
-            bx = (dx[1][:, :, None] * dy[0][:, None, :]).reshape(n, na)
-            by = (dx[0][:, :, None] * dy[1][:, None, :]).reshape(n, na)
-            gw = basis.domain.weight_gradient(pts)
-            self.wbx = gw[:, 0][:, None] * b + w[:, None] * bx
-            self.wby = gw[:, 1][:, None] * b + w[:, None] * by
+            self.wbx = _outer(gw[:, :1] * dx[0] + w[:, None] * dx[1], by)
+            self.wby = _outer(dx[0], np.tile(
+                gw[:, 1:] * dy[0] + w[:, None] * dy[1], m1 + 1))
 
     def field(self, c_full, grad=False):
         """Field values (and gradient) of a full-basis coefficient vector.
@@ -221,6 +237,14 @@ class BasisValues:
         gx = np.einsum("na,na->n", cw, self.wbx)
         gy = np.einsum("na,na->n", cw, self.wby)
         return vals, np.column_stack([gx, gy])
+
+
+def _outer(a, b_tiled):
+    """Row-wise outer products a (x) b of a (N, p) and b (N, q), as (N, p q),
+    from a and ``b_tiled = np.tile(b, p)``."""
+    out = np.repeat(a, b_tiled.shape[1] // a.shape[1], axis=1)
+    out *= b_tiled
+    return out
 
 
 # points per tabulation block of eval_fields; bounds its memory

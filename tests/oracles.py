@@ -18,6 +18,9 @@ Scalar references the library itself does not need:
 * ``local_polynomial_1d_loop``: the piece of one B-spline on one cell by the
   Cox-de Boor recursion one B-spline at a time, which the batched
   :func:`webfem.splines.local_polynomial_1d` must reproduce exactly;
+* ``basis_values_point``: the row of :class:`webfem.webbasis.BasisValues`
+  at one point, from the Cox-de Boor recursion of each B-spline's piece on
+  the point's knot spans and the product rule with the weight;
 * ``weight`` and ``weight_gradient`` at a single point;
 * ``cell_rule`` (Gauss rule on one box) and ``integrate`` (one cut-cell
   integral);
@@ -253,6 +256,59 @@ def eval_tensor_bspline(grid, multi_index, point, deriv=(0, 0)):
     vx = eval_bspline_deriv(grid.kvs[0], multi_index[0], point[0], deriv[0])
     vy = eval_bspline_deriv(grid.kvs[1], multi_index[1], point[1], deriv[1])
     return vx * vy
+
+
+def _piece_deriv(t, s, i, k, x, order):
+    """Order-th derivative at ``x`` of the polynomial piece of the degree-k
+    B-spline ``b_i`` on the knot span [t[s], t[s+1]]: the Cox-de Boor
+    recursion with the span's indicator in place of the degree-0 B-splines,
+    so that a point on a knot reads the piece of the span it is given."""
+    if k == 0:
+        return float(i == s and order == 0)
+    val = 0.0
+    d1 = t[i + k] - t[i]
+    d2 = t[i + k + 1] - t[i + 1]
+    if order == 0:
+        if d1 > 0.0:
+            val += (x - t[i]) / d1 * _piece_deriv(t, s, i, k - 1, x, 0)
+        if d2 > 0.0:
+            val += (t[i + k + 1] - x) / d2 * _piece_deriv(t, s, i + 1, k - 1, x, 0)
+    else:
+        if d1 > 0.0:
+            val += k / d1 * _piece_deriv(t, s, i, k - 1, x, order - 1)
+        if d2 > 0.0:
+            val -= k / d2 * _piece_deriv(t, s, i + 1, k - 1, x, order - 1)
+    return val
+
+
+def basis_values_point(basis, x):
+    """``(idx, wb, wbx, wby)`` of the weighted tensor basis at one point.
+
+    Per axis the point reads the last knot span [t_s, t_{s+1}] of the
+    full-support region with t_s <= x (so the left span at the region's
+    right edge), whose B-splines are s - m .. s. The rows list them x-major,
+    like :class:`webfem.webbasis.BasisValues`; ``idx`` is -1 off the
+    relevant set.
+    """
+    x = np.asarray(x, dtype=float)
+    per_axis = []
+    for kv, xa in zip(basis.grid.kvs, x):
+        t, m = kv.knots, kv.degree
+        s = max(j for j in range(m, kv.num_basis) if t[j] <= xa)
+        ks = list(range(s - m, s + 1))
+        per_axis.append((ks, [[_piece_deriv(t, s, k, m, xa, d) for k in ks]
+                              for d in (0, 1)]))
+    (kx, (bx, dbx)), (ky, (by, dby)) = per_axis
+    w = weight(basis.domain, x)
+    gw = weight_gradient(basis.domain, x)
+    idx, wb, wbx, wby = [], [], [], []
+    for a, i in enumerate(kx):
+        for b, j in enumerate(ky):
+            idx.append(basis.kcol[i, j])
+            wb.append(w * bx[a] * by[b])
+            wbx.append(gw[0] * bx[a] * by[b] + w * dbx[a] * by[b])
+            wby.append(gw[1] * bx[a] * by[b] + w * bx[a] * dby[b])
+    return np.array(idx), np.array(wb), np.array(wbx), np.array(wby)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import webfem.analysis as analysis
+import webfem.quadrature as quadrature
 from webfem.analysis import (
     AnalysisError, StudyConfig, eoc, error_norm, error_norms, level_csv,
     pressure_projection_error, run_convergence,
@@ -400,8 +401,8 @@ class TestSharedTables:
         real = analysis.build_quadrature
         calls = []
 
-        def patched(domain, grid, cls, g, depth, g_leaf=None):
-            quad = real(domain, grid, cls, g, depth, g_leaf)
+        def patched(domain, grid, cls, g, depth, g_leaf=None, leaves=None):
+            quad = real(domain, grid, cls, g, depth, g_leaf, leaves)
             calls.append(g)
             if len(calls) % 2 == 0:  # the error rule, built second
                 k = np.flatnonzero(cls.labels.ravel()[quad.cell_ids]
@@ -414,6 +415,20 @@ class TestSharedTables:
         with pytest.raises(AnalysisError, match="differ on boundary cells"):
             run_convergence(get_case("disk_poisson"), study)
         assert calls == [2, 3]
+
+    def test_run_level_subdivides_once(self, monkeypatch):
+        # the error rule is built on the assembly rule's leaves
+        real = quadrature._subdivide_boundary
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(quadrature, "_subdivide_boundary", counted)
+        study = StudyConfig(degree=1, levels=2, base_cells=6, depth=3)
+        rep = run_convergence(get_case("disk_poisson"), study)
+        assert len(calls) == len(rep.levels) == 2
 
 
 class TestAnnulus:

@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from hypothesis import given, reject, settings, strategies as st
 
 from webfem.assembly import (
-    AssemblyError, BasisTables, CoercivityError, PressureSpace, SparsityPlan,
-    WebReductionPlan, assemble_mass, assemble_mixed,
+    AssemblyError, BasisTables, CellSegments, CoercivityError, PressureSpace,
+    SparsityPlan, WebReductionPlan, assemble_mass, assemble_mixed,
     PlapIterate, assemble_plap_jacobian_and_residual, assemble_vcpe,
     bilinear_form, export_coo, linear_form, plap_energy,
     pressure_mass_and_integral, project_pressure,
@@ -573,6 +573,29 @@ class TestSparsityPlan:
             quad, cell_ids=np.zeros_like(quad.cell_ids))
         with pytest.raises(AssemblyError, match="different basis rows"):
             BasisTables(basis, one_cell)
+
+    def test_point_outside_relevant_set_rejected(self):
+        basis, quad, _ = disk_setup(n_cells=6)
+        # the grid corner cell (id 0) is exterior: its B-splines are not
+        # relevant
+        corner = dataclasses.replace(
+            quad, points=np.array([[-1.09, -1.09]]), weights=np.ones(1),
+            cell_ids=np.zeros(1, dtype=np.int64))
+        with pytest.raises(AssemblyError, match="outside the relevant set"):
+            BasisTables(basis, corner)
+
+    def test_runs_not_sorted_by_length_rejected(self):
+        basis, quad, _ = disk_setup(n_cells=6)
+        seg = CellSegments(quad.cell_ids)
+        assert seg.counts[0] < seg.counts[-1]
+        # the same runs, longest first
+        order = np.concatenate([np.arange(a, a + n) for a, n in
+                                zip(seg.starts[::-1], seg.counts[::-1])])
+        longest_first = dataclasses.replace(
+            quad, points=quad.points[order], weights=quad.weights[order],
+            cell_ids=quad.cell_ids[order])
+        with pytest.raises(AssemblyError, match="not sorted by point count"):
+            BasisTables(basis, longest_first)
 
     def test_pressure_evaluate_matches_tables(self):
         basis, quad, tables = disk_setup(n_cells=8)

@@ -10,8 +10,9 @@ import pytest
 
 import webfem
 from webfem.cli import (
-    EXIT_CHECK, EXIT_CONFIG, EXIT_OK, ConfigError, bundled_config_dir,
-    describe, evaluate_floors, load_config, main, run,
+    CONFIG_SCHEMA, CONFIG_VALIDATOR, EXIT_CHECK, EXIT_CONFIG, EXIT_OK,
+    ConfigError, bundled_config_dir, describe, evaluate_floors, load_config,
+    main, run,
 )
 
 
@@ -31,6 +32,21 @@ def write_config(tmp_path, name="cfg.json", **overrides):
 
 
 class TestConfigValidation:
+    def test_schema_is_valid(self):
+        # load_config validates without checking the schema itself
+        CONFIG_VALIDATOR.check_schema(CONFIG_SCHEMA)
+
+    def test_invalid_config_message(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "problem": {"type": "vcpe"}, "grid": {"degree": 2},
+            "quadrature": {"subdivision_depth": [3, "x"]}}))
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert str(info.value) == (
+            f"invalid config {path}: quadrature.subdivision_depth.1: "
+            "'x' is not of type 'integer'")
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"problem": {"type": "vcpe"},

@@ -153,6 +153,27 @@ class TestWeightGradient:
     def test_outside_zero_for_linear_weight(self):
         assert np.allclose(weight_gradient(unit_disk(), [3.0, 0.0]), 0.0)
 
+    @settings(deadline=None, max_examples=40)
+    @given(tree=r_trees(2), exponent=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+           seed=st.integers(0, 2 ** 16))
+    def test_weight_and_gradient_equal_the_separate_calls(self, tree,
+                                                          exponent, seed):
+        dom = ImplicitDomain(tree, exponent=exponent)
+        pts = np.random.default_rng(seed).uniform(-1.3, 1.3, size=(50, 2))
+        pts[0] = 0.0  # on a disk's center or a half-plane's boundary
+        w, g = dom.weight_and_gradient(pts)
+        assert np.array_equal(w, dom.weight(pts))
+        assert np.array_equal(g, dom.weight_gradient(pts))
+
+    def test_weight_and_gradient_singular_exponent_raises(self):
+        dom = unit_disk(r=0.5)
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(GeometryError, match=r"r = 0\.5 < 1") as joint:
+            dom.weight_and_gradient(pts)
+        with pytest.raises(GeometryError) as alone:
+            dom.weight_gradient(pts)
+        assert str(joint.value) == str(alone.value)
+
 
 class TestClassifyCells:
     def grid(self, n=4, lo=-1.0, hi=1.0, degree=1):

@@ -112,6 +112,13 @@ class TestIntegrate:
         assert np.array_equal(q1.weights, q2.weights)
 
 
+def batch_order(ids):
+    """Stable order that lists the runs of a cell-by-cell rule with cell ids
+    ``ids`` by (point count, cell id), the order of ``build_quadrature``."""
+    _, inv, counts = np.unique(ids, return_inverse=True, return_counts=True)
+    return np.lexsort((ids, counts[inv]))
+
+
 def reference_quadrature(domain, grid, cls, g, depth, g_leaf=None):
     """Cell-by-cell rule: each boundary cell subdivided on its own, one
     ``cell_rule`` call per kept leaf (the loop the batched rule replaced)."""
@@ -188,14 +195,18 @@ class TestBatchedSubdivision:
         cls = classify_cells(dom, grid)
         quad = build_quadrature(dom, grid, cls, g, depth, g_leaf)
         pts, wts, ids = reference_quadrature(dom, grid, cls, g, depth, g_leaf)
-        assert np.array_equal(quad.points, pts)
-        assert np.array_equal(quad.weights, wts)
-        assert np.array_equal(quad.cell_ids, ids)
+        order = batch_order(ids)
+        assert np.array_equal(quad.points, pts[order])
+        assert np.array_equal(quad.weights, wts[order])
+        assert np.array_equal(quad.cell_ids, ids[order])
         assert quad.points.shape == (quad.num_points, 2)
         assert quad.cell_ids.dtype == np.int64
 
         assert np.all(quad.weights > 0)
-        assert np.all(np.diff(quad.cell_ids) >= 0)
+        # one run per cell, runs sorted by length
+        starts = np.flatnonzero(np.diff(quad.cell_ids, prepend=-1))
+        assert starts.size == np.unique(quad.cell_ids).size
+        assert np.all(np.diff(np.diff(np.append(starts, quad.num_points))) >= 0)
         jx, jy = np.divmod(quad.cell_ids, grid.num_cells[1])
         assert not np.any(cls.labels[jx, jy] == CellLabel.EXTERIOR)
         b = kv.breakpoints
@@ -217,6 +228,12 @@ class TestBatchedSubdivision:
         cls = classify_cells(dom, grid)
         quad = build_quadrature(dom, grid, cls, g, depth, g_leaf)
         err = build_quadrature(dom, grid, cls, g + 1, depth, g_leaf or g)
+        # the error rule built on the assembly rule's leaves is the same rule
+        reused = build_quadrature(dom, grid, cls, g + 1, depth, g_leaf or g,
+                                  leaves=quad.leaves)
+        assert np.array_equal(reused.points, err.points)
+        assert np.array_equal(reused.weights, err.weights)
+        assert np.array_equal(reused.cell_ids, err.cell_ids)
         boundary = cls.labels.ravel() == CellLabel.BOUNDARY
         shared, err_shared = boundary[quad.cell_ids], boundary[err.cell_ids]
         assert np.array_equal(quad.points[shared], err.points[err_shared])

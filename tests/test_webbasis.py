@@ -20,8 +20,8 @@ from webfem.webbasis import (
 )
 
 from oracles import (
-    eval_field_loop, eval_tensor_bspline, eval_web, extension_exact,
-    local_polynomial,
+    basis_values_point, eval_field_loop, eval_tensor_bspline, eval_web,
+    extension_exact, local_polynomial,
 )
 from strategies import r_trees
 
@@ -275,6 +275,62 @@ class TestEvalWeb:
                        for c, i in zip(coeffs, basis.idx.inner))
             assert vals[q] == pytest.approx(ref, rel=1e-11, abs=1e-13)
             assert grads[q, 0] == pytest.approx(refx, rel=1e-10, abs=1e-11)
+
+
+@st.composite
+def knot_axes(draw, degree):
+    """Uniform, graded or doubled-knot axes around the unit disk, and the
+    coordinates to sample on them: the edges of the full-support region,
+    interior knots and random points, each drawn with repeats."""
+    lo = -1.0 - draw(st.floats(0.05, 0.3))
+    hi = 1.0 + draw(st.floats(0.05, 0.3))
+    n = draw(st.integers(4, 8))
+    kind = draw(st.sampled_from(["uniform", "min", "max", "doubled"]))
+    if kind in ("min", "max"):
+        kv = graded_knots(lo, hi, n, degree, draw(st.floats(0.7, 1.4)),
+                          side=kind)
+    else:
+        kv = uniform_knots(lo, hi, n, degree)
+        if kind == "doubled":
+            t = kv.knots
+            k = draw(st.integers(degree + 1, degree + n - 1))
+            kv = KnotVector(np.insert(t, k, t[k]), degree)
+    t = kv.knots
+    core = t[degree:kv.num_basis + 1]
+    special = st.sampled_from(core.tolist())
+    inside = st.floats(float(core[0]), float(core[-1]))
+    coords = draw(st.lists(st.one_of(special, inside), min_size=1,
+                           max_size=6))
+    return kv, coords
+
+
+class TestBasisValuesOracle:
+    """BasisValues (per-axis B-splines on distinct coordinates, separable
+    weighted products) against the per-point formula."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), degree=st.integers(1, 3),
+           exponent=st.sampled_from([1.0, 2.0]))
+    def test_matches_per_point_formula(self, data, degree, exponent):
+        (kx, xs), (ky, ys) = (data.draw(knot_axes(degree)) for _ in range(2))
+        dom = ImplicitDomain(Disk([0.0, 0.0], 1.0), exponent=exponent)
+        try:
+            basis = build_web_basis(dom, TensorGrid(kx, ky))
+        except ResolutionError:
+            reject()
+        # every coordinate pairs with several others, and pairs repeat
+        pairs = data.draw(st.lists(
+            st.tuples(st.sampled_from(xs), st.sampled_from(ys)),
+            min_size=1, max_size=24))
+        pts = np.array(pairs, dtype=float)
+        got = BasisValues(basis, pts)
+        for q, p in enumerate(pts):
+            idx, wb, wbx, wby = basis_values_point(basis, p)
+            assert np.array_equal(got.idx[q], idx)
+            for have, want in ((got.wb, wb), (got.wbx, wbx), (got.wby, wby)):
+                scale = max(1.0, np.max(np.abs(want)))
+                np.testing.assert_allclose(have[q], want, rtol=0,
+                                           atol=1e-14 * scale)
 
 
 class TestEvalFieldOracle:
