@@ -363,6 +363,7 @@ def _run_level(case, domain, grid, study, level, opts, coarse=None):
                          start)
         rec["iterations"] = sol.params["iterations"]
         rec["residual_history"] = [s["residuals"] for s in sol.params["stages"]]
+        rec["converged"] = [s["converged"] for s in sol.params["stages"]]
         rec["errors"] = _error_norms(
             sol, case, ("L2", "H1", "W1p", "quasinorm"), err_quad, sample)
     elif case.kind == "quasi_newtonian":
@@ -373,6 +374,7 @@ def _run_level(case, domain, grid, study, level, opts, coarse=None):
             start)
         rec["iterations"] = info["iterations"]
         rec["residual_history"] = [info["residuals"]]
+        rec["converged"] = [info["converged"]]
         rec["incompressibility"] = info["incompressibility"]
         rec["errors"] = _error_norms(
             (sol, pres), case, ("Xnorm", "pressure_L2", "combined"), err_quad,

@@ -299,8 +299,8 @@ def assemble_vcpe(basis, a, f, tables):
     a_vals = a(tables.points) if callable(a) else np.full(tables.num_points, float(a))
     if np.any(a_vals <= 0.0):
         where = tables.points[np.argmin(a_vals)]
-        raise CoercivityError(
-            f"diffusion coefficient nonpositive at quadrature point {tuple(where)}")
+        raise CoercivityError("diffusion coefficient nonpositive at quadrature "
+                              f"point {tuple(where.tolist())}")
     f_vals = f(tables.points) if callable(f) else np.full(tables.num_points, float(f))
     A = tables.web_form([(a_vals, tables.wbx, tables.wbx),
                          (a_vals, tables.wby, tables.wby)])

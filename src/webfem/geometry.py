@@ -7,9 +7,8 @@ inside, zero on the boundary and negative outside; the weight is
 ``w = max(phi, 0)^r``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
 
 import numpy as np
 
@@ -192,8 +191,8 @@ class ImplicitDomain:
         if np.any(outside) and r < 1.0:
             bad = np.atleast_2d(np.asarray(pts, dtype=float))[outside][0]
             raise GeometryError(
-                f"weight gradient singular on/outside the boundary at {tuple(bad)} "
-                f"for exponent r = {r} < 1")
+                "weight gradient singular on/outside the boundary at "
+                f"{tuple(bad.tolist())} for exponent r = {r} < 1")
         g = self.phi_gradient(pts)
         if r == 1.0:
             fac = np.where(outside, 0.0, 1.0)
@@ -267,13 +266,6 @@ class CellClassification:
     labels: np.ndarray
     samples_per_axis: int
 
-    def label(self, cell):
-        return CellLabel(self.labels[cell])
-
-    def cells_with(self, label):
-        jx, jy = np.nonzero(self.labels == label)
-        return list(zip(jx.tolist(), jy.tolist()))
-
     def counts(self):
         return {lab.name.lower(): int(np.sum(self.labels == lab))
                 for lab in CellLabel}
@@ -316,31 +308,25 @@ def classify_cells(domain, grid, samples_per_axis=5):
 class IndexSets:
     """Relevant / inner / outer tensor-basis indices and their couplings.
 
-    ``q_cell[j]`` is the interior cell closest (Hausdorff metric) to the
-    support of outer B-spline j; ``i_of_j[j]`` the inner indices whose
-    support contains that cell; ``j_of_i`` its inverse; ``center[i]`` the
-    center of the designated interior cell in supp b_i.
+    ``relevant``, ``inner`` and ``outer`` are (n, 2) index arrays in
+    lexicographic order. Per outer j: ``q_cell``, the interior cell closest
+    (Hausdorff metric) to supp b_j, and ``alpha``, the smaller ratio over the
+    axes of its width to the support's. Per inner i: ``center_cell``, the
+    designated interior cell in supp b_i, and ``center``, its center.
+    Coupling c joins ``inner[pair_inner[c]]``, whose support contains
+    ``Q_j``, to ``outer[pair_outer[c]]``; they run by outer, then inner
+    position.
     """
 
-    relevant: list
-    inner: list
-    outer: list
-    q_cell: dict
-    i_of_j: dict
-    j_of_i: dict
-    center: dict
-    center_cell: dict = field(default_factory=dict)
-    alpha: dict = field(default_factory=dict)
-
-    @cached_property
-    def kmap(self):
-        """Relevant index -> its position in ``relevant``."""
-        return {k: c for c, k in enumerate(self.relevant)}
-
-    @cached_property
-    def imap(self):
-        """Inner index -> its position in ``inner``."""
-        return {i: r for r, i in enumerate(self.inner)}
+    relevant: np.ndarray
+    inner: np.ndarray
+    outer: np.ndarray
+    q_cell: np.ndarray
+    alpha: np.ndarray
+    center: np.ndarray
+    center_cell: np.ndarray
+    pair_inner: np.ndarray
+    pair_outer: np.ndarray
 
 
 def _box_sums(mask, lo1, hi1, lo2, hi2):
@@ -383,7 +369,7 @@ def classify_indices(grid, cls):
     supp b_j (exact for boxes by the corner formula; ties within a relative
     1e-12 go to the lexicographically smallest cell). Since a_i and b_i are
     nondecreasing in i, the indices whose support contains ``Q_j`` form one
-    range per axis, and ``i_of_j[j]`` keeps the inner ones of that box.
+    range per axis, and the couplings of j are the inner ones of that box.
     """
     interior = cls.labels == CellLabel.INTERIOR
     if not interior.any():
@@ -434,17 +420,10 @@ def classify_indices(grid, cls):
                          np.searchsorted(by, qy, "right"),
                          np.searchsorted(ay, qy, "right"))
     cr, du, dv = np.nonzero(win)
-
-    inner = list(zip(i1.tolist(), i2.tolist()))
-    outer = list(zip(o1.tolist(), o2.tolist()))
-    i_of_j = {j: [] for j in outer}
-    j_of_i = {i: [] for i in inner}
-    for c, i in zip(cr.tolist(), zip(u[cr, du].tolist(), v[cr, dv].tolist())):
-        i_of_j[outer[c]].append(i)
-        j_of_i[i].append(outer[c])
+    # position in ``inner`` of each inner index: inner is row-major
+    pos = (np.cumsum(inn.ravel()) - 1).reshape(inn.shape)
     return IndexSets(
-        relevant=list(zip(r1.tolist(), r2.tolist())), inner=inner, outer=outer,
-        q_cell=dict(zip(outer, zip(qx.tolist(), qy.tolist()))),
-        i_of_j=i_of_j, j_of_i=j_of_i, center=dict(zip(inner, centers)),
-        center_cell=dict(zip(inner, zip(cx.tolist(), cy.tolist()))),
-        alpha=dict(zip(outer, alpha.tolist())))
+        relevant=np.column_stack([r1, r2]), inner=np.column_stack([i1, i2]),
+        outer=np.column_stack([o1, o2]), q_cell=np.column_stack([qx, qy]),
+        alpha=alpha, center=centers, center_cell=np.column_stack([cx, cy]),
+        pair_inner=pos[u[cr, du], v[cr, dv]], pair_outer=cr)

@@ -81,8 +81,8 @@ class DomainQuadrature:
         bad = ~np.isfinite(vals)
         if np.any(bad):
             where = self.points[bad][0]
-            raise QuadratureError(
-                f"non-finite integrand value at quadrature point {tuple(where)}")
+            raise QuadratureError("non-finite integrand value at quadrature "
+                                  f"point {tuple(where.tolist())}")
         return float(np.sum(self.weights * vals))
 
 

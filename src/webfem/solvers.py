@@ -152,7 +152,8 @@ def solve_plap(basis, p, f, tables, opts=None, start=None):
     it has fewer: eps_final alone can stall near p = 1. p = 2 runs one stage
     at eps = 0 either way.
     The accepted iterates decrease the energy at each stage; the returned
-    field carries the per-stage residual and energy histories.
+    field carries the per-stage residual and energy histories and whether
+    each stage reached ``opts.nonlinear_tol`` (only the last one must).
     """
     if p <= 1.0:
         raise SolverError(f"admissible exponents are p in (1, inf), got {p}")
@@ -165,12 +166,12 @@ def solve_plap(basis, p, f, tables, opts=None, start=None):
         c, schedule = start, schedule[-2:]
     stages = []
     for eps in schedule:
-        state, residuals, energies = _newton_stage(
+        state, residuals, energies, converged = _newton_stage(
             partial(PlapIterate, basis, tables, p=p, eps=eps, f_vals=f_vals),
             c, _plap_step, opts)
         c = state.coeffs
         stages.append({"eps": eps, "residuals": residuals,
-                       "energies": energies})
+                       "energies": energies, "converged": converged})
     final = stages[-1]["residuals"][-1]
     if final > opts.nonlinear_tol:
         raise SolverError(
@@ -190,8 +191,9 @@ def _newton_stage(make, coeffs, step, opts):
     """Damped Newton on the energy of the states ``make(coeffs)``, whose
     ``residual`` is its gradient; ``step(state, R)`` solves the tangent
     system for the increment of ``coeffs``. Reads the residual first and
-    backtracks to the Armijo condition. Returns the last state and the
-    residual and energy histories."""
+    backtracks to the Armijo condition. Returns the last state, the
+    residual and energy histories, and whether the last residual is within
+    ``opts.nonlinear_tol`` (else the stage ran out of iterations)."""
     state = make(coeffs)
     energies = [state.energy]
     residuals = []
@@ -215,7 +217,7 @@ def _newton_stage(make, coeffs, step, opts):
                 f"line search failed at residual {rnorm:.3e}", residuals)
         state = cand
         energies.append(state.energy)
-    return state, residuals, energies
+    return state, residuals, energies, residuals[-1] <= opts.nonlinear_tol
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +334,8 @@ def solve_quasi_newtonian(basis, pspace, a_fn, phi, tables, quad, opts=None,
         du, dp, dmu = _saddle_solve(K, R[:n_u])
         return np.concatenate([du, dp, [dmu]])
 
-    state, stage_residuals, _ = _newton_stage(make, coeffs, step, opts)
+    state, stage_residuals, _, converged = _newton_stage(make, coeffs, step,
+                                                         opts)
     residuals += stage_residuals
     if residuals[-1] > opts.nonlinear_tol:
         raise SolverError(
@@ -347,7 +350,7 @@ def solve_quasi_newtonian(basis, pspace, a_fn, phi, tables, quad, opts=None,
     velocity = SolutionField(basis=basis, coeffs=c)
     pressure = PressureField(space=pspace, coeffs=p_coeffs)
     info = {"iterations": len(residuals) - 1, "residuals": residuals,
-            "multiplier": float(state.coeffs[-1]),
+            "converged": converged, "multiplier": float(state.coeffs[-1]),
             "incompressibility": float(np.max(np.abs(B @ c)))}
     return velocity, pressure, info
 

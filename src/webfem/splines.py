@@ -3,8 +3,9 @@
 Provides the values and derivatives of the nonzero B-splines at many points
 at once (:func:`nonzero_basis`) on arbitrary nondecreasing knot sequences,
 the univariate polynomial piece of a B-spline on a cell (Bernstein form,
-:func:`local_polynomial_1d`), and the de Boor-Fix dual functionals that are
-bi-orthogonal to the B-spline basis. On polynomials a
+:func:`local_polynomial_1d`), the tensor interpolants of a function on many
+cells at once (:func:`interpolate_pieces`), and the de Boor-Fix dual
+functionals that are bi-orthogonal to the B-spline basis. On polynomials a
 dual functional is the blossom at the interior knots of the support, so it
 is one de Casteljau pass over the Bernstein coefficients (:func:`dual_row`).
 The same functionals give the exact knot-refinement matrix
@@ -17,7 +18,6 @@ Conventions:
       (tensor products of such intervals in 2D).
 """
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 
@@ -284,50 +284,12 @@ def _bern_row(n, t):
                      for a in range(n + 1)], axis=-1)
 
 
-def _bern_derive(c, width):
-    """Coefficients of d/dx of a Bernstein polynomial on an interval of ``width``."""
-    n = c.shape[0] - 1
-    if n == 0:
-        return np.zeros((1,) + c.shape[1:])
-    return n * np.diff(c, axis=0) / width
-
-
 @lru_cache(maxsize=64)
 def _bern_interp_matrix(n):
     """Inverse of the Bernstein collocation matrix at the Chebyshev nodes."""
     ts = _cheb_nodes(n + 1)
     V = _bern_row(n, ts)
     return np.linalg.inv(V)
-
-
-@dataclass(frozen=True)
-class PolynomialPiece:
-    """Tensor-product polynomial in Bernstein form anchored at a reference cell.
-
-    Evaluation is defined everywhere (polynomial extension); on the
-    reference cell it coincides with the source it was built from. Pieces
-    that are products of univariate polynomials carry the Bernstein
-    ``factors`` per axis, which the dual functionals exploit for accuracy.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    coeffs: np.ndarray  # shape (d1+1, d2+1)
-    factors: tuple = None  # optional (cx, cy) with coeffs == outer(cx, cy)
-
-    @property
-    def degrees(self):
-        return (self.coeffs.shape[0] - 1, self.coeffs.shape[1] - 1)
-
-    def __call__(self, x, y, deriv=(0, 0)):
-        c = self.coeffs
-        for _ in range(deriv[0]):
-            c = _bern_derive(c, self.hi[0] - self.lo[0])
-        for _ in range(deriv[1]):
-            c = _bern_derive(c.transpose(), self.hi[1] - self.lo[1]).transpose()
-        tx = (x - self.lo[0]) / (self.hi[0] - self.lo[0])
-        ty = (y - self.lo[1]) / (self.hi[1] - self.lo[1])
-        return _bern_row(c.shape[0] - 1, tx) @ c @ _bern_row(c.shape[1] - 1, ty)
 
 
 @lru_cache(maxsize=64)
@@ -401,21 +363,17 @@ def local_polynomial_1d(kv, index, cell_idx):
     return _mono_to_bern(level[..., 0, :])
 
 
-def interpolate_piece(f, lo, hi, degrees):
-    """Degree-``degrees`` tensor interpolant of ``f`` on the cell [lo, hi].
-
-    Interpolation nodes are tensor Chebyshev points strictly inside the
-    cell, so ``f`` is only evaluated in the open cell.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+def interpolate_pieces(f, lo, hi, degrees):
+    """Bernstein coefficients (n, d1 + 1, d2 + 1) of the degree-``degrees``
+    tensor interpolants of ``f`` on the cells [lo[c], hi[c]], lo and hi of
+    shape (n, 2). One call of ``f`` takes the tensor Chebyshev nodes of every
+    cell, all strictly inside it."""
     n1, n2 = degrees
-    xs = lo[0] + (hi[0] - lo[0]) * _cheb_nodes(n1 + 1)
-    ys = lo[1] + (hi[1] - lo[1]) * _cheb_nodes(n2 + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    vals = f(np.column_stack([X.ravel(), Y.ravel()])).reshape(n1 + 1, n2 + 1)
-    coeffs = _bern_interp_matrix(n1) @ vals @ _bern_interp_matrix(n2).transpose()
-    return PolynomialPiece(lo=lo, hi=hi, coeffs=coeffs)
+    xs = lo[:, :1] + (hi[:, :1] - lo[:, :1]) * _cheb_nodes(n1 + 1)
+    ys = lo[:, 1:] + (hi[:, 1:] - lo[:, 1:]) * _cheb_nodes(n2 + 1)
+    pts = np.stack(np.broadcast_arrays(xs[:, :, None], ys[:, None, :]), axis=-1)
+    vals = f(pts.reshape(-1, 2)).reshape(-1, n1 + 1, n2 + 1)
+    return _bern_interp_matrix(n1) @ vals @ _bern_interp_matrix(n2).T
 
 
 # ---------------------------------------------------------------------------
@@ -475,38 +433,6 @@ def refinement_matrix(coarse, fine):
     S = np.zeros((fine.num_basis, coarse.num_basis + 2 * m))
     S[rows[:, None], cols + m] = vals
     return S[:, m:m + coarse.num_basis]
-
-
-def _elevated(c, m):
-    """Bernstein coefficients (along axis 0) of the same polynomial at degree m."""
-    for k in range(c.shape[0], m + 1):
-        a = (np.arange(k + 1) / k).reshape((-1,) + (1,) * (c.ndim - 1))
-        pad = np.zeros((1,) + c.shape[1:])
-        c = a * np.concatenate([pad, c]) + (1.0 - a) * np.concatenate([c, pad])
-    return c
-
-
-def deboor_fix(kv_pair, multi_index, piece):
-    """de Boor-Fix dual functional of tensor basis ``multi_index`` applied to a piece.
-
-    Bi-orthogonality ``lambda_k(p_{k'}) = delta_{kk'}`` holds when ``piece``
-    is the local polynomial of B-spline ``k'`` on a cell inside both
-    supports. Pieces of lower degree are degree-elevated first.
-    """
-    m1, m2 = kv_pair[0].degree, kv_pair[1].degree
-    d1, d2 = piece.degrees
-    if d1 > m1 or d2 > m2:
-        raise SplineError(
-            f"piece degree {piece.degrees} exceeds basis degrees {(m1, m2)}")
-    r1 = dual_row(kv_pair[0], multi_index[0], piece.lo[0], piece.hi[0])
-    r2 = dual_row(kv_pair[1], multi_index[1], piece.lo[1], piece.hi[1])
-    if piece.factors is not None:
-        # product piece: apply the univariate functional per axis, which
-        # avoids forming large cross terms before they cancel
-        cx, cy = piece.factors
-        return float((r1 @ _elevated(cx, m1)) * (r2 @ _elevated(cy, m2)))
-    c = _elevated(_elevated(piece.coeffs, m1).T, m2).T
-    return float(r1 @ c @ r2)
 
 
 def uniform_knots(lo, hi, n_cells, degree):

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .geometry import classify_cells, classify_indices
 from .splines import (
-    deboor_fix, dual_row, interpolate_piece, nonzero_basis, refinement_matrix,
+    dual_row, interpolate_pieces, nonzero_basis, refinement_matrix,
 )
 
 
@@ -34,13 +34,14 @@ ALPHA_WARN_THRESHOLD = 0.1  # extrapolation-cell size ratio below which we warn
 
 @dataclass
 class ExtensionTable:
-    """Sparse map (i, j) -> e_{i,j} for inner i and outer j in J(i)."""
+    """Extension coefficients e_{i,j}, one per coupling of the index sets
+    (``pair_inner``, ``pair_outer``)."""
 
-    entries: dict
+    entries: np.ndarray
 
     @property
     def max_abs(self):
-        return max((abs(v) for v in self.entries.values()), default=0.0)
+        return float(np.max(np.abs(self.entries), initial=0.0))
 
 
 def build_extension(grid, idx):
@@ -52,10 +53,9 @@ def build_extension(grid, idx):
     on ``q_a``, taken from the knot vector's ``cell_pieces``. Each axis
     computes the factor once per distinct ``(i_a, j_a, q_a)``.
     """
-    pairs = [(i, j) for j in idx.outer for i in idx.i_of_j[j]]
-    keys = np.array([(i, j, idx.q_cell[j]) for i, j in pairs],
-                    dtype=np.int64).reshape(-1, 3, 2)
-    e = np.ones(len(pairs))
+    keys = np.stack([idx.inner[idx.pair_inner], idx.outer[idx.pair_outer],
+                     idx.q_cell[idx.pair_outer]], axis=1)
+    e = np.ones(len(keys))
     for axis, kv in enumerate(grid.kvs):
         uniq, inv = np.unique(keys[:, :, axis], axis=0, return_inverse=True)
         i_a, j_a, q_a = uniq.T
@@ -65,7 +65,7 @@ def build_extension(grid, idx):
         factors = np.array([r @ c for r, c in
                             zip(rows, pieces[q_a, i_a - first[q_a]])])
         e = e * factors[inv.reshape(-1)]
-    return ExtensionTable(entries=dict(zip(pairs, e.tolist())))
+    return ExtensionTable(entries=e)
 
 
 class WebBasis:
@@ -77,6 +77,8 @@ class WebBasis:
     idx : IndexSets
     ext : ExtensionTable
     w_center : array of w(x_i) in inner order
+    kcol : column of each B-spline in the relevant order, -1 off that set
+    alpha_warnings : (n, 2) outer indices with alpha < ALPHA_WARN_THRESHOLD
     """
 
     def __init__(self, grid, domain, cls, idx, ext):
@@ -85,18 +87,15 @@ class WebBasis:
         self.cls = cls
         self.idx = idx
         self.ext = ext
-        centers = np.array([idx.center[i] for i in idx.inner])
-        self.w_center = domain.weight(centers)
+        self.w_center = domain.weight(idx.center)
         if np.any(self.w_center <= 0.0):
-            bad = idx.inner[int(np.argmin(self.w_center))]
-            raise BasisError(f"nonpositive weight at inner cell center of {bad}")
-        nbx, nby = grid.num_basis
-        self.kcol = np.full((nbx, nby), -1, dtype=np.int64)
-        for c, k in enumerate(idx.relevant):
-            self.kcol[k] = c
+            bad = idx.inner[np.argmin(self.w_center)]
+            raise BasisError("nonpositive weight at inner cell center of "
+                             f"{tuple(bad.tolist())}")
+        self.kcol = np.full(grid.num_basis, -1, dtype=np.int64)
+        self.kcol[tuple(idx.relevant.T)] = np.arange(len(idx.relevant))
         self._coupling = None
-        self.alpha_warnings = sorted(
-            j for j, a in idx.alpha.items() if a < ALPHA_WARN_THRESHOLD)
+        self.alpha_warnings = idx.outer[idx.alpha < ALPHA_WARN_THRESHOLD]
 
     @property
     def n_inner(self):
@@ -109,19 +108,12 @@ class WebBasis:
     def extension_matrix(self):
         """Sparse E (n_inner x n_relevant): identity on inner columns plus
         the extension coefficients on outer columns."""
-        kmap = self.idx.kmap
-        imap = self.idx.imap
-        rows, cols, data = [], [], []
-        for r, i in enumerate(self.idx.inner):
-            rows.append(r)
-            cols.append(kmap[i])
-            data.append(1.0)
-        for (i, j), e in sorted(self.ext.entries.items()):
-            rows.append(imap[i])
-            cols.append(kmap[j])
-            data.append(e)
-        return sp.csr_matrix((data, (rows, cols)),
-                             shape=(self.n_inner, self.n_relevant))
+        idx, n = self.idx, self.n_inner
+        rows = np.concatenate([np.arange(n), idx.pair_inner])
+        cols = self.kcol[tuple(np.concatenate(
+            [idx.inner, idx.outer[idx.pair_outer]]).T)]
+        data = np.concatenate([np.ones(n), self.ext.entries])
+        return sp.csr_matrix((data, (rows, cols)), shape=(n, self.n_relevant))
 
     def coupling_matrix(self):
         """E scaled by 1/w(x_i): web coefficients -> weighted-basis weights."""
@@ -136,7 +128,7 @@ class WebBasis:
             "num_inner": self.n_inner,
             "num_outer": len(self.idx.outer),
             "max_extension_coefficient": self.ext.max_abs,
-            "alpha_warnings": [list(j) for j in self.alpha_warnings],
+            "alpha_warnings": self.alpha_warnings.tolist(),
         }
 
 
@@ -164,7 +156,7 @@ def prolong(coarse, fine, coeffs):
     """
     Sx, Sy = (refinement_matrix(kc, kf)
               for kc, kf in zip(coarse.grid.kvs, fine.grid.kvs))
-    ix, iy = np.array(fine.idx.inner).T
+    ix, iy = fine.idx.inner.T
     Et = coarse.coupling_matrix().T
     out = []
     for c in np.reshape(coeffs, (-1, coarse.n_inner)):
@@ -292,28 +284,26 @@ def project(basis, f):
 
     ``Lambda_i f = w(x_i) * lambda_i(f/w)`` with the dual functional applied
     to the degree-m tensor interpolant of f/w on the designated interior
-    cell of ``b_i``.
+    cell of ``b_i``: one evaluation of f/w at the interpolation nodes of
+    every such cell, and one dual row per axis and inner index.
     """
-    grid = basis.grid
-    dom = basis.domain
-    degrees = grid.degrees
-
-    def f_over_w(pts):
-        w = dom.weight(pts)
-        vals = np.asarray(f(pts), dtype=float) / w
-        return vals
-
-    coeffs = np.empty(basis.n_inner)
-    for r, i in enumerate(basis.idx.inner):
-        cell = basis.idx.center_cell[i]
-        (x0, x1), (y0, y1) = grid.cell_bounds(cell)
-        piece = interpolate_piece(f_over_w, (x0, y0), (x1, y1), degrees)
-        if not np.all(np.isfinite(piece.coeffs)):
-            raise BasisError(
-                f"f/w is not interpolable on the inner cell {cell} of index {i}; "
-                "the input does not vanish fast enough at the boundary")
-        coeffs[r] = basis.w_center[r] * deboor_fix(grid.kvs, i, piece)
-    return coeffs
+    idx, (kx, ky) = basis.idx, basis.grid.kvs
+    cx, cy = idx.center_cell.T
+    lo = np.column_stack([kx.breakpoints[cx], ky.breakpoints[cy]])
+    hi = np.column_stack([kx.breakpoints[cx + 1], ky.breakpoints[cy + 1]])
+    pieces = interpolate_pieces(
+        lambda pts: np.asarray(f(pts), dtype=float) / basis.domain.weight(pts),
+        lo, hi, basis.grid.degrees)
+    bad = ~np.all(np.isfinite(pieces), axis=(1, 2))
+    if np.any(bad):
+        cell, i = (tuple(a[np.argmax(bad)].tolist())
+                   for a in (idx.center_cell, idx.inner))
+        raise BasisError(
+            f"f/w is not interpolable on the inner cell {cell} of index {i}; "
+            "the input does not vanish fast enough at the boundary")
+    rx = dual_row(kx, idx.inner[:, 0], lo[:, 0], hi[:, 0])
+    ry = dual_row(ky, idx.inner[:, 1], lo[:, 1], hi[:, 1])
+    return basis.w_center * (rx[:, None, :] @ pieces @ ry[:, :, None])[:, 0, 0]
 
 
 def jackson_error(basis, u, grad_u, quad):

@@ -5,16 +5,23 @@
 separately from the assembly tables. Neither shares code with
 :class:`webfem.webbasis.BasisValues`. ``extension_exact`` computes the
 extension coefficients in exact rational arithmetic, sharing no code with
-:mod:`webfem.splines`.
+:mod:`webfem.splines`. ``extension_matrix_loop`` builds the extension matrix
+entry by entry from dicts keyed by index pairs, and ``project_loop`` the
+quasi-interpolant one inner index at a time (``interpolate_piece`` on its
+designated cell, then ``deboor_fix``); the batched
+:meth:`webfem.webbasis.WebBasis.extension_matrix` and
+:func:`webfem.webbasis.project` must reproduce them.
 
 Scalar references the library itself does not need:
 
 * ``eval_bspline``, ``eval_bspline_deriv`` and ``eval_tensor_bspline``:
   the Cox-de Boor recursion at one point, against which
   :func:`webfem.splines.nonzero_basis` is checked;
-* ``local_polynomial`` (tensor piece of one B-spline on one cell) and
-  ``dual_functional_1d`` (univariate de Boor-Fix functional of a Bernstein
-  polynomial), the two halves of the bi-orthogonality checks;
+* ``local_polynomial`` (tensor piece of one B-spline on one cell, a
+  ``PolynomialPiece``), ``deboor_fix`` (tensor de Boor-Fix functional of a
+  piece) and ``dual_functional_1d`` (univariate de Boor-Fix functional of a
+  Bernstein polynomial), the halves of the bi-orthogonality checks;
+* ``interpolate_piece``: the tensor interpolant of a function on one cell;
 * ``local_polynomial_1d_loop``: the piece of one B-spline on one cell by the
   Cox-de Boor recursion one B-spline at a time, which the batched
   :func:`webfem.splines.local_polynomial_1d` must reproduce exactly;
@@ -31,17 +38,19 @@ Scalar references the library itself does not need:
   :func:`webfem.geometry.classify_indices` must reproduce exactly.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 import numpy as np
+import scipy.sparse as sp
 
 from webfem.assembly import bilinear_form
 from webfem.geometry import CellLabel, IndexSets, ResolutionError
 from webfem.quadrature import build_quadrature, gauss_2d
 from webfem.splines import (
-    PolynomialPiece, SplineError, _elevated, dual_row, local_polynomial_1d,
-    nonzero_basis,
+    SplineError, _bern_interp_matrix, _bern_row, _cheb_nodes, dual_row,
+    local_polynomial_1d, nonzero_basis,
 )
 from webfem.webbasis import BasisError
 
@@ -53,8 +62,11 @@ def eval_web(basis, i, x, deriv=(0, 0)):
     applies the product rule with the weight. Exactly zero outside the
     support union and outside the domain.
     """
-    if i not in basis.idx.j_of_i:
+    idx = basis.idx
+    hit = np.flatnonzero(np.all(idx.inner == np.asarray(i), axis=1))
+    if hit.size == 0:
         raise BasisError(f"{i} is not an inner index")
+    couples = idx.pair_inner == hit[0]
     total = deriv[0] + deriv[1]
     if total > 1:
         raise BasisError("only values and first derivatives are supported")
@@ -64,13 +76,13 @@ def eval_web(basis, i, x, deriv=(0, 0)):
     def eb(d):
         val = (eval_bspline_deriv(grid.kvs[0], i[0], x[0], d[0])
                * eval_bspline_deriv(grid.kvs[1], i[1], x[1], d[1]))
-        for j in basis.idx.j_of_i[i]:
-            val += (basis.ext.entries[(i, j)]
-                    * eval_bspline_deriv(grid.kvs[0], j[0], x[0], d[0])
+        for j, e in zip(idx.outer[idx.pair_outer[couples]],
+                        basis.ext.entries[couples]):
+            val += (e * eval_bspline_deriv(grid.kvs[0], j[0], x[0], d[0])
                     * eval_bspline_deriv(grid.kvs[1], j[1], x[1], d[1]))
         return val
 
-    wxi = basis.w_center[basis.idx.imap[i]]
+    wxi = basis.w_center[hit[0]]
     w = float(basis.domain.weight(x[None, :])[0])
     if total == 0:
         return w * eb((0, 0)) / wxi
@@ -157,10 +169,10 @@ def _blossom(mono, args):
 
 
 def extension_exact(grid, idx):
-    """Exact ``e_{i,j} = lambda_j(p_{i,j})`` for every (inner, outer) pair of
-    ``idx``, as ``Fraction``s of the floating-point knots: the product over
-    the axes of the blossom of the piece of ``b_{i_a}`` on cell ``q_a`` at
-    the interior knots of ``b_{j_a}``."""
+    """Exact ``e_{i,j} = lambda_j(p_{i,j})`` for every coupling of ``idx``,
+    in coupling order, as ``Fraction``s of the floating-point knots: the
+    product over the axes of the blossom of the piece of ``b_{i_a}`` on cell
+    ``q_a`` at the interior knots of ``b_{j_a}``."""
     knots = [[Fraction(float(x)) for x in kv.knots] for kv in grid.kvs]
     cells = [[Fraction(float(x)) for x in kv.breakpoints] for kv in grid.kvs]
     factors = {}
@@ -173,12 +185,61 @@ def extension_exact(grid, idx):
             factors[key] = _blossom(mono, t[j_a + 1:j_a + m + 1])
         return factors[key]
 
-    out = {}
-    for j in idx.outer:
-        q = idx.q_cell[j]
-        for i in idx.i_of_j[j]:
-            out[(i, j)] = factor(0, i[0], j[0], q[0]) * factor(1, i[1], j[1], q[1])
-    return out
+    return [factor(0, i[0], j[0], q[0]) * factor(1, i[1], j[1], q[1])
+            for i, j, q in zip(idx.inner[idx.pair_inner].tolist(),
+                               idx.outer[idx.pair_outer].tolist(),
+                               idx.q_cell[idx.pair_outer].tolist())]
+
+
+def extension_matrix_loop(basis):
+    """The extension matrix E (n_inner x n_relevant) entry by entry: the
+    identity on inner columns, then the coefficients of ``basis.ext`` keyed
+    by their (inner, outer) index pair, in sorted order of the pairs."""
+    idx = basis.idx
+    inner = [tuple(i) for i in idx.inner.tolist()]
+    outer = [tuple(j) for j in idx.outer.tolist()]
+    kmap = {tuple(k): c for c, k in enumerate(idx.relevant.tolist())}
+    imap = {i: r for r, i in enumerate(inner)}
+    entries = {(inner[a], outer[b]): e for a, b, e in zip(
+        idx.pair_inner.tolist(), idx.pair_outer.tolist(),
+        basis.ext.entries.tolist())}
+    rows, cols, data = [], [], []
+    for r, i in enumerate(inner):
+        rows.append(r)
+        cols.append(kmap[i])
+        data.append(1.0)
+    for (i, j), e in sorted(entries.items()):
+        rows.append(imap[i])
+        cols.append(kmap[j])
+        data.append(e)
+    return sp.csr_matrix((data, (rows, cols)),
+                         shape=(basis.n_inner, basis.n_relevant))
+
+
+def project_loop(basis, f):
+    """Coefficients of the quasi-interpolant P_h f, one inner index at a
+    time: ``w(x_i) * deboor_fix`` of the interpolant of f/w on the
+    designated interior cell of ``b_i``."""
+    grid = basis.grid
+    dom = basis.domain
+    degrees = grid.degrees
+
+    def f_over_w(pts):
+        w = dom.weight(pts)
+        vals = np.asarray(f(pts), dtype=float) / w
+        return vals
+
+    coeffs = np.empty(basis.n_inner)
+    for r, (i, cell) in enumerate(zip(map(tuple, basis.idx.inner.tolist()),
+                                      map(tuple, basis.idx.center_cell.tolist()))):
+        (x0, x1), (y0, y1) = grid.cell_bounds(cell)
+        piece = interpolate_piece(f_over_w, (x0, y0), (x1, y1), degrees)
+        if not np.all(np.isfinite(piece.coeffs)):
+            raise BasisError(
+                f"f/w is not interpolable on the inner cell {cell} of index {i}; "
+                "the input does not vanish fast enough at the boundary")
+        coeffs[r] = basis.w_center[r] * deboor_fix(grid.kvs, i, piece)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +375,81 @@ def basis_values_point(basis, x):
 # ---------------------------------------------------------------------------
 # local pieces and dual functionals
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PolynomialPiece:
+    """Tensor-product polynomial in Bernstein form anchored at a reference cell.
+
+    Evaluation is defined everywhere (polynomial extension); on the
+    reference cell it coincides with the source it was built from. Pieces
+    that are products of univariate polynomials carry the Bernstein
+    ``factors`` per axis, which the dual functionals exploit for accuracy.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    coeffs: np.ndarray  # shape (d1+1, d2+1)
+    factors: tuple = None  # optional (cx, cy) with coeffs == outer(cx, cy)
+
+    @property
+    def degrees(self):
+        return (self.coeffs.shape[0] - 1, self.coeffs.shape[1] - 1)
+
+    def __call__(self, x, y):
+        c = self.coeffs
+        tx = (x - self.lo[0]) / (self.hi[0] - self.lo[0])
+        ty = (y - self.lo[1]) / (self.hi[1] - self.lo[1])
+        return _bern_row(c.shape[0] - 1, tx) @ c @ _bern_row(c.shape[1] - 1, ty)
+
+
+def interpolate_piece(f, lo, hi, degrees):
+    """Degree-``degrees`` tensor interpolant of ``f`` on the cell [lo, hi].
+
+    Interpolation nodes are tensor Chebyshev points strictly inside the
+    cell, so ``f`` is only evaluated in the open cell.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    n1, n2 = degrees
+    xs = lo[0] + (hi[0] - lo[0]) * _cheb_nodes(n1 + 1)
+    ys = lo[1] + (hi[1] - lo[1]) * _cheb_nodes(n2 + 1)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    vals = f(np.column_stack([X.ravel(), Y.ravel()])).reshape(n1 + 1, n2 + 1)
+    coeffs = _bern_interp_matrix(n1) @ vals @ _bern_interp_matrix(n2).transpose()
+    return PolynomialPiece(lo=lo, hi=hi, coeffs=coeffs)
+
+
+def _elevated(c, m):
+    """Bernstein coefficients (along axis 0) of the same polynomial at degree m."""
+    for k in range(c.shape[0], m + 1):
+        a = (np.arange(k + 1) / k).reshape((-1,) + (1,) * (c.ndim - 1))
+        pad = np.zeros((1,) + c.shape[1:])
+        c = a * np.concatenate([pad, c]) + (1.0 - a) * np.concatenate([c, pad])
+    return c
+
+
+def deboor_fix(kv_pair, multi_index, piece):
+    """de Boor-Fix dual functional of tensor basis ``multi_index`` applied to a piece.
+
+    Bi-orthogonality ``lambda_k(p_{k'}) = delta_{kk'}`` holds when ``piece``
+    is the local polynomial of B-spline ``k'`` on a cell inside both
+    supports. Pieces of lower degree are degree-elevated first.
+    """
+    m1, m2 = kv_pair[0].degree, kv_pair[1].degree
+    d1, d2 = piece.degrees
+    if d1 > m1 or d2 > m2:
+        raise SplineError(
+            f"piece degree {piece.degrees} exceeds basis degrees {(m1, m2)}")
+    r1 = dual_row(kv_pair[0], multi_index[0], piece.lo[0], piece.hi[0])
+    r2 = dual_row(kv_pair[1], multi_index[1], piece.lo[1], piece.hi[1])
+    if piece.factors is not None:
+        # product piece: apply the univariate functional per axis, which
+        # avoids forming large cross terms before they cancel
+        cx, cy = piece.factors
+        return float((r1 @ _elevated(cx, m1)) * (r2 @ _elevated(cy, m2)))
+    c = _elevated(_elevated(piece.coeffs, m1).T, m2).T
+    return float(r1 @ c @ r2)
+
 
 def local_polynomial(grid, multi_index, cell):
     """Tensor polynomial agreeing with B-spline ``multi_index`` on ``cell``.
@@ -461,7 +597,8 @@ def classify_indices_loop(grid, cls):
     as :func:`webfem.geometry.classify_indices`."""
     labels = cls.labels
     nbx, nby = grid.num_basis
-    interior_cells = cls.cells_with(CellLabel.INTERIOR)
+    interior_cells = [tuple(c) for c in
+                      np.argwhere(labels == CellLabel.INTERIOR).tolist()]
     if not interior_cells:
         raise ResolutionError(
             "no interior grid cells: the grid is too coarse for this domain; "
@@ -516,13 +653,18 @@ def classify_indices_loop(grid, cls):
         i_of_j[j] = sorted(i for i in covering if i in inner_set)
         alpha[j] = min((x1 - x0) / (ahi[0] - alo[0]), (y1 - y0) / (ahi[1] - alo[1]))
 
-    j_of_i = {i: [] for i in inner}
-    for j in outer:
-        for i in i_of_j[j]:
-            j_of_i[i].append(j)
-    for i in j_of_i:
-        j_of_i[i].sort()
+    position = {i: r for r, i in enumerate(inner)}
 
-    return IndexSets(relevant=relevant, inner=inner, outer=outer, q_cell=q_cell,
-                     i_of_j=i_of_j, j_of_i=j_of_i, center=center,
-                     center_cell=center_cell, alpha=alpha)
+    def rows(keys):
+        return np.array(keys, dtype=np.int64).reshape(-1, 2)
+
+    return IndexSets(
+        relevant=rows(relevant), inner=rows(inner), outer=rows(outer),
+        q_cell=rows([q_cell[j] for j in outer]),
+        alpha=np.array([alpha[j] for j in outer]),
+        center=np.array([center[i] for i in inner]),
+        center_cell=rows([center_cell[i] for i in inner]),
+        pair_inner=np.array([position[i] for j in outer for i in i_of_j[j]],
+                            dtype=np.int64),
+        pair_outer=np.array([b for b, j in enumerate(outer) for _ in i_of_j[j]],
+                            dtype=np.int64))

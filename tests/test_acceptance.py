@@ -19,11 +19,11 @@ from webfem.assembly import (
 from webfem.cli import bundled_config_dir, load_config, run
 from webfem.geometry import Disk, ImplicitDomain, classify_cells
 from webfem.quadrature import build_quadrature
-from webfem.splines import KnotVector, TensorGrid, deboor_fix, uniform_knots
+from webfem.splines import KnotVector, TensorGrid, uniform_knots
 from webfem.solvers import solve_plap
 from webfem.webbasis import build_web_basis
 
-from oracles import integrate, local_polynomial, raw_weighted_gram
+from oracles import deboor_fix, integrate, local_polynomial, raw_weighted_gram
 
 
 def _passline(n, text):

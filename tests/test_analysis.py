@@ -262,7 +262,8 @@ class TestNestedIteration:
         two = run_convergence(make(), study)
         one = run_convergence(make(), replace(study, levels=1))
         first = two.levels[0]
-        for key in ("errors", "residual_history", "iterations", "start"):
+        for key in ("errors", "residual_history", "converged", "iterations",
+                    "start"):
             assert first[key] == one.levels[0][key]
         assert first["start"] == "zero"
         assert first["iterations"] == iterations
@@ -275,12 +276,14 @@ class TestNestedIteration:
                                BENCH_STUDIES["plap"][1])
         assert plap.levels[1]["iterations"] <= 4
         assert len(plap.levels[1]["residual_history"]) == 2
+        assert plap.levels[1]["converged"] == [True, True]
         stokes = run_convergence(BENCH_STUDIES["stokes"][0](),
                                  BENCH_STUDIES["stokes"][1])
         warm = stokes.levels[1]
         assert warm["iterations"] <= 3
         # the residual before the first (undamped) step leads the history
         assert warm["iterations"] == len(warm["residual_history"][0]) - 1
+        assert warm["converged"] == [True]
         assert warm["incompressibility"] <= 1e-8
 
     def test_nearly_degenerate_exponent_converges_from_prolonged_starts(self):

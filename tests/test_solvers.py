@@ -116,6 +116,18 @@ class TestPlapSolver:
             for a, b in zip(e, e[1:]):
                 assert b <= a + 1e-12 + 1e-12 * abs(a)
 
+    def test_stages_say_whether_they_converged(self):
+        # a stage that runs out of steps says so, and the next one goes on
+        # from its last iterate; only an unconverged last stage raises
+        basis, quad, tables = disk_setup(n_cells=8)
+        opts = SolveOptions(max_iterations=3)
+        sol = solve_plap(basis, 1.5, lambda p: 3.0 + p[:, 0], tables, opts)
+        stages = sol.params["stages"]
+        assert [s["converged"] for s in stages] == [
+            s["residuals"][-1] <= opts.nonlinear_tol for s in stages]
+        assert len(stages[0]["residuals"]) == opts.max_iterations + 1
+        assert not stages[0]["converged"] and stages[-1]["converged"]
+
     def test_newton_superlinear_tail(self):
         # restart at the final regularization from a perturbed iterate so the
         # last stage runs several steps; the tail must contract superlinearly
@@ -129,8 +141,9 @@ class TestPlapSolver:
         f_vals = f(tables.points)
         make = partial(PlapIterate, basis, tables, p=3.0, eps=1e-8,
                        f_vals=f_vals)
-        _, residuals, _ = _newton_stage(make, c0, _plap_step,
-                                        SolveOptions(nonlinear_tol=1e-12))
+        _, residuals, _, converged = _newton_stage(
+            make, c0, _plap_step, SolveOptions(nonlinear_tol=1e-12))
+        assert converged
         tail = [r for r in residuals if r > 1e-13][-3:]
         assert len(tail) == 3
         for r0, r1 in zip(tail, tail[1:]):

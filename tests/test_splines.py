@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from webfem.splines import (
-    KnotVector, PolynomialPiece, SplineError, TensorGrid, deboor_fix,
-    dual_row, graded_knots, interpolate_piece, local_polynomial_1d,
-    nonzero_basis, refinement_matrix, uniform_knots,
+    KnotVector, SplineError, TensorGrid, dual_row, graded_knots,
+    local_polynomial_1d, nonzero_basis, refinement_matrix, uniform_knots,
 )
 
 from oracles import (
-    dual_functional_1d, eval_bspline, eval_bspline_deriv, eval_tensor_bspline,
+    PolynomialPiece, deboor_fix, dual_functional_1d, eval_bspline,
+    eval_bspline_deriv, eval_tensor_bspline, interpolate_piece,
     local_polynomial, local_polynomial_1d_loop,
 )
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, reject, settings, strategies as st
 
 from webfem.geometry import (
@@ -10,8 +11,7 @@ from webfem.geometry import (
 )
 from webfem.quadrature import build_quadrature
 from webfem.splines import (
-    KnotVector, TensorGrid, deboor_fix, graded_knots, interpolate_piece,
-    nonzero_basis, uniform_knots,
+    KnotVector, TensorGrid, graded_knots, nonzero_basis, uniform_knots,
 )
 from webfem.solvers import SolutionField
 from webfem.webbasis import (
@@ -20,10 +20,12 @@ from webfem.webbasis import (
 )
 
 from oracles import (
-    basis_values_point, eval_field_loop, eval_tensor_bspline, eval_web,
-    extension_exact, local_polynomial,
+    basis_values_point, deboor_fix, eval_field_loop, eval_tensor_bspline,
+    eval_web, extension_exact, extension_matrix_loop, interpolate_piece,
+    local_polynomial, project_loop,
 )
 from strategies import r_trees
+from test_geometry import knot_vector
 
 
 def disk_basis(n_cells=14, degree=2, half=1.1):
@@ -78,9 +80,8 @@ def eval_eb_combo(basis, coeffs, pts):
 class TestExtension:
     def test_interior_index_has_no_entries(self):
         basis = disk_basis()
-        deep = min(basis.idx.inner,
-                   key=lambda i: np.linalg.norm(basis.idx.center[i]))
-        assert basis.idx.j_of_i[deep] == []
+        deep = np.argmin(np.linalg.norm(basis.idx.center, axis=1))
+        assert deep not in basis.idx.pair_inner
 
     def test_1d_hat_extrapolation_weights(self):
         # slab domain (1.5, 3.5) on uniform degree-1 knots: the outer hat
@@ -92,11 +93,11 @@ class TestExtension:
         cls = classify_cells(dom, grid)
         idx = classify_indices(grid, cls)
         ext = build_extension(grid, idx)
-        outer_x = sorted({j for j, _ in idx.outer})
-        assert outer_x == [1, 4]
-        some_jy = sorted({jy for jx, jy in idx.outer if jx == 1})[3]
-        j = (1, some_jy)
-        coeffs = {i: ext.entries[(i, j)] for i in idx.i_of_j[j]}
+        assert np.unique(idx.outer[:, 0]).tolist() == [1, 4]
+        some_jy = np.unique(idx.outer[idx.outer[:, 0] == 1, 1])[3]
+        sel = np.all(idx.outer[idx.pair_outer] == (1, some_jy), axis=1)
+        coeffs = dict(zip(map(tuple, idx.inner[idx.pair_inner[sel]].tolist()),
+                          ext.entries[sel]))
         assert coeffs[(2, some_jy)] == pytest.approx(2.0, abs=1e-12)
         assert coeffs[(3, some_jy)] == pytest.approx(-1.0, abs=1e-12)
         assert coeffs[(2, some_jy - 1)] == pytest.approx(0.0, abs=1e-12)
@@ -114,10 +115,10 @@ class TestExtension:
             grid = TensorGrid(kv, kv)
         idx = disk_indices(grid)
         entries = build_extension(grid, idx).entries
-        assert len(entries) == sum(len(v) for v in idx.i_of_j.values()) > 0
-        for (i, j), e in entries.items():
-            piece = local_polynomial(grid, i, idx.q_cell[j])
-            assert e == deboor_fix(grid.kvs, j, piece)
+        assert len(entries) == len(idx.pair_inner) > 0
+        for a, b, e in zip(idx.pair_inner, idx.pair_outer, entries):
+            piece = local_polynomial(grid, idx.inner[a], idx.q_cell[b])
+            assert e == deboor_fix(grid.kvs, idx.outer[b], piece)
 
     @pytest.mark.parametrize("graded", [False, True])
     @pytest.mark.parametrize("n_cells", [4, 8, 16])
@@ -132,9 +133,9 @@ class TestExtension:
         idx = disk_indices(grid)
         entries = build_extension(grid, idx).entries
         exact = extension_exact(grid, idx)
-        assert entries.keys() == exact.keys()
-        for key, e in entries.items():
-            assert abs(Fraction(e) - exact[key]) <= 1e-13 * max(abs(e), 1.0), key
+        assert len(entries) == len(exact)
+        for c, (e, x) in enumerate(zip(entries.tolist(), exact)):
+            assert abs(Fraction(e) - x) <= 1e-13 * max(abs(e), 1.0), c
 
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(grid=disk_grids(), seed=st.integers(0, 2 ** 32 - 1))
@@ -148,11 +149,12 @@ class TestExtension:
         P = lambda pts: np.einsum("ab,na,nb->n", A,
                                   pts[:, :1] ** np.arange(m1 + 1),
                                   pts[:, 1:] ** np.arange(m2 + 1))
-        for j in idx.outer:
-            (x0, x1), (y0, y1) = grid.cell_bounds(idx.q_cell[j])
+        for b, j in enumerate(idx.outer):
+            (x0, x1), (y0, y1) = grid.cell_bounds(idx.q_cell[b])
             piece = interpolate_piece(P, (x0, y0), (x1, y1), grid.degrees)
-            terms = [entries[(i, j)] * deboor_fix(grid.kvs, i, piece)
-                     for i in idx.i_of_j[j]]
+            sel = idx.pair_outer == b
+            terms = [e * deboor_fix(grid.kvs, i, piece) for i, e in
+                     zip(idx.inner[idx.pair_inner[sel]], entries[sel])]
             lhs = deboor_fix(grid.kvs, j, piece)
             scale = max(1.0, sum(abs(t) for t in terms))
             assert abs(lhs - sum(terms)) <= 1e-9 * scale
@@ -160,15 +162,14 @@ class TestExtension:
     def test_eb_polynomial_reproduction(self):
         # the eb expansion with dual-functional coefficients reproduces any
         # polynomial of coordinate degree <= m at points inside the domain
-        from webfem.splines import deboor_fix, interpolate_piece
         basis = disk_basis(n_cells=12, degree=2)
         grid = basis.grid
         rng = np.random.default_rng(21)
         q = lambda pts: (1.0 + 0.5 * pts[:, 0] - pts[:, 1]
                          + 0.25 * pts[:, 0] ** 2 * pts[:, 1] ** 2)
         lam = np.empty(basis.n_inner)
-        for r, i in enumerate(basis.idx.inner):
-            cell = basis.idx.center_cell[i]
+        for r, (i, cell) in enumerate(zip(basis.idx.inner,
+                                          basis.idx.center_cell)):
             (x0, x1), (y0, y1) = grid.cell_bounds(cell)
             piece = interpolate_piece(q, (x0, y0), (x1, y1), grid.degrees)
             lam[r] = deboor_fix(grid.kvs, i, piece)
@@ -194,23 +195,21 @@ class TestExtension:
         # check the reporting path end to end
         from webfem.webbasis import WebBasis
         basis = disk_basis(n_cells=8)
-        assert basis.alpha_warnings == []
-        j = basis.idx.outer[0]
-        basis.idx.alpha[j] = 0.05
+        assert basis.summary()["alpha_warnings"] == []
+        basis.idx.alpha[0] = 0.05
         patched = WebBasis(basis.grid, basis.domain, basis.cls, basis.idx,
                            basis.ext)
-        assert patched.alpha_warnings == [j]
-        assert patched.summary()["alpha_warnings"] == [list(j)]
+        assert np.array_equal(patched.alpha_warnings, basis.idx.outer[:1])
+        assert patched.summary()["alpha_warnings"] == [basis.idx.outer[0].tolist()]
 
 
 class TestEvalWeb:
     def test_weight_normalization_at_center(self):
         basis = disk_basis()
-        deep = min(basis.idx.inner,
-                   key=lambda i: np.linalg.norm(basis.idx.center[i]))
-        x = basis.idx.center[deep]
-        expect = eval_tensor_bspline(basis.grid, deep, x)
-        assert eval_web(basis, deep, x) == pytest.approx(expect, rel=1e-12)
+        deep = np.argmin(np.linalg.norm(basis.idx.center, axis=1))
+        i, x = basis.idx.inner[deep], basis.idx.center[deep]
+        expect = eval_tensor_bspline(basis.grid, i, x)
+        assert eval_web(basis, i, x) == pytest.approx(expect, rel=1e-12)
 
     def test_vanishes_on_boundary(self):
         basis = disk_basis()
@@ -240,7 +239,7 @@ class TestEvalWeb:
         basis = disk_basis(n_cells=10)
         i = basis.idx.inner[0]
         lo, hi = basis.grid.support_box(i)
-        for j in basis.idx.j_of_i[i]:
+        for j in basis.idx.outer[basis.idx.pair_outer[basis.idx.pair_inner == 0]]:
             jlo, jhi = basis.grid.support_box(j)
             lo = np.minimum(lo, jlo)
             hi = np.maximum(hi, jhi)
@@ -416,6 +415,38 @@ class TestProjector:
         c1 = project(basis, f)
         c2 = project(basis, lambda pts: eval_field(basis, c1, pts))
         assert np.max(np.abs(c2 - c1)) <= 1e-10
+
+
+class TestArrayPathsOracle:
+    """The extension matrix and the projector, built from the index arrays
+    in one pass, against the dict-based and per-index paths they replaced."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "min", "max", "explicit"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_match_the_loops_on_disk_grids(self, degree, kind):
+        grid = TensorGrid(knot_vector(kind, degree, 12, 0.02),
+                          knot_vector(kind, degree, 13, -0.03))
+        basis = build_web_basis(ImplicitDomain(Disk([0.0, 0.0], 1.0)), grid)
+        assert len(basis.idx.pair_inner) > 0
+        got = basis.coupling_matrix()
+        want = (sp.diags(1.0 / basis.w_center)
+                @ extension_matrix_loop(basis)).tocsr()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        f = lambda pts: (basis.domain.weight(pts)
+                         * np.exp(pts[:, 0] - 0.5 * pts[:, 1]))
+        ref = project_loop(basis, f)
+        assert np.max(np.abs(project(basis, f) - ref)) <= \
+            1e-13 * np.max(np.abs(ref))
+
+    def test_not_interpolable_reported_at_the_first_index(self):
+        basis = disk_basis(n_cells=8)
+        f = lambda pts: np.where(pts[:, 0] > 0.5, np.nan, 0.0)
+        with pytest.raises(BasisError, match="not interpolable") as got:
+            project(basis, f)
+        with pytest.raises(BasisError) as want:
+            project_loop(basis, f)
+        assert str(got.value) == str(want.value)
 
 
 def prolongation_grid(kind, degree):
