@@ -15,7 +15,7 @@ import numpy as np
 from .assembly import (
     BasisTables, PressureSpace, gram_condition_estimate, project_pressure,
 )
-from .geometry import CellLabel, GeometryError, domain_from_config
+from .geometry import CellLabel, GeometryError, domain_from_config, squared_norm
 from .quadrature import build_quadrature
 from .solvers import (
     SolveOptions, estimate_infsup, solve_plap, solve_quasi_newtonian,
@@ -106,25 +106,25 @@ def _error_norms(field, case, norms, quad, sample, p=None):
     exact_grad = case.gradient(pts)
     ev = np.where(inside, case.solution(pts) - vals, 0.0)
     eg = np.where(inside[:, None], exact_grad - grads, 0.0)
+    eg2 = squared_norm(eg)
     p = p if p is not None else case.params.get("p")
     out = {}
     for norm in norms:
         if norm == "L2":
             out[norm] = float(np.sqrt(np.sum(w * ev ** 2)))
         elif norm == "H1":
-            out[norm] = float(np.sqrt(np.sum(
-                w * (ev ** 2 + np.sum(eg ** 2, axis=1)))))
+            out[norm] = float(np.sqrt(np.sum(w * (ev ** 2 + eg2))))
         elif norm == "W1p":
             if p is None or p <= 1:
                 raise AnalysisError(f"W1p norm needs an exponent p > 1, got {p}")
-            s = np.sum(eg ** 2, axis=1) ** (0.5 * p)
+            s = eg2 ** (0.5 * p)
             out[norm] = float(np.sum(w * s) ** (1.0 / p))
         else:
             if p is None or p <= 1:
                 raise AnalysisError(
                     f"quasi-norm needs an exponent p > 1, got {p}")
-            gs = np.linalg.norm(exact_grad, axis=1)
-            ge = np.linalg.norm(eg, axis=1)
+            gs = np.sqrt(squared_norm(exact_grad))
+            ge = np.sqrt(eg2)
             base = gs + ge
             weight = np.zeros_like(base)
             pos = base > 0
@@ -144,8 +144,7 @@ def _mixed_norms(field, case, norms, quad, sample):
         ev = np.where(inside[:, None], case.velocity(pts) - vals, 0.0)
         eg = np.where(inside[:, None, None],
                       case.velocity_gradient(pts) - grads, 0.0)
-        x2 = np.sum(w * (np.sum(ev ** 2, axis=1)
-                         + np.sum(eg ** 2, axis=(1, 2))))
+        x2 = np.sum(w * (squared_norm(ev) + squared_norm(eg)))
         out["Xnorm"] = float(np.sqrt(x2))
     if "pressure_L2" in norms or "combined" in norms:
         pv = pressure(pts)

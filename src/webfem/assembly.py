@@ -4,9 +4,10 @@ Assembly is table-driven: the weighted tensor-product basis (w * b_k) and
 its first partials are tabulated once per quadrature rule, together with a
 sparsity plan of the per-cell blocks. Every operator (including each
 Newton reassembly) then reduces to batched per-cell matrix products
-scattered into the fixed pattern. Systems are assembled in the full
-relevant basis and reduced to the web basis with the coupling matrix
-``Ebar = diag(1/w(x_i)) E``:  A_web = Ebar A Ebar^T.
+scattered into the fixed pattern, and every load or residual vector to
+batched per-cell sums scattered to the cell's basis row. Systems are
+assembled in the full relevant basis and reduced to the web basis with the
+coupling matrix ``Ebar = diag(1/w(x_i)) E``:  A_web = Ebar A Ebar^T.
 
 Every web-basis matrix (stiffness, mass, seminorm Gram, each Newton
 Jacobian and each velocity block of the mixed system) reduces through the
@@ -24,6 +25,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from .geometry import squared_norm
 from .webbasis import BasisValues
 
 
@@ -180,27 +182,40 @@ def bilinear_form(plan, qw, terms):
 
 
 def _form_data(plan, qw, terms):
-    """``data`` of :func:`bilinear_form`, without building the matrix."""
+    """``data`` of :func:`bilinear_form`, without building the matrix.
+
+    The weighted operand c qw Fa is formed batch by batch, so that no
+    temporary is larger than one batch of points.
+    """
     seg = plan.segments
     local = None
     for c, fa, fb in terms:
-        wa = (qw * c)[:, None] * fa
+        wc = qw * c
         if local is None:
             local = np.zeros((seg.num_cells, fa.shape[1], fb.shape[1]))
         for lo, hi, p0, p1, k in seg.batches:
-            a = wa[p0:p1].reshape(hi - lo, k, -1)
+            a = (wc[p0:p1, None] * fa[p0:p1]).reshape(hi - lo, k, -1)
             b = fb[p0:p1].reshape(hi - lo, k, -1)
             local[lo:hi] += np.matmul(a.transpose(0, 2, 1), b)
     return np.bincount(plan.scatter, weights=local.ravel(), minlength=plan.nnz)
 
 
-def linear_form(idx, qw, terms, n_cols):
-    """Vector  sum_q qw_q * sum_t c_t(q) F_t(q, a) scattered to columns."""
-    acc = None
+def linear_form(segments, cols, qw, terms, n_cols):
+    """Vector  sum_q qw_q * sum_t c_t(q) F_t(q, a)  scattered to columns.
+
+    ``terms`` is an iterable of (c, F) with c of shape (N,) or a scalar and
+    F of shape (N, na). All points of a run of ``segments`` share the
+    columns ``cols`` (n_cells, na) of that run, so each batch reduces over
+    its points as one batched product (runs, 1, k) @ (runs, k, na), and
+    one bincount scatters the per-cell sums.
+    """
+    local = np.zeros(cols.shape)
     for c, fa in terms:
-        contrib = (qw * c)[:, None] * fa
-        acc = contrib if acc is None else acc + contrib
-    return np.bincount(idx.ravel(), weights=acc.ravel(), minlength=n_cols)
+        wc = qw * c
+        for lo, hi, p0, p1, k in segments.batches:
+            local[lo:hi] += np.matmul(wc[p0:p1].reshape(hi - lo, 1, k),
+                                      fa[p0:p1].reshape(hi - lo, k, -1))[:, 0]
+    return np.bincount(cols.ravel(), weights=local.ravel(), minlength=n_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +286,10 @@ class BasisTables(BasisValues):
         return sp.csr_matrix((data, web.indices, web.indptr), shape=web.shape)
 
     def web_load(self, terms):
-        """Web-basis vector  Ebar F  of F = ``linear_form(idx, qw, terms)``."""
+        """Web-basis vector  Ebar F  of F = ``linear_form(segments,
+        cell_idx, qw, terms)``."""
         return self.basis.coupling_matrix() @ linear_form(
-            self.idx, self.qw, terms, self.n_cols)
+            self.segments, self.cell_idx, self.qw, terms, self.n_cols)
 
     @cached_property
     def velocity_pattern(self):
@@ -353,7 +369,7 @@ class PlapIterate:
         self.tables, self.coeffs, self.p, self.f_vals = tables, coeffs, p, f_vals
         self.u, self.g = tables.field(basis.coupling_matrix().T @ coeffs,
                                       grad=True)
-        self.base = eps ** 2 + np.sum(self.g * self.g, axis=1)
+        self.base = eps ** 2 + squared_norm(self.g)
         self.mu = self.base ** (0.5 * (p - 2.0))
         # (1/p) int base^{p/2} + 1/2 int u^2 - int f u
         dens = (self.base ** (0.5 * p) / p + 0.5 * self.u * self.u
@@ -545,10 +561,12 @@ def pressure_mass_and_integral(pspace, quad):
     """Block-diagonal pressure mass matrix and the vector of basis integrals."""
     cols, vals = pspace.tables(quad)
     seg = CellSegments(quad.cell_ids)
-    plan = SparsityPlan(seg, cols[seg.starts], cols[seg.starts],
+    cell_cols = cols[seg.starts]
+    plan = SparsityPlan(seg, cell_cols, cell_cols,
                         (pspace.n_dofs, pspace.n_dofs))
     M = bilinear_form(plan, quad.weights, [(1.0, vals, vals)])
-    g = linear_form(cols, quad.weights, [(1.0, vals)], pspace.n_dofs)
+    g = linear_form(seg, cell_cols, quad.weights, [(1.0, vals)],
+                    pspace.n_dofs)
     return M, g
 
 
@@ -557,7 +575,9 @@ def project_pressure(pspace, quad, p_exact):
     cols, vals = pspace.tables(quad)
     p_vals = p_exact(quad.points) if callable(p_exact) else np.asarray(p_exact)
     M, _ = pressure_mass_and_integral(pspace, quad)
-    rhs = linear_form(cols, quad.weights, [(p_vals, vals)], pspace.n_dofs)
+    seg = CellSegments(quad.cell_ids)
+    rhs = linear_form(seg, cols[seg.starts], quad.weights, [(p_vals, vals)],
+                      pspace.n_dofs)
     nd = pspace.ndof_cell
     # M is block diagonal: gather its per-patch blocks, O(n_dofs * nd)
     coo = M.tocoo()

@@ -21,6 +21,22 @@ class ResolutionError(RuntimeError):
     """Grid too coarse for the domain (no inner B-splines)."""
 
 
+def squared_norm(v):
+    """Squared Euclidean norm of each row of (N, 2) vectors, or squared
+    Frobenius norm of (N, 2, 2) matrices.
+
+    Component by component, ``v0*v0 + v1*v1 (+ v2*v2 + v3*v3)``: the
+    summation order of ``np.sum(v * v, axis=...)`` over the trailing axes,
+    which it equals bit for bit, without numpy's slow reduction over a
+    length-2 axis.
+    """
+    v = v.reshape(v.shape[0], -1)
+    out = v[:, 0] * v[:, 0]
+    for k in range(1, v.shape[1]):
+        out += v[:, k] * v[:, k]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # primitives and R-function combinators
 # ---------------------------------------------------------------------------
@@ -43,8 +59,8 @@ class Disk(_Node):
         self.radius = float(radius)
 
     def value(self, pts):
-        d = pts - self.center
-        return (self.radius ** 2 - np.sum(d * d, axis=1)) / (2.0 * self.radius)
+        return ((self.radius ** 2 - squared_norm(pts - self.center))
+                / (2.0 * self.radius))
 
     def gradient(self, pts):
         return -(pts - self.center) / self.radius
@@ -264,7 +280,6 @@ class CellClassification:
     """Per-cell label over a TensorGrid; ``labels[jx, jy]`` is a CellLabel."""
 
     labels: np.ndarray
-    samples_per_axis: int
 
     def counts(self):
         return {lab.name.lower(): int(np.sum(self.labels == lab))
@@ -297,7 +312,7 @@ def classify_cells(domain, grid, samples_per_axis=5):
         neg = np.all(vals < 0.0, axis=1)
         labels[jx] = np.where(pos, CellLabel.INTERIOR,
                               np.where(neg, CellLabel.EXTERIOR, CellLabel.BOUNDARY))
-    return CellClassification(labels=labels, samples_per_axis=samples_per_axis)
+    return CellClassification(labels=labels)
 
 
 # ---------------------------------------------------------------------------

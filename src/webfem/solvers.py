@@ -1,6 +1,7 @@
 """Solvers for the three problem classes.
 
-* variable-coefficient Poisson: conjugate gradients on the SPD web system,
+* variable-coefficient Poisson: Jacobi-preconditioned conjugate gradients
+  on the SPD web system,
 * p-Laplacian: damped Newton on the eps-regularized residual with
   eps-continuation, every stage at the requested exponent,
 * quasi-Newtonian Stokes: damped Newton on the Carreau energy, each step a
@@ -118,7 +119,8 @@ class PressureField:
 # ---------------------------------------------------------------------------
 
 def solve_vcpe(basis, a, f, tables, opts=None):
-    """Conjugate-gradient solve of the variable-coefficient Poisson system."""
+    """Jacobi-preconditioned conjugate-gradient solve of the
+    variable-coefficient Poisson system."""
     opts = opts or SolveOptions()
     system = assemble_vcpe(basis, a, f, tables)
     A, F = system.matrix, system.rhs
@@ -128,7 +130,8 @@ def solve_vcpe(basis, a, f, tables, opts=None):
         history.append(float(np.linalg.norm(F - A @ xk)))
 
     c, info = spla.cg(A, F, rtol=opts.linear_tol, atol=0.0,
-                      maxiter=opts.max_linear_iterations, callback=cb)
+                      maxiter=opts.max_linear_iterations, callback=cb,
+                      M=sp.diags(1.0 / A.diagonal()))
     if info != 0:
         raise SolverError(
             f"CG failed to reach rtol {opts.linear_tol} within "

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import classify_cells, classify_indices
+from .geometry import classify_cells, classify_indices, squared_norm
 from .splines import (
     dual_row, interpolate_pieces, nonzero_basis, refinement_matrix,
 )
@@ -318,4 +318,4 @@ def jackson_error(basis, u, grad_u, quad):
     ev = np.where(inside, np.asarray(u(quad.points), dtype=float) - vals, 0.0)
     eg = np.where(inside[:, None],
                   np.asarray(grad_u(quad.points), dtype=float) - grads, 0.0)
-    return float(np.sqrt(np.sum(quad.weights * (ev ** 2 + np.sum(eg ** 2, axis=1)))))
+    return float(np.sqrt(np.sum(quad.weights * (ev ** 2 + squared_norm(eg)))))

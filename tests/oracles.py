@@ -33,6 +33,9 @@ Scalar references the library itself does not need:
   integral);
 * ``raw_weighted_gram`` (Gram matrix of the unextended weighted basis) and
   ``assemble_dipole_rhs`` (load of a dipole source ``f = div d``);
+* ``linear_form_points``: the load vector scattered point by point, which
+  the per-cell :func:`webfem.assembly.linear_form` must reproduce to
+  rounding;
 * ``classify_indices_loop``: the index classification one B-spline at a
   time, with the Hausdorff distance taken one outer support at a time, which
   :func:`webfem.geometry.classify_indices` must reproduce exactly.
@@ -548,6 +551,16 @@ def raw_weighted_gram(tables):
     """Gram matrix of the raw weighted basis {w b_k, k in K} (no extension)."""
     return bilinear_form(tables.plan, tables.qw,
                          [(1.0, tables.wb, tables.wb)])
+
+
+def linear_form_points(idx, qw, terms, n_cols):
+    """Vector  sum_q qw_q * sum_t c_t(q) F_t(q, a)  with every point's row
+    scattered to its own columns ``idx`` (N, na)."""
+    acc = None
+    for c, fa in terms:
+        contrib = (qw * c)[:, None] * fa
+        acc = contrib if acc is None else acc + contrib
+    return np.bincount(idx.ravel(), weights=acc.ravel(), minlength=n_cols)
 
 
 def assemble_dipole_rhs(basis, d, tables):

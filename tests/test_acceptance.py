@@ -152,7 +152,8 @@ def test_criterion_07_p2_degeneration():
     stiff = assemble_vcpe(basis, 1.0, 0.0, tables).matrix
     mass = assemble_mass(basis, tables)
     F = basis.coupling_matrix() @ linear_form(
-        tables.idx, tables.qw, [(f(quad.points), tables.wb)], tables.n_cols)
+        tables.segments, tables.cell_idx, tables.qw,
+        [(f(quad.points), tables.wb)], tables.n_cols)
     c_lin = spla.spsolve((stiff + mass).tocsc(), F)
     sol = solve_plap(basis, 2.0, f, tables)
     diff = float(np.max(np.abs(sol.coeffs - c_lin)))

@@ -171,6 +171,40 @@ class TestErrorNorms:
         assert error_norms(field, case, ("combined",), quad) == {
             "combined": got["combined"]}
 
+    def test_norms_equal_the_axis_sums(self):
+        # the norms as written with numpy's axis reductions, on the same
+        # samples: the component-wise sums must give the same bits
+        case, field, quad = self.random_field("plap_p15_w2p")
+        pts, w, p = quad.points, quad.weights, case.params["p"]
+        vals, grads = field(pts, grad=True)
+        inside = field.basis.domain.inside(pts)
+        ev = np.where(inside, case.solution(pts) - vals, 0.0)
+        eg = np.where(inside[:, None], case.gradient(pts) - grads, 0.0)
+        ge = np.linalg.norm(eg, axis=1)
+        base = np.linalg.norm(case.gradient(pts), axis=1) + ge
+        weight = np.zeros_like(base)
+        weight[base > 0] = base[base > 0] ** (p - 2.0)
+        assert error_norms(field, case, ("L2", "H1", "W1p", "quasinorm"),
+                           quad) == {
+            "L2": float(np.sqrt(np.sum(w * ev ** 2))),
+            "H1": float(np.sqrt(np.sum(
+                w * (ev ** 2 + np.sum(eg ** 2, axis=1))))),
+            "W1p": float(np.sum(
+                w * np.sum(eg ** 2, axis=1) ** (0.5 * p)) ** (1.0 / p)),
+            "quasinorm": float(np.sqrt(np.sum(w * weight * ge ** 2)))}
+
+        case, velocity, quad = self.random_field("stokes_carreau",
+                                                  components=2)
+        pts, w = quad.points, quad.weights
+        vals, grads = velocity(pts, grad=True)
+        inside = velocity.basis.domain.inside(pts)
+        ev = np.where(inside[:, None], case.velocity(pts) - vals, 0.0)
+        eg = np.where(inside[:, None, None],
+                      case.velocity_gradient(pts) - grads, 0.0)
+        got = error_norms((velocity, None), case, ("Xnorm",), quad)
+        assert got["Xnorm"] == float(np.sqrt(np.sum(
+            w * (np.sum(ev ** 2, axis=1) + np.sum(eg ** 2, axis=(1, 2))))))
+
     def test_errors_keep_messages(self):
         case, field, quad = self.random_field("disk_poisson")
         with pytest.raises(AnalysisError, match="unknown norm 'unknown-norm'"):

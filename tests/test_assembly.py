@@ -1,11 +1,15 @@
 import dataclasses
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, reject, settings, strategies as st
 
+from webfem import cli
+from webfem.analysis import assembly_quadrature
 from webfem.assembly import (
     AssemblyError, BasisTables, CellSegments, CoercivityError, PressureSpace,
     SparsityPlan, WebReductionPlan, assemble_mass, assemble_mixed,
@@ -15,22 +19,28 @@ from webfem.assembly import (
 )
 from webfem.geometry import (
     Conjunction, Disk, ImplicitDomain, ResolutionError, box, classify_cells,
+    domain_from_config,
 )
 from webfem.quadrature import build_quadrature
 from webfem.solvers import velocity_seminorm_gram
 from webfem.splines import TensorGrid, uniform_knots
 from webfem.webbasis import build_web_basis, project
 
-from oracles import assemble_dipole_rhs, eval_web
+from oracles import assemble_dipole_rhs, eval_web, linear_form_points
 from strategies import r_trees
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-def disk_setup(n_cells=8, degree=2, g=None, depth=5):
+import workloads  # noqa: E402
+
+
+def disk_setup(n_cells=8, degree=2, g=None, depth=5, gauss_leaf=None):
     kv = uniform_knots(-1.1, 1.1, n_cells, degree)
     grid = TensorGrid(kv, kv)
     dom = ImplicitDomain(Disk([0.0, 0.0], 1.0))
     basis = build_web_basis(dom, grid)
-    quad = build_quadrature(dom, grid, basis.cls, g or degree + 1, depth)
+    quad = build_quadrature(dom, grid, basis.cls, g or degree + 1, depth,
+                            gauss_leaf)
     tables = BasisTables(basis, quad)
     return basis, quad, tables
 
@@ -161,8 +171,7 @@ class TestDipole:
                                        p[:, 0] * p[:, 1]])
         f = lambda p: np.cos(p[:, 0]) * np.cos(p[:, 1]) + p[:, 0]
         F_dip = assemble_dipole_rhs(basis, d, tables)
-        from webfem.assembly import linear_form
-        F_src = basis.coupling_matrix() @ linear_form(
+        F_src = basis.coupling_matrix() @ linear_form_points(
             tables.idx, tables.qw, [(f(quad.points), tables.wb)], tables.n_cols)
         assert np.max(np.abs(F_dip - F_src)) <= 1e-6
 
@@ -181,6 +190,14 @@ class TestPlap:
         ref = (stiff + mass).toarray()
         assert np.max(np.abs(J0.toarray() - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.max(np.abs(J1.toarray() - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_base_equals_the_axis_sum(self):
+        basis, quad, tables = disk_setup(n_cells=6)
+        c = np.random.default_rng(5).normal(size=basis.n_inner)
+        state = PlapIterate(basis, tables, c, 1.5, 1e-1,
+                            np.zeros(tables.num_points))
+        assert np.array_equal(state.base,
+                              1e-1 ** 2 + np.sum(state.g * state.g, axis=1))
 
     def test_zero_iterate_zero_source(self):
         basis, quad, tables = disk_setup(n_cells=6)
@@ -288,8 +305,9 @@ class TestPressure:
         sliced per patch."""
         cols, vals = pspace.tables(quad)
         M, _ = pressure_mass_and_integral(pspace, quad)
-        rhs = linear_form(cols, quad.weights, [(p_exact(quad.points), vals)],
-                          pspace.n_dofs)
+        seg = CellSegments(quad.cell_ids)
+        rhs = linear_form(seg, cols[seg.starts], quad.weights,
+                          [(p_exact(quad.points), vals)], pspace.n_dofs)
         nd = pspace.ndof_cell
         out = np.zeros(pspace.n_dofs)
         Md = M.toarray()
@@ -421,9 +439,64 @@ def assert_close(actual, reference):
     assert np.max(np.abs(actual - reference)) <= 1e-12 * scale
 
 
+def workload_levels(workload, tmp_path):
+    """(study, quad, tables) of each level of a benchmark workload at seed 0."""
+    cfg = cli.load_config(workloads.write_config(workload, 0, tmp_path))
+    study = cli._study_from_config(cfg)
+    dom = domain_from_config(cli._build_case(cfg).domain_config)
+    grid = study.base_grid()
+    for level in range(study.levels):
+        basis = build_web_basis(dom, grid, study.samples_per_axis)
+        quad = assembly_quadrature(basis, study, level)
+        yield study, quad, BasisTables(basis, quad)
+        grid = grid.refined()
+
+
+class TestLinearForm:
+    """The per-cell load reduction against the per-point scatter."""
+
+    @staticmethod
+    def assert_rounding(actual, reference):
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(actual - reference)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+    def test_workload_tables(self, workload, tmp_path):
+        for study, quad, t in workload_levels(workload, tmp_path):
+            seg = t.segments
+            assert len({k for *_, k in seg.batches}) > 1
+            c = np.random.default_rng(7).normal(size=(3, t.num_points))
+            terms = [(c[0], t.wbx), (c[1], t.wby), (1.0, t.wb)]
+            self.assert_rounding(
+                linear_form(seg, t.cell_idx, t.qw, terms, t.n_cols),
+                linear_form_points(t.idx, t.qw, terms, t.n_cols))
+            for degree in (0, 1):
+                ps = PressureSpace(t.basis.grid, quad, degree,
+                                   macro=study.pressure_macro)
+                cols, vals = ps.tables(quad)
+                # the premise of the per-cell reduction
+                assert np.array_equal(
+                    cols, np.repeat(cols[seg.starts], seg.counts, axis=0))
+                _, g = pressure_mass_and_integral(ps, quad)
+                self.assert_rounding(g, linear_form_points(
+                    cols, quad.weights, [(1.0, vals)], ps.n_dofs))
+                self.assert_rounding(
+                    linear_form(seg, cols[seg.starts], quad.weights,
+                                [(c[2], vals)], ps.n_dofs),
+                    linear_form_points(cols, quad.weights, [(c[2], vals)],
+                                       ps.n_dofs))
+
+
 class TestSparsityPlan:
-    def test_operators_match_dense_pointwise_reference(self):
-        basis, quad, t = disk_setup(n_cells=6)
+    # the second table is the coarse level of the cut-cell benchmark
+    # workload: cubic, 4 cells, depth 5, three-point leaves
+    @pytest.mark.parametrize("setup", [
+        {"n_cells": 6},
+        {"n_cells": 4, "degree": 3, "depth": 5, "gauss_leaf": 3}],
+        ids=["quadratic", "cubic_cut_cells"])
+    def test_operators_match_dense_pointwise_reference(self, setup):
+        basis, quad, t = disk_setup(**setup)
+        assert len({k for *_, k in t.segments.batches}) > 1
         E = basis.coupling_matrix().toarray()
         shape = (t.n_cols, t.n_cols)
 

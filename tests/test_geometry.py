@@ -9,7 +9,7 @@ from webfem import cli
 from webfem.geometry import (
     CellLabel, Conjunction, Disk, GeometryError, ImplicitDomain,
     ResolutionError, annulus, box, classify_cells, classify_indices,
-    domain_from_config,
+    domain_from_config, squared_norm,
 )
 from webfem.splines import KnotVector, TensorGrid, graded_knots, uniform_knots
 
@@ -358,6 +358,41 @@ class TestClassifyIndicesOracle:
                 assert_same_index_sets(classify_indices(g, cls),
                                        classify_indices_loop(g, cls))
                 g = g.refined()
+
+
+def spread_values(shape, seed):
+    """Random values over many decades, with exact zeros and negatives."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=shape) * np.exp(rng.normal(scale=8.0, size=shape))
+    v.flat[::7] = 0.0
+    return v
+
+
+class TestSquaredNorm:
+    """The component-wise squares equal numpy's axis reductions bit for bit."""
+
+    def test_vectors(self):
+        v = spread_values((4001, 2), 1)
+        assert np.array_equal(squared_norm(v), np.sum(v * v, axis=1))
+        assert np.array_equal(squared_norm(v), np.sum(v ** 2, axis=1))
+        assert np.array_equal(np.sqrt(squared_norm(v)),
+                              np.linalg.norm(v, axis=1))
+
+    def test_strided_vectors(self):
+        v = spread_values((4001, 5), 2)[:, 1:3]
+        assert np.array_equal(squared_norm(v), np.sum(v ** 2, axis=1))
+
+    def test_matrices(self):
+        m = spread_values((4001, 2, 2), 3)
+        assert np.array_equal(squared_norm(m), np.sum(m ** 2, axis=(1, 2)))
+
+    def test_disk_value(self):
+        disk = Disk([0.3, -0.7], 1.3)
+        pts = spread_values((4001, 2), 4)
+        d = pts - disk.center
+        assert np.array_equal(
+            disk.value(pts),
+            (disk.radius ** 2 - np.sum(d * d, axis=1)) / (2.0 * disk.radius))
 
 
 class TestConfig:

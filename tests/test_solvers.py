@@ -63,6 +63,24 @@ class TestVcpeSolver:
         exact = 1 - quad.points[inside, 0] ** 2 - quad.points[inside, 1] ** 2
         assert np.max(np.abs(vals - exact)) <= 5e-3
 
+    def test_jacobi_preconditioner(self):
+        basis, quad, tables = disk_setup(n_cells=12, degree=3)
+        f = lambda p: np.exp(p[:, 0])
+        system = assemble_vcpe(basis, 1.0, f, tables)
+
+        def unpreconditioned(rtol):
+            steps = []
+            c, info = spla.cg(system.matrix, system.rhs, rtol=rtol, atol=0.0,
+                              maxiter=20000, callback=steps.append)
+            assert info == 0
+            return c, len(steps)
+
+        _, steps = unpreconditioned(1e-10)
+        assert solve_vcpe(basis, 1.0, f, tables).params["iterations"] < steps
+        ref, _ = unpreconditioned(1e-13)
+        sol = solve_vcpe(basis, 1.0, f, tables, SolveOptions(linear_tol=1e-13))
+        assert np.max(np.abs(sol.coeffs - ref)) <= 1e-9 * np.max(np.abs(ref))
+
     def test_nonconvergence_raises_with_history(self):
         basis, quad, tables = disk_setup(n_cells=8)
         opts = SolveOptions(max_linear_iterations=2)
@@ -78,7 +96,8 @@ class TestPlapSolver:
         stiff = assemble_vcpe(basis, 1.0, 0.0, tables).matrix
         mass = assemble_mass(basis, tables)
         F = basis.coupling_matrix() @ linear_form(
-            tables.idx, tables.qw, [(f(quad.points), tables.wb)], tables.n_cols)
+            tables.segments, tables.cell_idx, tables.qw,
+            [(f(quad.points), tables.wb)], tables.n_cols)
         c_lin = spla.spsolve((stiff + mass).tocsc(), F)
         sol = solve_plap(basis, 2.0, f, tables)
         assert np.max(np.abs(sol.coeffs - c_lin)) <= 1e-9

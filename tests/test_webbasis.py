@@ -548,6 +548,17 @@ class TestJackson:
         vals = eval_field(basis, c0, quad.points[inside])
         assert np.max(np.abs(vals - self.u(quad.points[inside]))) <= 1e-12
 
+    def test_equals_the_axis_sum(self):
+        basis = disk_basis(n_cells=8)
+        quad = build_quadrature(basis.domain, basis.grid, basis.cls, 3, 4)
+        pts = quad.points
+        vals, grads = eval_field(basis, project(basis, self.u), pts, nderiv=1)
+        inside = basis.domain.inside(pts)
+        ev = np.where(inside, self.u(pts) - vals, 0.0)
+        eg = np.where(inside[:, None], self.grad_u(pts) - grads, 0.0)
+        assert jackson_error(basis, self.u, self.grad_u, quad) == float(
+            np.sqrt(np.sum(quad.weights * (ev ** 2 + np.sum(eg ** 2, axis=1)))))
+
     def test_zero(self):
         basis = disk_basis(n_cells=8)
         quad = build_quadrature(basis.domain, basis.grid, basis.cls, 3, 4)
