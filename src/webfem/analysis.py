@@ -369,8 +369,7 @@ def _run_level(case, domain, grid, study, level, opts, coarse=None):
         pspace = PressureSpace(grid, quad, study.pressure_degree,
                                macro=study.pressure_macro)
         sol, pres, info = solve_quasi_newtonian(
-            basis, pspace, case.viscosity, case.body_force, tables, quad, opts,
-            start)
+            basis, pspace, case.viscosity, case.body_force, tables, opts, start)
         rec["iterations"] = info["iterations"]
         rec["residual_history"] = [info["residuals"]]
         rec["converged"] = [info["converged"]]
@@ -378,7 +377,7 @@ def _run_level(case, domain, grid, study, level, opts, coarse=None):
         rec["errors"] = _error_norms(
             (sol, pres), case, ("Xnorm", "pressure_L2", "combined"), err_quad,
             sample)
-        rec["infsup"] = estimate_infsup(basis, pspace, tables, quad)
+        rec["infsup"] = estimate_infsup(basis, pspace, tables)
     elif case.kind == "projector":
         rec["errors"]["H1"] = jackson_error(basis, case.solution,
                                             case.gradient, err_quad)

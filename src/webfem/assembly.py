@@ -416,6 +416,9 @@ def plap_energy(basis, tables, coeffs, p, eps, f_vals):
 # ---------------------------------------------------------------------------
 
 SLIVER_FRACTION = 0.1
+# a patch itself, then its 3x3 neighborhood row by row, as (dx, dy)
+_HOST_CANDIDATES = np.array([(0, 0)] + [(dx, dy) for dx in (-1, 0, 1)
+                                        for dy in (-1, 0, 1)])
 
 
 class PressureSpace:
@@ -426,7 +429,9 @@ class PressureSpace:
     area) are merged into their best-covered neighbor, which removes the
     near-null pressure modes such slivers would otherwise contribute.
     The basis on each patch is the tensor monomials of the host cell,
-    ((x-cx)/hx)^a ((y-cy)/hy)^b, extended over the merged cells.
+    ((x-cx)/hx)^a ((y-cy)/hy)^b, extended over the merged cells. ``cells``
+    (n_patches, 2) holds the macro-cell coordinates of the dof-carrying
+    patches in lexicographic (dof) order, ``constant`` the coefficients of 1.
     """
 
     def __init__(self, grid, quad, degree, macro=1):
@@ -436,91 +441,78 @@ class PressureSpace:
             raise AssemblyError(f"macro-cell size must be at least 1, got {macro}")
         self.grid = grid
         self.degree = degree
-        self.macro = int(macro)
+        self.macro = m = int(macro)
         nx, ny = grid.num_cells
         ids, inv = np.unique(quad.cell_ids, return_inverse=True)
         if ids.size == 0:
             raise AssemblyError("pressure space is empty: no active cells")
+        bx, by = (kv.breakpoints for kv in grid.kvs)
+        # group grid cells into macro patches, numbered row-major on the patch
+        # grid padded by one patch per side, and measure their cut coverage
+        jx, jy = np.divmod(ids, ny)
+        stride = -(-ny // m) + 2
+        patches, patch_of = np.unique((jx // m + 1) * stride + jy // m + 1,
+                                      return_inverse=True)
         cell_area = np.bincount(inv, weights=quad.weights)
-        bx = grid.kvs[0].breakpoints
-        by = grid.kvs[1].breakpoints
-        # group grid cells into macro patches, measuring their cut coverage
-        patch_area, patch_full = {}, {}
-        for cid, area in zip(ids.tolist(), cell_area):
-            jx, jy = divmod(int(cid), ny)
-            pc = (jx // self.macro, jy // self.macro)
-            patch_area[pc] = patch_area.get(pc, 0.0) + area
-            full = (bx[jx + 1] - bx[jx]) * (by[jy + 1] - by[jy])
-            patch_full[pc] = patch_full.get(pc, 0.0) + full
-        fraction = {c: patch_area[c] / patch_full[c] for c in patch_area}
-        # sliver patches join the best-covered patch in their neighborhood;
-        # chains resolve by following hosts to a root
-        assign = {}
-        for c in sorted(patch_area):
-            if fraction[c] >= SLIVER_FRACTION:
-                assign[c] = c
-                continue
-            best = c
-            for dx_ in (-1, 0, 1):
-                for dy_ in (-1, 0, 1):
-                    nb = (c[0] + dx_, c[1] + dy_)
-                    if nb in fraction and fraction[nb] > fraction[best]:
-                        best = nb
-            assign[c] = best
-        for c in sorted(assign):
-            seen = {c}
-            root = assign[c]
-            while assign[root] != root and root not in seen:
-                seen.add(root)
-                root = assign[root]
-            assign[c] = root
-        roots = sorted({assign[c] for c in assign})
-        self.cells = roots
-        root_pos = {c: r for r, c in enumerate(roots)}
+        full = (bx[jx + 1] - bx[jx]) * (by[jy + 1] - by[jy])
+        fraction = (np.bincount(patch_of, weights=cell_area)
+                    / np.bincount(patch_of, weights=full))
+        # a sliver patch joins the first best-covered of its host candidates
+        # (-inf on the padding and on inactive patches); chains resolve by
+        # pointer jumping, acyclic as a host covers more than its sliver
+        cover = np.full((-(-nx // m) + 2) * stride, -np.inf)
+        cover[patches] = fraction
+        sliver = np.flatnonzero(fraction < SLIVER_FRACTION)
+        cand = patches[sliver, None] + _HOST_CANDIDATES @ [stride, 1]
+        host = np.arange(patches.size)
+        host[sliver] = np.searchsorted(patches, cand[
+            np.arange(sliver.size), np.argmax(cover[cand], axis=1)])
+        for _ in range(patches.size):
+            if np.array_equal(host[host], host):
+                break
+            host = host[host]
+        roots, root_pos = np.unique(host, return_inverse=True)
+        px, py = np.divmod(patches - stride - 1, stride)
+        self.cells = np.column_stack([px[roots], py[roots]])
         # per grid cell: dof position of its host patch (-1: no dofs) and
         # the host patch's center and half widths
-        hosts = np.array([assign[(c // ny // self.macro, c % ny // self.macro)]
-                          for c in ids.tolist()])
+        hx, hy = px[host[patch_of]] * m, py[host[patch_of]] * m
+        lo = np.column_stack([bx[hx], by[hy]])
+        hi = np.column_stack([bx[np.minimum(hx + m, nx)],
+                              by[np.minimum(hy + m, ny)]])
         self._pos = np.full(nx * ny, -1, dtype=np.int64)
-        self._pos[ids] = [root_pos[tuple(h)] for h in hosts.tolist()]
-        x0 = bx[hosts[:, 0] * self.macro]
-        x1 = bx[np.minimum((hosts[:, 0] + 1) * self.macro, nx)]
-        y0 = by[hosts[:, 1] * self.macro]
-        y1 = by[np.minimum((hosts[:, 1] + 1) * self.macro, ny)]
+        self._pos[ids] = root_pos[patch_of]
         self._center = np.zeros((nx * ny, 2))
         self._half = np.ones((nx * ny, 2))
-        self._center[ids] = np.column_stack([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
-        self._half[ids] = np.column_stack([0.5 * (x1 - x0), 0.5 * (y1 - y0)])
+        self._center[ids] = 0.5 * (lo + hi)
+        self._half[ids] = 0.5 * (hi - lo)
         self.ndof_cell = (degree + 1) ** 2
         self.n_dofs = len(self.cells) * self.ndof_cell
-        self._tabulated = None  # (quad, cols, vals) of the last rule
-        self._blocks = None     # (tables, quad, B, Mp, g) of the last pair
+        # the monomial 1 is the first basis function of every patch
+        self.constant = np.zeros(self.n_dofs)
+        self.constant[::self.ndof_cell] = 1.0
+        self.constant.setflags(write=False)
+        self._blocks = None     # (tables, B, Mp, g) of the last table
 
-    def _tabulate(self, pts, cell_ids):
-        """Dof position and basis values of points given their grid cell ids."""
+    def _values(self, pts, cell_ids):
+        """Basis values of points given their grid cell ids."""
         d = self.degree
         local = (pts - self._center[cell_ids]) / self._half[cell_ids]
         px = np.stack([local[:, 0] ** a for a in range(d + 1)], axis=1)
         py = np.stack([local[:, 1] ** b for b in range(d + 1)], axis=1)
-        vals = (px[:, :, None] * py[:, None, :]).reshape(-1, self.ndof_cell)
-        return self._pos[cell_ids], vals
+        return (px[:, :, None] * py[:, None, :]).reshape(-1, self.ndof_cell)
 
-    def tables(self, quad):
-        """Per-point values and global dof columns, shapes (N, ndof_cell).
-
-        Tabulated once per rule: repeated calls with the same ``quad``
-        return the same read-only arrays.
-        """
-        if self._tabulated is None or self._tabulated[0] is not quad:
-            pos, vals = self._tabulate(quad.points, quad.cell_ids)
-            if np.any(pos < 0):
-                raise AssemblyError(
-                    "quadrature point in a cell without pressure dofs")
-            cols = pos[:, None] * self.ndof_cell + np.arange(self.ndof_cell)
-            cols.setflags(write=False)
-            vals.setflags(write=False)
-            self._tabulated = (quad, cols, vals)
-        return self._tabulated[1:]
+    def rule(self, points, cell_ids, segments=None):
+        """(segments, cols, vals) of the space on a quadrature rule: its
+        :class:`CellSegments` (from ``cell_ids`` unless given), the dof
+        columns (n_cells, ndof_cell) shared by the points of each run and
+        the basis values (N, ndof_cell) at the points."""
+        seg = CellSegments(cell_ids) if segments is None else segments
+        pos = self._pos[cell_ids[seg.starts]]
+        if np.any(pos < 0):
+            raise AssemblyError("quadrature point in a cell without pressure dofs")
+        cols = pos[:, None] * self.ndof_cell + np.arange(self.ndof_cell)
+        return seg, cols, self._values(points, cell_ids)
 
     def evaluate(self, coeffs, pts):
         """Point values of a pressure field (zero outside active cells)."""
@@ -529,55 +521,54 @@ class PressureSpace:
         cids = np.zeros(pts.shape[0], dtype=np.int64)
         for ax, kv in enumerate(grid.kvs):
             cids = cids * grid.num_cells[ax] + kv.find_cell(pts[:, ax])
-        active = self._pos[cids] >= 0
+        pos = self._pos[cids]
+        active = pos >= 0
         out = np.zeros(pts.shape[0])
-        pos, vals = self._tabulate(pts[active], cids[active])
-        loc = coeffs.reshape(-1, self.ndof_cell)[pos]
+        vals = self._values(pts[active], cids[active])
+        loc = coeffs.reshape(-1, self.ndof_cell)[pos[active]]
         out[active] = np.einsum("nd,nd->n", loc, vals)
         return out
 
-    def blocks(self, tables, quad):
-        """Divergence block B (n_dofs x 2 n_inner), pressure mass and integrals.
+    def blocks(self, tables):
+        """Divergence block B (n_dofs x 2 n_inner), pressure mass and integrals
+        on the rule of the velocity ``tables``.
 
         None of them depends on the velocity iterate, so they are assembled
-        once per (tables, quad) pair and shared by every Newton step.
+        once per table and shared by every Newton step.
         """
-        if self._blocks is None or self._blocks[0] is not tables \
-                or self._blocks[1] is not quad:
-            pcols, pvals = self.tables(quad)
-            seg = tables.segments
-            plan = SparsityPlan(seg, pcols[seg.starts], tables.cell_idx,
+        if self._blocks is None or self._blocks[0] is not tables:
+            seg, cols, vals = self.rule(tables.points, tables.cell_ids,
+                                        tables.segments)
+            plan = SparsityPlan(seg, cols, tables.cell_idx,
                                 (self.n_dofs, tables.n_cols))
             Et = tables.basis.coupling_matrix().T
-            Bx = bilinear_form(plan, tables.qw, [(-1.0, pvals, tables.wbx)])
-            By = bilinear_form(plan, tables.qw, [(-1.0, pvals, tables.wby)])
-            B = sp.hstack([(Bx @ Et).tocsr(), (By @ Et).tocsr()], format="csr")
-            Mp, g = pressure_mass_and_integral(self, quad)
-            self._blocks = (tables, quad, B, Mp, g)
-        return self._blocks[2:]
+            B = sp.hstack([(bilinear_form(plan, tables.qw, [(-1.0, vals, d)])
+                            @ Et).tocsr() for d in (tables.wbx, tables.wby)],
+                          format="csr")
+            Mp, g = _mass_and_integral(self.n_dofs, tables.qw, seg, cols, vals)
+            self._blocks = (tables, B, Mp, g)
+        return self._blocks[1:]
+
+
+def _mass_and_integral(n_dofs, weights, seg, cols, vals):
+    """Pressure mass and basis integrals of a :meth:`PressureSpace.rule`."""
+    plan = SparsityPlan(seg, cols, cols, (n_dofs, n_dofs))
+    return (bilinear_form(plan, weights, [(1.0, vals, vals)]),
+            linear_form(seg, cols, weights, [(1.0, vals)], n_dofs))
 
 
 def pressure_mass_and_integral(pspace, quad):
     """Block-diagonal pressure mass matrix and the vector of basis integrals."""
-    cols, vals = pspace.tables(quad)
-    seg = CellSegments(quad.cell_ids)
-    cell_cols = cols[seg.starts]
-    plan = SparsityPlan(seg, cell_cols, cell_cols,
-                        (pspace.n_dofs, pspace.n_dofs))
-    M = bilinear_form(plan, quad.weights, [(1.0, vals, vals)])
-    g = linear_form(seg, cell_cols, quad.weights, [(1.0, vals)],
-                    pspace.n_dofs)
-    return M, g
+    return _mass_and_integral(pspace.n_dofs, quad.weights,
+                              *pspace.rule(quad.points, quad.cell_ids))
 
 
 def project_pressure(pspace, quad, p_exact):
     """Cell-wise L2 projection onto the pressure space."""
-    cols, vals = pspace.tables(quad)
+    seg, cols, vals = pspace.rule(quad.points, quad.cell_ids)
     p_vals = p_exact(quad.points) if callable(p_exact) else np.asarray(p_exact)
-    M, _ = pressure_mass_and_integral(pspace, quad)
-    seg = CellSegments(quad.cell_ids)
-    rhs = linear_form(seg, cols[seg.starts], quad.weights, [(p_vals, vals)],
-                      pspace.n_dofs)
+    M, _ = _mass_and_integral(pspace.n_dofs, quad.weights, seg, cols, vals)
+    rhs = linear_form(seg, cols, quad.weights, [(p_vals, vals)], pspace.n_dofs)
     nd = pspace.ndof_cell
     # M is block diagonal: gather its per-patch blocks, O(n_dofs * nd)
     coo = M.tocoo()
@@ -670,7 +661,7 @@ class StokesIterate:
         return t.velocity_pattern.stack(*blocks)
 
 
-def assemble_mixed(basis, pspace, a_fn, coeffs_prev, phi, tables, quad):
+def assemble_mixed(basis, pspace, a_fn, coeffs_prev, phi, tables):
     """Blocks of the quasi-Newtonian mixed system with frozen viscosity.
 
     Velocity dofs are the two stacked web-coefficient blocks; A is the
@@ -684,7 +675,7 @@ def assemble_mixed(basis, pspace, a_fn, coeffs_prev, phi, tables, quad):
         np.asarray(phi, dtype=float), (tables.num_points, 2))
     Fv = np.concatenate([tables.web_load([(phi_vals[:, k], tables.wb)])
                          for k in range(2)])
-    B, Mp, g = pspace.blocks(tables, quad)
+    B, Mp, g = pspace.blocks(tables)
     state = StokesIterate(basis, tables, np.concatenate(
         [coeffs_prev, np.zeros(B.shape[0] + 1)]), a_fn, Fv, B)
     return state.frozen_block(), B, Fv, Mp, g

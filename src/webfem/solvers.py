@@ -124,20 +124,18 @@ def solve_vcpe(basis, a, f, tables, opts=None):
     opts = opts or SolveOptions()
     system = assemble_vcpe(basis, a, f, tables)
     A, F = system.matrix, system.rhs
-    history = []
-
-    def cb(xk):
-        history.append(float(np.linalg.norm(F - A @ xk)))
-
+    steps = []
     c, info = spla.cg(A, F, rtol=opts.linear_tol, atol=0.0,
-                      maxiter=opts.max_linear_iterations, callback=cb,
+                      maxiter=opts.max_linear_iterations,
+                      callback=lambda xk: steps.append(None),
                       M=sp.diags(1.0 / A.diagonal()))
     if info != 0:
         raise SolverError(
             f"CG failed to reach rtol {opts.linear_tol} within "
-            f"{opts.max_linear_iterations} iterations", history)
+            f"{opts.max_linear_iterations} iterations",
+            [float(np.linalg.norm(F - A @ c))])
     return SolutionField(basis=basis, coeffs=c,
-                         params={"iterations": len(history)})
+                         params={"iterations": len(steps)})
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +299,7 @@ def _constraint_step(make, saddle, B, start):
             np.concatenate([u1, p1, [mu1]]))
 
 
-def solve_quasi_newtonian(basis, pspace, a_fn, phi, tables, quad, opts=None,
+def solve_quasi_newtonian(basis, pspace, a_fn, phi, tables, opts=None,
                           start=None):
     """Damped Newton on the energy of the viscosity ``a_fn`` (a
     :func:`carreau_viscosity`); each step solves the saddle system with the
@@ -321,7 +319,7 @@ def solve_quasi_newtonian(basis, pspace, a_fn, phi, tables, quad, opts=None,
     opts = opts or SolveOptions()
     n_u = 2 * basis.n_inner
     A, B, Fv, _, g = assemble_mixed(basis, pspace, a_fn, np.zeros(n_u), phi,
-                                    tables, quad)
+                                    tables)
     saddle = SaddleMatrix(A, B, g)
     make = partial(StokesIterate, basis, tables, viscosity=a_fn, Fv=Fv, B=B)
     zero = np.zeros(n_u + B.shape[0] + 1)
@@ -346,10 +344,8 @@ def solve_quasi_newtonian(basis, pspace, a_fn, phi, tables, quad, opts=None,
             f"(tol {opts.nonlinear_tol})", residuals)
     c = state.velocity
     # exact mean-zero shift along the constant pressure mode
-    area = float(np.sum(g))
-    const = np.zeros(pspace.n_dofs)
-    const[::pspace.ndof_cell] = 1.0
-    p_coeffs = state.pressure - (float(g @ state.pressure) / area) * const
+    shift = float(g @ state.pressure) / float(np.sum(g))
+    p_coeffs = state.pressure - shift * pspace.constant
     velocity = SolutionField(basis=basis, coeffs=c)
     pressure = PressureField(space=pspace, coeffs=p_coeffs)
     info = {"iterations": len(residuals) - 1, "residuals": residuals,
@@ -365,7 +361,7 @@ def velocity_seminorm_gram(basis, tables):
     return sp.block_diag([S, S], format="csc")
 
 
-def estimate_infsup(basis, pspace, tables, quad):
+def estimate_infsup(basis, pspace, tables):
     """Discrete inf-sup constant of the divergence pairing.
 
     Smallest generalized singular value of B scaled by the velocity
@@ -378,18 +374,11 @@ def estimate_infsup(basis, pspace, tables, quad):
     if pspace.n_dofs > 4000:
         raise SolverError("inf-sup estimate is a dense computation; "
                           f"pressure space too large ({pspace.n_dofs} dofs)")
-    B, Mp, g = pspace.blocks(tables, quad)
+    B, Mp, g = pspace.blocks(tables)
     S = velocity_seminorm_gram(basis, tables)
-    lu = spla.splu(S)
-    BT = B.T.toarray()
-    T = B @ lu.solve(BT)
+    T = B @ spla.splu(S).solve(B.T.toarray())
     Mpd = Mp.toarray()
-    const = np.zeros(pspace.n_dofs)
-    const[::pspace.ndof_cell] = 1.0
-    w = Mpd @ const
-    N = sla.null_space(w.reshape(1, -1))
-    lhs = N.T @ T @ N
-    rhs = N.T @ Mpd @ N
-    vals = sla.eigh(lhs, rhs, eigvals_only=True)
-    lam = float(np.min(vals))
+    N = sla.null_space((Mpd @ pspace.constant).reshape(1, -1))
+    lam = float(np.min(sla.eigh(N.T @ T @ N, N.T @ Mpd @ N,
+                                eigvals_only=True)))
     return float(np.sqrt(max(lam, 0.0)))

@@ -38,7 +38,11 @@ Scalar references the library itself does not need:
   rounding;
 * ``classify_indices_loop``: the index classification one B-spline at a
   time, with the Hausdorff distance taken one outer support at a time, which
-  :func:`webfem.geometry.classify_indices` must reproduce exactly.
+  :func:`webfem.geometry.classify_indices` must reproduce exactly;
+* ``pressure_patches_loop``: the patch layout of a
+  :class:`webfem.assembly.PressureSpace` from tuple-keyed dicts, a 3x3
+  neighbor scan per sliver and a chain walk per patch, which the array pass
+  of the space must reproduce exactly.
 """
 
 from dataclasses import dataclass
@@ -48,7 +52,7 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 
-from webfem.assembly import bilinear_form
+from webfem.assembly import SLIVER_FRACTION, bilinear_form
 from webfem.geometry import CellLabel, IndexSets, ResolutionError
 from webfem.quadrature import build_quadrature, gauss_2d
 from webfem.splines import (
@@ -681,3 +685,59 @@ def classify_indices_loop(grid, cls):
                             dtype=np.int64),
         pair_outer=np.array([b for b, j in enumerate(outer) for _ in i_of_j[j]],
                             dtype=np.int64))
+
+
+def pressure_patches_loop(grid, quad, degree, macro=1):
+    """(cells, pos, center, half, n_dofs) of a pressure space: the sorted
+    root patches, and per grid cell the dof position of its host patch (-1:
+    no dofs) and that patch's center and half widths."""
+    nx, ny = grid.num_cells
+    ids, inv = np.unique(quad.cell_ids, return_inverse=True)
+    cell_area = np.bincount(inv, weights=quad.weights)
+    bx = grid.kvs[0].breakpoints
+    by = grid.kvs[1].breakpoints
+    # group grid cells into macro patches, measuring their cut coverage
+    patch_area, patch_full = {}, {}
+    for cid, area in zip(ids.tolist(), cell_area):
+        jx, jy = divmod(int(cid), ny)
+        pc = (jx // macro, jy // macro)
+        patch_area[pc] = patch_area.get(pc, 0.0) + area
+        full = (bx[jx + 1] - bx[jx]) * (by[jy + 1] - by[jy])
+        patch_full[pc] = patch_full.get(pc, 0.0) + full
+    fraction = {c: patch_area[c] / patch_full[c] for c in patch_area}
+    # sliver patches join the best-covered patch in their neighborhood;
+    # chains resolve by following hosts to a root
+    assign = {}
+    for c in sorted(patch_area):
+        if fraction[c] >= SLIVER_FRACTION:
+            assign[c] = c
+            continue
+        best = c
+        for dx_ in (-1, 0, 1):
+            for dy_ in (-1, 0, 1):
+                nb = (c[0] + dx_, c[1] + dy_)
+                if nb in fraction and fraction[nb] > fraction[best]:
+                    best = nb
+        assign[c] = best
+    for c in sorted(assign):
+        seen = {c}
+        root = assign[c]
+        while assign[root] != root and root not in seen:
+            seen.add(root)
+            root = assign[root]
+        assign[c] = root
+    roots = sorted({assign[c] for c in assign})
+    root_pos = {c: r for r, c in enumerate(roots)}
+    hosts = np.array([assign[(c // ny // macro, c % ny // macro)]
+                      for c in ids.tolist()])
+    pos = np.full(nx * ny, -1, dtype=np.int64)
+    pos[ids] = [root_pos[tuple(h)] for h in hosts.tolist()]
+    x0 = bx[hosts[:, 0] * macro]
+    x1 = bx[np.minimum((hosts[:, 0] + 1) * macro, nx)]
+    y0 = by[hosts[:, 1] * macro]
+    y1 = by[np.minimum((hosts[:, 1] + 1) * macro, ny)]
+    center = np.zeros((nx * ny, 2))
+    half = np.ones((nx * ny, 2))
+    center[ids] = np.column_stack([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
+    half[ids] = np.column_stack([0.5 * (x1 - x0), 0.5 * (y1 - y0)])
+    return roots, pos, center, half, len(roots) * (degree + 1) ** 2

@@ -18,15 +18,17 @@ from webfem.assembly import (
     pressure_mass_and_integral, project_pressure,
 )
 from webfem.geometry import (
-    Conjunction, Disk, ImplicitDomain, ResolutionError, box, classify_cells,
-    domain_from_config,
+    Conjunction, Disk, ImplicitDomain, ResolutionError, annulus, box,
+    classify_cells, domain_from_config,
 )
-from webfem.quadrature import build_quadrature
+from webfem.quadrature import DomainQuadrature, build_quadrature
 from webfem.solvers import velocity_seminorm_gram
-from webfem.splines import TensorGrid, uniform_knots
+from webfem.splines import TensorGrid, graded_knots, uniform_knots
 from webfem.webbasis import build_web_basis, project
 
-from oracles import assemble_dipole_rhs, eval_web, linear_form_points
+from oracles import (
+    assemble_dipole_rhs, eval_web, linear_form_points, pressure_patches_loop,
+)
 from strategies import r_trees
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -303,9 +305,9 @@ class TestPressure:
     def dense_projection(pspace, quad, p_exact):
         """The former projection: one dense copy of the whole pressure mass,
         sliced per patch."""
-        cols, vals = pspace.tables(quad)
+        seg, cell_cols, vals = pspace.rule(quad.points, quad.cell_ids)
+        cols = np.repeat(cell_cols, seg.counts, axis=0)
         M, _ = pressure_mass_and_integral(pspace, quad)
-        seg = CellSegments(quad.cell_ids)
         rhs = linear_form(seg, cols[seg.starts], quad.weights,
                           [(p_exact(quad.points), vals)], pspace.n_dofs)
         nd = pspace.ndof_cell
@@ -354,6 +356,78 @@ class TestPressure:
         exact_mean = quad.integrate(p)
         assert proj_mean == pytest.approx(exact_mean, abs=1e-10)
 
+    @staticmethod
+    def assert_patches_match_loop(ps, grid, quad, degree, macro):
+        cells, pos, center, half, n_dofs = pressure_patches_loop(
+            grid, quad, degree, macro)
+        assert np.array_equal(ps.cells, np.array(cells).reshape(-1, 2))
+        assert np.array_equal(ps._pos, pos)
+        assert np.array_equal(ps._center, center)
+        assert np.array_equal(ps._half, half)
+        assert ps.n_dofs == n_dofs
+
+    def test_patches_equal_dict_loop(self):
+        domains = [Disk([0.03, -0.02], 0.97), annulus([0.0, 0.01], 0.35, 0.98),
+                   box([-0.83, -0.91], [0.94, 0.77])]
+        knots = [uniform_knots(-1.1, 1.1, 11, 2),
+                 graded_knots(-1.1, 1.1, 13, 2, 1.15)]
+        merged = 0
+        for node in domains:
+            dom = ImplicitDomain(node)
+            for kv in knots:
+                grid = TensorGrid(kv, kv)
+                cls = classify_cells(dom, grid)
+                ny = grid.num_cells[1]
+                for depth in (1, 2, 3, 4):
+                    quad = build_quadrature(dom, grid, cls, 2, depth)
+                    ids = np.unique(quad.cell_ids)
+                    for macro in (1, 2, 3):
+                        degree = (depth + macro) % 3
+                        ps = PressureSpace(grid, quad, degree, macro=macro)
+                        self.assert_patches_match_loop(ps, grid, quad, degree,
+                                                       macro)
+                        patches = np.unique(ids // ny // macro * ny
+                                            + ids % ny // macro)
+                        merged += len(ps.cells) < patches.size
+        assert merged >= 10
+
+    @staticmethod
+    def row_space(coverages):
+        """Space of unit cells (1, 2), (2, 2), ... with the given coverages,
+        from a rule of one point per cell holding only ids and weights."""
+        kv = uniform_knots(0.0, 5.0, 5, 0)
+        grid = TensorGrid(kv, kv)
+        ny = grid.num_cells[1]
+        cell_ids = (np.arange(len(coverages)) + 1) * ny + 2
+        quad = DomainQuadrature(points=None, weights=np.array(coverages),
+                                cell_ids=cell_ids, leaves=None)
+        ps = PressureSpace(grid, quad, 1)
+        TestPressure.assert_patches_match_loop(ps, grid, quad, 1, 1)
+        return ps, cell_ids
+
+    def test_sliver_chain_resolves_to_its_root(self):
+        # the first sliver's host is the second, itself a sliver hosted by
+        # the third
+        ps, cell_ids = self.row_space([0.01, 0.05, 0.5])
+        assert np.array_equal(ps.cells, [[3, 2]])
+        assert np.array_equal(ps._pos[cell_ids], [0, 0, 0])
+        assert np.array_equal(ps._center[cell_ids], np.full((3, 2), [3.5, 2.5]))
+
+    def test_sliver_keeps_itself_on_a_tie(self):
+        # a host must cover strictly more: equal slivers stay apart
+        ps, cell_ids = self.row_space([0.05, 0.05])
+        assert np.array_equal(ps.cells, [[1, 2], [2, 2]])
+        assert np.array_equal(ps._pos[cell_ids], [0, 1])
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("macro", [1, 2])
+    def test_constant_mode(self, degree, macro):
+        basis, quad, tables = disk_setup(n_cells=8)
+        ps = PressureSpace(basis.grid, quad, degree, macro=macro)
+        assert np.all(ps.evaluate(ps.constant, quad.points) == 1.0)
+        _, Mp, g = ps.blocks(tables)
+        assert np.max(np.abs(Mp @ ps.constant - g)) <= 1e-13 * np.max(np.abs(g))
+
 
 class TestMixed:
     def test_block_symmetry(self):
@@ -361,7 +435,7 @@ class TestMixed:
         ps = PressureSpace(basis.grid, quad, 0)
         c_prev = np.zeros(2 * basis.n_inner)
         A, B, Fv, Mp, g = assemble_mixed(basis, ps, lambda s: 1.0 + 0 * s,
-                                         c_prev, np.zeros(2), tables, quad)
+                                         c_prev, np.zeros(2), tables)
         Ad = A.toarray()
         assert np.max(np.abs(Ad - Ad.T)) <= 1e-12 * np.max(np.abs(Ad))
         assert np.linalg.eigvalsh(Ad).min() > 0.0
@@ -374,7 +448,7 @@ class TestMixed:
         u2 = lambda p: 4.0 * p[:, 0] * (1 - p[:, 0] ** 2 - p[:, 1] ** 2)
         c = np.concatenate([project(basis, u1), project(basis, u2)])
         A, B, Fv, Mp, g = assemble_mixed(basis, ps, lambda s: 1.0 + 0 * s,
-                                         c, np.zeros(2), tables, quad)
+                                         c, np.zeros(2), tables)
         assert np.max(np.abs(B @ c)) <= 1e-6
 
     def test_pressure_blocks_assembled_once(self):
@@ -385,8 +459,8 @@ class TestMixed:
         a_fn = lambda s: 1.0 + s
         c = np.random.default_rng(45).normal(size=2 * basis.n_inner)
         first = assemble_mixed(basis, ps, a_fn, np.zeros_like(c), np.zeros(2),
-                               tables, quad)
-        second = assemble_mixed(basis, ps, a_fn, c, np.zeros(2), tables, quad)
+                               tables)
+        second = assemble_mixed(basis, ps, a_fn, c, np.zeros(2), tables)
         for k in (1, 3, 4):
             assert second[k] is first[k]
         assert np.max(np.abs((second[0] - first[0]).toarray())) > 0.0
@@ -405,8 +479,8 @@ class TestMixed:
         a_fn = lambda s: 1.0 + s
         c = np.random.default_rng(46).normal(size=2 * basis.n_inner)
         first = assemble_mixed(basis, ps, a_fn, np.zeros_like(c), np.zeros(2),
-                               tables, quad)[0]
-        second = assemble_mixed(basis, ps, a_fn, c, np.zeros(2), tables, quad)[0]
+                               tables)[0]
+        second = assemble_mixed(basis, ps, a_fn, c, np.zeros(2), tables)[0]
         assert len(built) == 1
         assert second is not first
         pattern = tables.velocity_pattern
@@ -420,7 +494,7 @@ class TestMixed:
         ps = PressureSpace(basis.grid, quad, 0)
         with pytest.raises(CoercivityError):
             assemble_mixed(basis, ps, lambda s: 0.0 * s, np.zeros(2 * basis.n_inner),
-                           np.zeros(2), tables, quad)
+                           np.zeros(2), tables)
 
 
 def dense_form(row_idx, col_idx, qw, terms, shape):
@@ -473,10 +547,13 @@ class TestLinearForm:
             for degree in (0, 1):
                 ps = PressureSpace(t.basis.grid, quad, degree,
                                    macro=study.pressure_macro)
-                cols, vals = ps.tables(quad)
-                # the premise of the per-cell reduction
-                assert np.array_equal(
-                    cols, np.repeat(cols[seg.starts], seg.counts, axis=0))
+                _, cell_cols, vals = ps.rule(quad.points, quad.cell_ids)
+                cols = np.repeat(cell_cols, seg.counts, axis=0)
+                # the premise of the per-cell reduction: the columns of each
+                # point, tabulated as a run of its own, are its run's
+                _, point_cols, _ = ps.rule(quad.points, quad.cell_ids,
+                                           CellSegments(np.arange(t.num_points)))
+                assert np.array_equal(point_cols, cols)
                 _, g = pressure_mass_and_integral(ps, quad)
                 self.assert_rounding(g, linear_form_points(
                     cols, quad.weights, [(1.0, vals)], ps.n_dofs))
@@ -523,12 +600,13 @@ class TestSparsityPlan:
         ps = PressureSpace(basis.grid, quad, 1)
         A, B, _, Mp, _ = assemble_mixed(basis, ps, lambda s: 2.0 + 0.0 * s,
                                         np.zeros(2 * basis.n_inner),
-                                        np.zeros(2), t, quad)
+                                        np.zeros(2), t)
         A11 = web([(2.0, t.wbx, t.wbx), (1.0, t.wby, t.wby)])
         A22 = web([(2.0, t.wby, t.wby), (1.0, t.wbx, t.wbx)])
         A12 = web([(1.0, t.wby, t.wbx)])
         assert_close(A, np.block([[A11, A12], [A12.T, A22]]))
-        pcols, pvals = ps.tables(quad)
+        pseg, pcell_cols, pvals = ps.rule(quad.points, quad.cell_ids)
+        pcols = np.repeat(pcell_cols, pseg.counts, axis=0)
         pshape = (ps.n_dofs, t.n_cols)
         Bx = dense_form(pcols, t.idx, t.qw, [(-1.0, pvals, t.wbx)], pshape)
         By = dense_form(pcols, t.idx, t.qw, [(-1.0, pvals, t.wby)], pshape)
@@ -590,7 +668,7 @@ class TestSparsityPlan:
             for _ in range(2):
                 assemble_mixed(basis, ps, lambda s: 1.0 + s,
                                rng.normal(size=2 * basis.n_inner),
-                               np.zeros(2), tables, quad)
+                               np.zeros(2), tables)
             return [assemble_mass(basis, tables)]
 
         for mix in (stiffness_and_mass, mass_and_jacobians,
@@ -676,8 +754,8 @@ class TestSparsityPlan:
         basis, quad, tables = disk_setup(n_cells=8)
         ps = PressureSpace(basis.grid, quad, 1, macro=2)
         coeffs = np.random.default_rng(44).normal(size=ps.n_dofs)
-        cols, vals = ps.tables(quad)
-        assert ps.tables(quad)[0] is cols  # tabulated once per rule
+        seg, cell_cols, vals = ps.rule(quad.points, quad.cell_ids)
+        cols = np.repeat(cell_cols, seg.counts, axis=0)
         expected = np.einsum("nd,nd->n", coeffs[cols], vals)
         assert np.array_equal(ps.evaluate(coeffs, quad.points), expected)
         # a grid corner lies in an exterior cell, which has no dofs
