@@ -182,12 +182,17 @@ def bilinear_form(plan, qw, terms):
 
 
 def _form_data(plan, qw, terms):
-    """``data`` of :func:`bilinear_form`, without building the matrix.
+    """``data`` of :func:`bilinear_form`, without building the matrix."""
+    local = _local_matrices(plan.segments, qw, terms)
+    return np.bincount(plan.scatter, weights=local.ravel(), minlength=plan.nnz)
+
+
+def _local_matrices(seg, qw, terms):
+    """Per-cell matrices (n_cells, nr, nc) of :func:`bilinear_form`.
 
     The weighted operand c qw Fa is formed batch by batch, so that no
     temporary is larger than one batch of points.
     """
-    seg = plan.segments
     local = None
     for c, fa, fb in terms:
         wc = qw * c
@@ -197,7 +202,7 @@ def _form_data(plan, qw, terms):
             a = (wc[p0:p1, None] * fa[p0:p1]).reshape(hi - lo, k, -1)
             b = fb[p0:p1].reshape(hi - lo, k, -1)
             local[lo:hi] += np.matmul(a.transpose(0, 2, 1), b)
-    return np.bincount(plan.scatter, weights=local.ravel(), minlength=plan.nnz)
+    return local
 
 
 def linear_form(segments, cols, qw, terms, n_cols):
@@ -226,7 +231,7 @@ class BasisTables(BasisValues):
     """Values of the weighted basis w*b_k at the quadrature points.
 
     The :class:`~webfem.webbasis.BasisValues` of a rule whose points activate
-    relevant B-splines only (every ``idx`` >= 0), plus:
+    relevant B-splines only (every column of ``rows`` >= 0), plus:
 
     Attributes
     ----------
@@ -255,12 +260,12 @@ class BasisTables(BasisValues):
         # pattern a union of dense per-cell blocks fixed for the table's life
         self.segments = CellSegments(quad.cell_ids)
         starts = self.segments.starts
-        if np.any(self.span_key != np.repeat(self.span_key[starts],
-                                             self.segments.counts)):
+        if np.any(self.row_of != np.repeat(self.row_of[starts],
+                                           self.segments.counts)):
             raise AssemblyError(
                 "points of one quadrature cell activate different basis "
                 "rows; cell ids do not match the points")
-        self.cell_idx = self.idx[starts]
+        self.cell_idx = self.rows[self.row_of[starts]]
         if np.any(self.cell_idx < 0):
             raise AssemblyError(
                 "quadrature point activates a basis function outside the "
@@ -564,17 +569,18 @@ def pressure_mass_and_integral(pspace, quad):
 
 
 def project_pressure(pspace, quad, p_exact):
-    """Cell-wise L2 projection onto the pressure space."""
+    """Patch-wise L2 projection onto the pressure space."""
     seg, cols, vals = pspace.rule(quad.points, quad.cell_ids)
     p_vals = p_exact(quad.points) if callable(p_exact) else np.asarray(p_exact)
-    M, _ = _mass_and_integral(pspace.n_dofs, quad.weights, seg, cols, vals)
-    rhs = linear_form(seg, cols, quad.weights, [(p_vals, vals)], pspace.n_dofs)
     nd = pspace.ndof_cell
-    # M is block diagonal: gather its per-patch blocks, O(n_dofs * nd)
-    coo = M.tocoo()
-    blocks = np.zeros((len(pspace.cells), nd, nd))
-    blocks[coo.row // nd, coo.row % nd, coo.col % nd] = coo.data
-    rhs = rhs.reshape(-1, nd)
+    # the mass block of each patch: its cells' local masses summed in cell
+    # order, entry (a, b) of the cell with columns cols at cols[a] * nd + b
+    local = _local_matrices(seg, quad.weights, [(1.0, vals, vals)])
+    blocks = np.bincount((cols[:, :, None] * nd + np.arange(nd)).ravel(),
+                         weights=local.ravel(),
+                         minlength=pspace.n_dofs * nd).reshape(-1, nd, nd)
+    rhs = linear_form(seg, cols, quad.weights, [(p_vals, vals)],
+                      pspace.n_dofs).reshape(-1, nd)
     out = np.zeros_like(rhs)
     for c, (block, loc) in enumerate(zip(blocks, rhs)):
         try:

@@ -79,25 +79,6 @@ class KnotVector:
         """Number of nonempty knot intervals."""
         return self.breakpoints.size - 1
 
-    def support(self, i):
-        """Closure of the support of basis function ``i``."""
-        if not 0 <= i < self.num_basis:
-            raise SplineError(f"basis index {i} out of range [0, {self.num_basis})")
-        return self.knots[i], self.knots[i + self.degree + 1]
-
-    def cell_bounds(self, j):
-        """Endpoints of cell ``j`` (interval between distinct knots)."""
-        if not 0 <= j < self.num_cells:
-            raise SplineError(f"cell index {j} out of range [0, {self.num_cells})")
-        return self.breakpoints[j], self.breakpoints[j + 1]
-
-    def support_cells(self, i):
-        """Indices of the cells contained in the support of basis ``i``."""
-        lo, hi = self.support(i)
-        a = int(np.searchsorted(self.breakpoints, lo, side="left"))
-        b = int(np.searchsorted(self.breakpoints, hi, side="left"))
-        return range(a, b)
-
     def find_cell(self, x):
         """Cell index (or array of them) containing ``x`` (right-continuous;
         last cell closed)."""
@@ -236,27 +217,6 @@ class TensorGrid:
     @property
     def num_basis(self):
         return (self.kvs[0].num_basis, self.kvs[1].num_basis)
-
-    def cell_bounds(self, cell):
-        """((x0, x1), (y0, y1)) bounds of cell ``(jx, jy)``."""
-        jx, jy = cell
-        return self.kvs[0].cell_bounds(jx), self.kvs[1].cell_bounds(jy)
-
-    def cells(self):
-        nx, ny = self.num_cells
-        return ((jx, jy) for jx in range(nx) for jy in range(ny))
-
-    def support_cells(self, k):
-        """All cells contained in the support of tensor basis ``k = (k1, k2)``."""
-        rx = self.kvs[0].support_cells(k[0])
-        ry = self.kvs[1].support_cells(k[1])
-        return [(jx, jy) for jx in rx for jy in ry]
-
-    def support_box(self, k):
-        """Support rectangle of tensor basis ``k`` as (lo, hi) arrays."""
-        sx = self.kvs[0].support(k[0])
-        sy = self.kvs[1].support(k[1])
-        return np.array([sx[0], sy[0]]), np.array([sx[1], sy[1]])
 
     def refined(self):
         return TensorGrid(self.kvs[0].refined(), self.kvs[1].refined())

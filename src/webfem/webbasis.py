@@ -170,77 +170,89 @@ def prolong(coarse, fine, coeffs):
 # evaluation
 # ---------------------------------------------------------------------------
 
+# points per block of the tabulation (BasisValues), the contraction
+# (BasisValues.field) and eval_fields; the memory a table needs beyond its
+# values is bounded by one block
+EVAL_CHUNK = 16384
+
+
 class BasisValues:
     """Weighted tensor basis w*b_k and its first partials at points: the one
     tabulation kernel of assembly (``BasisTables``) and evaluation.
 
-    ``idx`` (N, na) holds the column (in the relevant-index enumeration) of
-    each of the na B-splines nonzero at a point, -1 outside the relevant
-    set; ``wb`` (N, na) the weighted values and, for ``nderiv >= 1``,
-    ``wbx``/``wby`` the first partials. ``span_key`` (N,) numbers the pair
-    of knot spans of each point; points with equal keys share their
-    ``idx`` row.
+    ``rows`` (n_span_pairs, na) holds, for each pair of knot spans that
+    holds points, the columns (in the relevant-index enumeration) of the na
+    B-splines nonzero there, -1 outside the relevant set; ``row_of`` (N,)
+    numbers the span pair of each point, whose columns are therefore
+    ``rows[row_of]``. ``wb`` (N, na) holds the weighted values and, for
+    ``nderiv >= 1``, ``wbx``/``wby`` the first partials.
 
     The univariate B-splines are evaluated once per distinct coordinate of
-    each axis, the ``idx`` rows once per distinct span pair, and each table
-    is one separable product: ``wb = (w Bx) (x) By``,
-    ``wbx = (w_x Bx + w Bx') (x) By`` and ``wby = Bx (x) (w_y By + w By')``.
+    each axis, and each table entry is one product of separable factors:
+    ``wb = (w Bx) (x) By``, ``wbx = (w_x Bx + w Bx') (x) By`` and
+    ``wby = Bx (x) (w_y By + w By')``, written into the tables one block of
+    ``EVAL_CHUNK`` points at a time.
     """
 
     def __init__(self, basis, pts, nderiv=1):
         grid = basis.grid
         (m1, m2), (nbx, nby) = grid.degrees, grid.num_basis
-        spans, ders = [], []
+        per_axis = []
         for ax, kv in enumerate(grid.kvs):
             coords, inv = np.unique(pts[:, ax], return_inverse=True)
-            s, d = nonzero_basis(kv, coords, nderiv)
-            spans.append(np.take(s, inv))
-            ders.append(np.take(d, inv, axis=1))
-        (sx, sy), (dx, dy) = spans, ders
-        self.span_key = sx * nby + sy
+            per_axis.append((inv, *nonzero_basis(kv, coords, nderiv)))
+        (ix, sx, dx), (iy, sy, dy) = per_axis
+        span_key = np.take(sx, ix) * nby + np.take(sy, iy)
         used = np.zeros(nbx * nby, dtype=bool)
-        used[self.span_key] = True
+        used[span_key] = True
+        self.row_of = (np.cumsum(used) - 1)[span_key]
         kx, ky = np.divmod(np.flatnonzero(used), nby)
-        rows = basis.kcol[(kx[:, None] - m1 + np.arange(m1 + 1))[:, :, None],
-                          (ky[:, None] - m2 + np.arange(m2 + 1))[:, None, :]]
-        self.idx = np.take(rows.reshape(kx.size, (m1 + 1) * (m2 + 1)),
-                           (np.cumsum(used) - 1)[self.span_key], axis=0)
-        if nderiv == 0:
-            w = basis.domain.weight(pts)
-        else:
-            w, gw = basis.domain.weight_and_gradient(pts)
-        by = np.tile(dy[0], m1 + 1)
-        self.wb = _outer(w[:, None] * dx[0], by)
+        self.rows = basis.kcol[
+            (kx[:, None] - m1 + np.arange(m1 + 1))[:, :, None],
+            (ky[:, None] - m2 + np.arange(m2 + 1))[:, None, :]].reshape(
+                kx.size, (m1 + 1) * (m2 + 1))
+        n = pts.shape[0]
+        shape = (n, m1 + 1, m2 + 1)
+        wb = np.empty(shape)
         if nderiv >= 1:
-            self.wbx = _outer(gw[:, :1] * dx[0] + w[:, None] * dx[1], by)
-            self.wby = _outer(dx[0], np.tile(
-                gw[:, 1:] * dy[0] + w[:, None] * dy[1], m1 + 1))
+            wbx, wby = np.empty(shape), np.empty(shape)
+        for start in range(0, n, EVAL_CHUNK):
+            sl = slice(start, start + EVAL_CHUNK)
+            bx, by = np.take(dx, ix[sl], axis=1), np.take(dy, iy[sl], axis=1)
+            if nderiv == 0:
+                w = basis.domain.weight(pts[sl])[:, None]
+            else:
+                w, gw = basis.domain.weight_and_gradient(pts[sl])
+                w = w[:, None]
+            np.einsum("ni,nj->nij", w * bx[0], by[0], out=wb[sl])
+            if nderiv >= 1:
+                np.einsum("ni,nj->nij", gw[:, :1] * bx[0] + w * bx[1], by[0],
+                          out=wbx[sl])
+                np.einsum("ni,nj->nij", bx[0], gw[:, 1:] * by[0] + w * by[1],
+                          out=wby[sl])
+        self.wb = wb.reshape(n, -1)
+        if nderiv >= 1:
+            self.wbx, self.wby = wbx.reshape(n, -1), wby.reshape(n, -1)
 
     def field(self, c_full, grad=False):
-        """Field values (and gradient) of a full-basis coefficient vector.
+        """Field values (and gradient) of a full-basis coefficient vector,
+        contracted one block of points at a time.
 
-        A column of -1 reads ``c_full[-1]``; where ``idx`` has any, pass the
+        A column of -1 reads ``c_full[-1]``; where ``rows`` has any, pass the
         vector with a trailing 0 so that those B-splines contribute nothing.
         """
-        cw = c_full[self.idx]
-        vals = np.einsum("na,na->n", cw, self.wb)
-        if not grad:
-            return vals
-        gx = np.einsum("na,na->n", cw, self.wbx)
-        gy = np.einsum("na,na->n", cw, self.wby)
-        return vals, np.column_stack([gx, gy])
-
-
-def _outer(a, b_tiled):
-    """Row-wise outer products a (x) b of a (N, p) and b (N, q), as (N, p q),
-    from a and ``b_tiled = np.tile(b, p)``."""
-    out = np.repeat(a, b_tiled.shape[1] // a.shape[1], axis=1)
-    out *= b_tiled
-    return out
-
-
-# points per tabulation block of eval_fields; bounds its memory
-EVAL_CHUNK = 100000
+        c_rows = c_full[self.rows]
+        n = self.row_of.size
+        vals = np.empty(n)
+        grads = np.empty((n, 2)) if grad else None
+        for start in range(0, n, EVAL_CHUNK):
+            sl = slice(start, start + EVAL_CHUNK)
+            cw = np.take(c_rows, self.row_of[sl], axis=0)
+            np.einsum("na,na->n", cw, self.wb[sl], out=vals[sl])
+            if grad:
+                np.einsum("na,na->n", cw, self.wbx[sl], out=grads[sl, 0])
+                np.einsum("na,na->n", cw, self.wby[sl], out=grads[sl, 1])
+        return (vals, grads) if grad else vals
 
 
 def eval_fields(basis, c_fulls, pts, grad=False):

@@ -25,9 +25,17 @@ Scalar references the library itself does not need:
 * ``local_polynomial_1d_loop``: the piece of one B-spline on one cell by the
   Cox-de Boor recursion one B-spline at a time, which the batched
   :func:`webfem.splines.local_polynomial_1d` must reproduce exactly;
+* ``kv_support``, ``kv_cell_bounds``, ``kv_support_cells`` and
+  ``grid_cell_bounds``, ``grid_cells``, ``grid_support_cells``,
+  ``grid_support_box``: supports and cell bounds one index at a time;
 * ``basis_values_point``: the row of :class:`webfem.webbasis.BasisValues`
   at one point, from the Cox-de Boor recursion of each B-spline's piece on
   the point's knot spans and the product rule with the weight;
+* ``BasisValuesPointColumns``: the tabulation kernel that stored the
+  columns of every point and built each table from full-length
+  ``np.repeat``/``np.tile`` factors, whose tables, columns
+  (``point_columns`` of the library's kernel) and fields
+  :class:`webfem.webbasis.BasisValues` must reproduce exactly;
 * ``weight`` and ``weight_gradient`` at a single point;
 * ``cell_rule`` (Gauss rule on one box) and ``integrate`` (one cut-cell
   integral);
@@ -42,7 +50,10 @@ Scalar references the library itself does not need:
 * ``pressure_patches_loop``: the patch layout of a
   :class:`webfem.assembly.PressureSpace` from tuple-keyed dicts, a 3x3
   neighbor scan per sliver and a chain walk per patch, which the array pass
-  of the space must reproduce exactly.
+  of the space must reproduce exactly;
+* ``project_pressure_mass_gather``: the pressure projection that gathers
+  the patch blocks out of the assembled global mass, which
+  :func:`webfem.assembly.project_pressure` must reproduce exactly.
 """
 
 from dataclasses import dataclass
@@ -52,7 +63,9 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 
-from webfem.assembly import SLIVER_FRACTION, bilinear_form
+from webfem.assembly import (
+    SLIVER_FRACTION, _mass_and_integral, bilinear_form, linear_form,
+)
 from webfem.geometry import CellLabel, IndexSets, ResolutionError
 from webfem.quadrature import build_quadrature, gauss_2d
 from webfem.splines import (
@@ -60,6 +73,57 @@ from webfem.splines import (
     local_polynomial_1d, nonzero_basis,
 )
 from webfem.webbasis import BasisError
+
+
+# ---------------------------------------------------------------------------
+# spline accessors (cell bounds and supports one index at a time)
+# ---------------------------------------------------------------------------
+
+def kv_support(kv, i):
+    """Closure of the support of basis function ``i``."""
+    if not 0 <= i < kv.num_basis:
+        raise SplineError(f"basis index {i} out of range [0, {kv.num_basis})")
+    return kv.knots[i], kv.knots[i + kv.degree + 1]
+
+
+def kv_cell_bounds(kv, j):
+    """Endpoints of cell ``j`` (interval between distinct knots)."""
+    if not 0 <= j < kv.num_cells:
+        raise SplineError(f"cell index {j} out of range [0, {kv.num_cells})")
+    return kv.breakpoints[j], kv.breakpoints[j + 1]
+
+
+def kv_support_cells(kv, i):
+    """Indices of the cells contained in the support of basis ``i``."""
+    lo, hi = kv_support(kv, i)
+    a = int(np.searchsorted(kv.breakpoints, lo, side="left"))
+    b = int(np.searchsorted(kv.breakpoints, hi, side="left"))
+    return range(a, b)
+
+
+def grid_cell_bounds(grid, cell):
+    """((x0, x1), (y0, y1)) bounds of cell ``(jx, jy)``."""
+    jx, jy = cell
+    return kv_cell_bounds(grid.kvs[0], jx), kv_cell_bounds(grid.kvs[1], jy)
+
+
+def grid_cells(grid):
+    nx, ny = grid.num_cells
+    return ((jx, jy) for jx in range(nx) for jy in range(ny))
+
+
+def grid_support_cells(grid, k):
+    """All cells contained in the support of tensor basis ``k = (k1, k2)``."""
+    rx = kv_support_cells(grid.kvs[0], k[0])
+    ry = kv_support_cells(grid.kvs[1], k[1])
+    return [(jx, jy) for jx in rx for jy in ry]
+
+
+def grid_support_box(grid, k):
+    """Support rectangle of tensor basis ``k`` as (lo, hi) arrays."""
+    sx = kv_support(grid.kvs[0], k[0])
+    sy = kv_support(grid.kvs[1], k[1])
+    return np.array([sx[0], sy[0]]), np.array([sx[1], sy[1]])
 
 
 def eval_web(basis, i, x, deriv=(0, 0)):
@@ -239,7 +303,7 @@ def project_loop(basis, f):
     coeffs = np.empty(basis.n_inner)
     for r, (i, cell) in enumerate(zip(map(tuple, basis.idx.inner.tolist()),
                                       map(tuple, basis.idx.center_cell.tolist()))):
-        (x0, x1), (y0, y1) = grid.cell_bounds(cell)
+        (x0, x1), (y0, y1) = grid_cell_bounds(grid, cell)
         piece = interpolate_piece(f_over_w, (x0, y0), (x1, y1), degrees)
         if not np.all(np.isfinite(piece.coeffs)):
             raise BasisError(
@@ -347,6 +411,71 @@ def _piece_deriv(t, s, i, k, x, order):
         if d2 > 0.0:
             val -= k / d2 * _piece_deriv(t, s, i + 1, k - 1, x, order - 1)
     return val
+
+
+class BasisValuesPointColumns:
+    """The tabulation kernel that stored the columns of every point: ``idx``
+    (N, na) and ``span_key`` (N,) per point, and each table one separable
+    product of full-length factors, built with ``np.repeat``/``np.tile``
+    (:func:`_outer`). :class:`webfem.webbasis.BasisValues` must reproduce
+    its tables, columns and fields exactly."""
+
+    def __init__(self, basis, pts, nderiv=1):
+        grid = basis.grid
+        (m1, m2), (nbx, nby) = grid.degrees, grid.num_basis
+        spans, ders = [], []
+        for ax, kv in enumerate(grid.kvs):
+            coords, inv = np.unique(pts[:, ax], return_inverse=True)
+            s, d = nonzero_basis(kv, coords, nderiv)
+            spans.append(np.take(s, inv))
+            ders.append(np.take(d, inv, axis=1))
+        (sx, sy), (dx, dy) = spans, ders
+        self.span_key = sx * nby + sy
+        used = np.zeros(nbx * nby, dtype=bool)
+        used[self.span_key] = True
+        kx, ky = np.divmod(np.flatnonzero(used), nby)
+        rows = basis.kcol[(kx[:, None] - m1 + np.arange(m1 + 1))[:, :, None],
+                          (ky[:, None] - m2 + np.arange(m2 + 1))[:, None, :]]
+        self.idx = np.take(rows.reshape(kx.size, (m1 + 1) * (m2 + 1)),
+                           (np.cumsum(used) - 1)[self.span_key], axis=0)
+        if nderiv == 0:
+            w = basis.domain.weight(pts)
+        else:
+            w, gw = basis.domain.weight_and_gradient(pts)
+        by = np.tile(dy[0], m1 + 1)
+        self.wb = _outer(w[:, None] * dx[0], by)
+        if nderiv >= 1:
+            self.wbx = _outer(gw[:, :1] * dx[0] + w[:, None] * dx[1], by)
+            self.wby = _outer(dx[0], np.tile(
+                gw[:, 1:] * dy[0] + w[:, None] * dy[1], m1 + 1))
+
+    def field(self, c_full, grad=False):
+        """Field values (and gradient) of a full-basis coefficient vector.
+
+        A column of -1 reads ``c_full[-1]``; where ``idx`` has any, pass the
+        vector with a trailing 0 so that those B-splines contribute nothing.
+        """
+        cw = c_full[self.idx]
+        vals = np.einsum("na,na->n", cw, self.wb)
+        if not grad:
+            return vals
+        gx = np.einsum("na,na->n", cw, self.wbx)
+        gy = np.einsum("na,na->n", cw, self.wby)
+        return vals, np.column_stack([gx, gy])
+
+
+def _outer(a, b_tiled):
+    """Row-wise outer products a (x) b of a (N, p) and b (N, q), as (N, p q),
+    from a and ``b_tiled = np.tile(b, p)``."""
+    out = np.repeat(a, b_tiled.shape[1] // a.shape[1], axis=1)
+    out *= b_tiled
+    return out
+
+
+def point_columns(values):
+    """(N, na) columns of every point of a
+    :class:`webfem.webbasis.BasisValues`, -1 off the relevant set."""
+    return values.rows[values.row_of]
 
 
 def basis_values_point(basis, x):
@@ -464,7 +593,7 @@ def local_polynomial(grid, multi_index, cell):
     The piece is valid for evaluation anywhere; outside the cell it is the
     polynomial extension of the restriction.
     """
-    (x0, x1), (y0, y1) = grid.cell_bounds(cell)
+    (x0, x1), (y0, y1) = grid_cell_bounds(grid, cell)
     if not (x1 > x0 and y1 > y0):
         raise SplineError(f"degenerate cell {cell}")
     cx = local_polynomial_1d(grid.kvs[0], multi_index[0], cell[0])
@@ -478,7 +607,7 @@ def local_polynomial_1d_loop(kv, index, cell_idx):
     Cox-de Boor recursion on monomial coefficients in the cell-local
     coordinate, one lower-degree B-spline at a time."""
     m = kv.degree
-    a, b = kv.cell_bounds(cell_idx)
+    a, b = kv_cell_bounds(kv, cell_idx)
     h = b - a
     t = kv.knots
 
@@ -626,8 +755,8 @@ def classify_indices_loop(grid, cls):
     int_lo = np.column_stack([bx[int_arr[:, 0]], by[int_arr[:, 1]]])
     int_hi = np.column_stack([bx[int_arr[:, 0] + 1], by[int_arr[:, 1] + 1]])
 
-    sup_x = [grid.kvs[0].support_cells(i) for i in range(nbx)]
-    sup_y = [grid.kvs[1].support_cells(i) for i in range(nby)]
+    sup_x = [kv_support_cells(grid.kvs[0], i) for i in range(nbx)]
+    sup_y = [kv_support_cells(grid.kvs[1], i) for i in range(nby)]
 
     relevant, inner, outer = [], [], []
     center, center_cell = {}, {}
@@ -645,7 +774,7 @@ def classify_indices_loop(grid, cls):
                 jx, jy = pos[0]  # argwhere scans lexicographically
                 cell = (rx.start + int(jx), sup_y[i2].start + int(jy))
                 center_cell[k] = cell
-                (x0, x1), (y0, y1) = grid.cell_bounds(cell)
+                (x0, x1), (y0, y1) = grid_cell_bounds(grid, cell)
                 center[k] = np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
             else:
                 outer.append(k)
@@ -658,13 +787,13 @@ def classify_indices_loop(grid, cls):
     q_cell, i_of_j, alpha = {}, {}, {}
     inner_set = set(inner)
     for j in outer:
-        alo, ahi = grid.support_box(j)
+        alo, ahi = grid_support_box(grid, j)
         d = _box_corner_hausdorff(alo, ahi, int_lo, int_hi)
         near = np.nonzero(d <= d.min() * (1.0 + 1e-12))[0]
         # interior_cells is lexicographically sorted, so the first hit wins ties
         q = interior_cells[near[0]]
         q_cell[j] = q
-        (x0, x1), (y0, y1) = grid.cell_bounds(q)
+        (x0, x1), (y0, y1) = grid_cell_bounds(grid, q)
         covering = [(a, b) for a in _covered_by(grid.kvs[0], x0, x1)
                     for b in _covered_by(grid.kvs[1], y0, y1)]
         i_of_j[j] = sorted(i for i in covering if i in inner_set)
@@ -741,3 +870,26 @@ def pressure_patches_loop(grid, quad, degree, macro=1):
     center[ids] = np.column_stack([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
     half[ids] = np.column_stack([0.5 * (x1 - x0), 0.5 * (y1 - y0)])
     return roots, pos, center, half, len(roots) * (degree + 1) ** 2
+
+
+def project_pressure_mass_gather(pspace, quad, p_exact):
+    """Cell-wise L2 projection onto the pressure space, gathering the patch
+    blocks out of the assembled global pressure mass; the per-patch sums
+    of :func:`webfem.assembly.project_pressure` must reproduce it exactly."""
+    seg, cols, vals = pspace.rule(quad.points, quad.cell_ids)
+    p_vals = p_exact(quad.points) if callable(p_exact) else np.asarray(p_exact)
+    M, _ = _mass_and_integral(pspace.n_dofs, quad.weights, seg, cols, vals)
+    rhs = linear_form(seg, cols, quad.weights, [(p_vals, vals)], pspace.n_dofs)
+    nd = pspace.ndof_cell
+    # M is block diagonal: gather its per-patch blocks, O(n_dofs * nd)
+    coo = M.tocoo()
+    blocks = np.zeros((len(pspace.cells), nd, nd))
+    blocks[coo.row // nd, coo.row % nd, coo.col % nd] = coo.data
+    rhs = rhs.reshape(-1, nd)
+    out = np.zeros_like(rhs)
+    for c, (block, loc) in enumerate(zip(blocks, rhs)):
+        try:
+            out[c] = np.linalg.solve(block, loc)
+        except np.linalg.LinAlgError:
+            out[c] = np.linalg.lstsq(block, loc, rcond=None)[0]
+    return out.ravel()

@@ -27,7 +27,8 @@ from webfem.splines import TensorGrid, graded_knots, uniform_knots
 from webfem.webbasis import build_web_basis, project
 
 from oracles import (
-    assemble_dipole_rhs, eval_web, linear_form_points, pressure_patches_loop,
+    assemble_dipole_rhs, eval_web, grid_support_box, linear_form_points,
+    point_columns, pressure_patches_loop, project_pressure_mass_gather,
 )
 from strategies import r_trees
 
@@ -124,8 +125,8 @@ class TestVcpe:
         A = sys.matrix.toarray()
         inner = basis.idx.inner
         i0, i1 = inner[0], inner[-1]  # opposite corners of the disk
-        lo0, hi0 = basis.grid.support_box(i0)
-        lo1, hi1 = basis.grid.support_box(i1)
+        lo0, hi0 = grid_support_box(basis.grid, i0)
+        lo1, hi1 = grid_support_box(basis.grid, i1)
         assert np.all(hi0 < lo1) or np.all(hi1 < lo0) or \
                hi0[0] < lo1[0] or hi0[1] < lo1[1]
         assert A[0, -1] == 0.0
@@ -174,7 +175,8 @@ class TestDipole:
         f = lambda p: np.cos(p[:, 0]) * np.cos(p[:, 1]) + p[:, 0]
         F_dip = assemble_dipole_rhs(basis, d, tables)
         F_src = basis.coupling_matrix() @ linear_form_points(
-            tables.idx, tables.qw, [(f(quad.points), tables.wb)], tables.n_cols)
+            point_columns(tables), tables.qw, [(f(quad.points), tables.wb)],
+            tables.n_cols)
         assert np.max(np.abs(F_dip - F_src)) <= 1e-6
 
 
@@ -346,6 +348,23 @@ class TestPressure:
             tracemalloc.stop()
         assert peak <= ps.n_dofs ** 2 * 8 / 50
 
+    def test_projection_equals_mass_gather(self):
+        # the per-patch sums of the local masses are the patch blocks of the
+        # assembled global mass, added in the same cell order
+        p = lambda pts: pts[:, 0] * pts[:, 1] + np.sin(pts[:, 0])
+        kv = graded_knots(-1.1, 1.1, 13, 2, 1.15)
+        grid = TensorGrid(kv, kv)
+        for node in (Disk([0.03, -0.02], 0.97), annulus([0.0, 0.01], 0.35, 0.98),
+                     box([-0.83, -0.91], [0.94, 0.77])):
+            dom = ImplicitDomain(node)
+            quad = build_quadrature(dom, grid, classify_cells(dom, grid), 3, 4)
+            for degree in (0, 1, 2):
+                for macro in (1, 2):
+                    ps = PressureSpace(grid, quad, degree, macro=macro)
+                    assert np.array_equal(
+                        project_pressure(ps, quad, p),
+                        project_pressure_mass_gather(ps, quad, p))
+
     def test_projection_preserves_mean(self):
         basis, quad, tables = disk_setup(n_cells=8)
         ps = PressureSpace(basis.grid, quad, 0)
@@ -513,17 +532,22 @@ def assert_close(actual, reference):
     assert np.max(np.abs(actual - reference)) <= 1e-12 * scale
 
 
-def workload_levels(workload, tmp_path):
-    """(study, quad, tables) of each level of a benchmark workload at seed 0."""
+def workload_rules(workload, tmp_path):
+    """(study, basis, quad) of each level of a benchmark workload at seed 0."""
     cfg = cli.load_config(workloads.write_config(workload, 0, tmp_path))
     study = cli._study_from_config(cfg)
     dom = domain_from_config(cli._build_case(cfg).domain_config)
     grid = study.base_grid()
     for level in range(study.levels):
         basis = build_web_basis(dom, grid, study.samples_per_axis)
-        quad = assembly_quadrature(basis, study, level)
-        yield study, quad, BasisTables(basis, quad)
+        yield study, basis, assembly_quadrature(basis, study, level)
         grid = grid.refined()
+
+
+def workload_levels(workload, tmp_path):
+    """(study, quad, tables) of each level of a benchmark workload at seed 0."""
+    for study, basis, quad in workload_rules(workload, tmp_path):
+        yield study, quad, BasisTables(basis, quad)
 
 
 class TestLinearForm:
@@ -543,7 +567,7 @@ class TestLinearForm:
             terms = [(c[0], t.wbx), (c[1], t.wby), (1.0, t.wb)]
             self.assert_rounding(
                 linear_form(seg, t.cell_idx, t.qw, terms, t.n_cols),
-                linear_form_points(t.idx, t.qw, terms, t.n_cols))
+                linear_form_points(point_columns(t), t.qw, terms, t.n_cols))
             for degree in (0, 1):
                 ps = PressureSpace(t.basis.grid, quad, degree,
                                    macro=study.pressure_macro)
@@ -564,6 +588,33 @@ class TestLinearForm:
                                        ps.n_dofs))
 
 
+class TestTableMemory:
+    """The tables of a rule with many points per cell (the finest level of
+    the cut-cell benchmark workload: deep dyadic subdivision) cost their
+    three value arrays and, beyond them, about one block of points."""
+
+    def test_tables_and_field_bound_their_memory(self, tmp_path):
+        *_, (_, basis, quad) = workload_rules("cutcell_deg3", tmp_path)
+        assert quad.num_points >= 20000
+        c_full = np.append(basis.coupling_matrix().T @ np.ones(basis.n_inner),
+                           0.0)
+        tracemalloc.start()
+        try:
+            tables = BasisTables(basis, quad)
+            kept, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            vals, grads = tables.field(c_full, grad=True)
+            field_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table_bytes = tables.wb.nbytes + tables.wbx.nbytes + tables.wby.nbytes
+        assert kept <= 1.1 * table_bytes
+        assert peak - kept <= 0.5 * table_bytes
+        outputs = vals.nbytes + grads.nbytes
+        assert field_peak - before - outputs <= 0.3 * table_bytes
+
+
 class TestSparsityPlan:
     # the second table is the coarse level of the cut-cell benchmark
     # workload: cubic, 4 cells, depth 5, three-point leaves
@@ -576,9 +627,10 @@ class TestSparsityPlan:
         assert len({k for *_, k in t.segments.batches}) > 1
         E = basis.coupling_matrix().toarray()
         shape = (t.n_cols, t.n_cols)
+        idx = point_columns(t)
 
         def web(terms):
-            return E @ dense_form(t.idx, t.idx, t.qw, terms, shape) @ E.T
+            return E @ dense_form(idx, idx, t.qw, terms, shape) @ E.T
 
         a = lambda p: 1.0 + p[:, 0] ** 2
         av = a(t.points)
@@ -608,8 +660,8 @@ class TestSparsityPlan:
         pseg, pcell_cols, pvals = ps.rule(quad.points, quad.cell_ids)
         pcols = np.repeat(pcell_cols, pseg.counts, axis=0)
         pshape = (ps.n_dofs, t.n_cols)
-        Bx = dense_form(pcols, t.idx, t.qw, [(-1.0, pvals, t.wbx)], pshape)
-        By = dense_form(pcols, t.idx, t.qw, [(-1.0, pvals, t.wby)], pshape)
+        Bx = dense_form(pcols, idx, t.qw, [(-1.0, pvals, t.wbx)], pshape)
+        By = dense_form(pcols, idx, t.qw, [(-1.0, pvals, t.wby)], pshape)
         assert_close(B, np.hstack([Bx @ E.T, By @ E.T]))
         assert_close(Mp, dense_form(pcols, pcols, quad.weights,
                                     [(1.0, pvals, pvals)],

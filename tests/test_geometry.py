@@ -13,7 +13,10 @@ from webfem.geometry import (
 )
 from webfem.splines import KnotVector, TensorGrid, graded_knots, uniform_knots
 
-from oracles import classify_indices_loop, weight, weight_gradient
+from oracles import (
+    classify_indices_loop, grid_cell_bounds, grid_cells, grid_support_box,
+    grid_support_cells, weight, weight_gradient,
+)
 from strategies import r_trees
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -189,7 +192,7 @@ class TestClassifyCells:
         # adds one cell ring, shifting cell indices by one)
         g = self.grid(4)
         cls = classify_cells(unit_disk(), g)
-        (x0, x1), (y0, y1) = g.cell_bounds((3, 3))
+        (x0, x1), (y0, y1) = grid_cell_bounds(g, (3, 3))
         assert (x0, x1, y0, y1) == (0.0, 0.5, 0.0, 0.5)
         assert cls.labels[3, 3] == CellLabel.INTERIOR
         assert cls.labels[4, 4] == CellLabel.BOUNDARY
@@ -198,8 +201,8 @@ class TestClassifyCells:
         g = self.grid(8)
         dom = ImplicitDomain(box([-0.5, -0.5], [0.5, 0.5]))
         cls = classify_cells(dom, g)
-        for cell in g.cells():
-            (x0, x1), (y0, y1) = g.cell_bounds(cell)
+        for cell in grid_cells(g):
+            (x0, x1), (y0, y1) = grid_cell_bounds(g, cell)
             if cls.labels[cell] == CellLabel.BOUNDARY:
                 touches = (abs(x0) == 0.5 or abs(x1) == 0.5
                            or abs(y0) == 0.5 or abs(y1) == 0.5)
@@ -211,7 +214,7 @@ class TestClassifyCells:
         cls = classify_cells(dom, g, samples_per_axis=4)
         rng = np.random.default_rng(11)
         for cell in np.argwhere(cls.labels == CellLabel.INTERIOR):
-            (x0, x1), (y0, y1) = g.cell_bounds(cell)
+            (x0, x1), (y0, y1) = grid_cell_bounds(g, cell)
             pts = np.column_stack([rng.uniform(x0, x1, 40), rng.uniform(y0, y1, 40)])
             assert np.all(dom.phi(pts) > 0)
 
@@ -222,7 +225,7 @@ class TestClassifyCells:
         cls = classify_cells(dom, g, samples_per_axis=sam)
         fr = np.linspace(0, 1, sam)
         for cell in np.argwhere(cls.labels == CellLabel.BOUNDARY):
-            (x0, x1), (y0, y1) = g.cell_bounds(cell)
+            (x0, x1), (y0, y1) = grid_cell_bounds(g, cell)
             X, Y = np.meshgrid(x0 + (x1 - x0) * fr, y0 + (y1 - y0) * fr)
             vals = dom.phi(np.column_stack([X.ravel(), Y.ravel()]))
             assert vals.min() <= 0.0 or vals.max() >= 0.0
@@ -239,7 +242,7 @@ class TestClassifyCells:
         prev_interior = None
         for _ in range(3):
             cls = classify_cells(dom, g)
-            interior_boxes = [g.cell_bounds(c) for c in
+            interior_boxes = [grid_cell_bounds(g, c) for c in
                               np.argwhere(cls.labels == CellLabel.INTERIOR)]
             if prev_interior is not None:
                 for (x0, x1), (y0, y1) in prev_interior:
@@ -290,9 +293,9 @@ class TestClassifyIndices:
                               np.full(n_outer, 9))
         # Q_j is interior and contained in the support of each i in I(j)
         for a, b in zip(idx.pair_inner, idx.pair_outer):
-            assert tuple(idx.q_cell[b]) in g.support_cells(idx.inner[a])
+            assert tuple(idx.q_cell[b]) in grid_support_cells(g, idx.inner[a])
         for i, x in zip(idx.inner, idx.center):
-            lo, hi = g.support_box(i)
+            lo, hi = grid_support_box(g, i)
             assert np.all(x > lo) and np.all(x < hi)
             assert dom.phi(x[None, :])[0] > 0
 

@@ -8,7 +8,7 @@ from webfem.geometry import (
 from webfem.quadrature import QuadratureError, build_quadrature
 from webfem.splines import TensorGrid, uniform_knots
 
-from oracles import cell_rule, integrate
+from oracles import cell_rule, grid_cell_bounds, integrate
 from strategies import r_trees
 
 
@@ -169,7 +169,7 @@ def reference_quadrature(domain, grid, cls, g, depth, g_leaf=None):
             lab = cls.labels[jx, jy]
             if lab == CellLabel.EXTERIOR:
                 continue
-            (x0, x1), (y0, y1) = grid.cell_bounds((jx, jy))
+            (x0, x1), (y0, y1) = grid_cell_bounds(grid, (jx, jy))
             if lab == CellLabel.INTERIOR:
                 p, w = cell_rule((x0, y0), (x1, y1), g)
             else:

@@ -9,7 +9,8 @@ from webfem.splines import (
 
 from oracles import (
     PolynomialPiece, deboor_fix, dual_functional_1d, eval_bspline,
-    eval_bspline_deriv, eval_tensor_bspline, interpolate_piece,
+    eval_bspline_deriv, eval_tensor_bspline, grid_cell_bounds,
+    interpolate_piece, kv_cell_bounds, kv_support, kv_support_cells,
     local_polynomial, local_polynomial_1d_loop,
 )
 
@@ -64,8 +65,8 @@ class TestKnotVector:
     def test_counts_and_support(self):
         kv = KnotVector([0, 1, 2, 3, 4], 2)
         assert kv.num_basis == 2
-        assert kv.support(0) == (0, 3)
-        assert list(kv.support_cells(1)) == [1, 2, 3]
+        assert kv_support(kv, 0) == (0, 3)
+        assert list(kv_support_cells(kv, 1)) == [1, 2, 3]
 
     def test_refined_halves_spans(self):
         kv = KnotVector([0.0, 0.5, 2.0, 3.0], 1)
@@ -112,7 +113,7 @@ class TestEvalBspline:
         kv = random_knot_vector(rng, 3)
         xs = rng.uniform(kv.knots[0], kv.knots[-1], 300)
         for i in range(kv.num_basis):
-            lo, hi = kv.support(i)
+            lo, hi = kv_support(kv, i)
             vals = np.array([eval_bspline(kv, i, x) for x in xs])
             assert np.all(vals >= 0.0)
             assert np.all(vals[(xs < lo) | (xs > hi)] == 0.0)
@@ -251,7 +252,7 @@ class TestLocalPolynomial:
         cell = (2, 3)
         k = (3, 2)
         piece = local_polynomial(g, k, cell)
-        (x0, x1), (y0, y1) = g.cell_bounds(cell)
+        (x0, x1), (y0, y1) = grid_cell_bounds(g, cell)
         for _ in range(20):
             x = rng.uniform(x0, x1)
             y = rng.uniform(y0, y1)
@@ -293,9 +294,9 @@ class TestDeBoorFix:
         g = TensorGrid(kv, kv)
         n = kv.num_basis
         for k in range(n):
-            cells = list(kv.support_cells(k))
+            cells = list(kv_support_cells(kv, k))
             for kp in range(max(0, k - degree), min(n, k + degree + 1)):
-                common = sorted(set(cells) & set(kv.support_cells(kp)))
+                common = sorted(set(cells) & set(kv_support_cells(kv, kp)))
                 if not common:
                     continue
                 cell = common[len(common) // 2]
@@ -313,10 +314,12 @@ class TestDeBoorFix:
         ones = lambda pts: np.ones(pts.shape[0])
         for i in range(kv.num_basis):
             for j in range(kv.num_basis):
-                cx = list(kv.support_cells(i))
-                cy = list(kv.support_cells(j))
-                lo = np.array([kv.cell_bounds(cx[0])[0], kv.cell_bounds(cy[0])[0]])
-                hi = np.array([kv.cell_bounds(cx[0])[1], kv.cell_bounds(cy[0])[1]])
+                cx = list(kv_support_cells(kv, i))
+                cy = list(kv_support_cells(kv, j))
+                lo = np.array([kv_cell_bounds(kv, cx[0])[0],
+                               kv_cell_bounds(kv, cy[0])[0]])
+                hi = np.array([kv_cell_bounds(kv, cx[0])[1],
+                               kv_cell_bounds(kv, cy[0])[1]])
                 piece = interpolate_piece(ones, lo, hi, (2, 2))
                 lam[(i, j)] = deboor_fix((kv, kv), (i, j), piece)
         for _ in range(25):
@@ -333,9 +336,9 @@ class TestDeBoorFix:
             g = TensorGrid(kv, kv)
             n = kv.num_basis
             for k in range(n):
-                cells = set(kv.support_cells(k))
+                cells = set(kv_support_cells(kv, k))
                 for kp in range(max(0, k - 3), min(n, k + 4)):
-                    for cell in sorted(cells & set(kv.support_cells(kp))):
+                    for cell in sorted(cells & set(kv_support_cells(kv, kp))):
                         piece = local_polynomial(g, (kp, kp), (cell, cell))
                         lam = deboor_fix((kv, kv), (k, k), piece)
                         assert lam == pytest.approx(1.0 if k == kp else 0.0, abs=3e-9)
@@ -356,14 +359,14 @@ class TestDeBoorFix:
         t = kv.knots
         greville = [np.mean(t[j + 1:j + degree + 1]) for j in range(kv.num_basis)]
         for j in range(kv.num_basis):
-            for q in kv.support_cells(j):
-                lo, hi = kv.cell_bounds(q)
+            for q in kv_support_cells(kv, j):
+                lo, hi = kv_cell_bounds(kv, q)
                 val = dual_functional_1d(kv, j, [lo, hi], lo, hi)
                 assert val == pytest.approx(greville[j], rel=1e-13, abs=1e-13)
         for j1 in range(kv.num_basis):
             j2 = kv.num_basis - 1 - j1
-            q1, q2 = kv.support_cells(j1)[0], kv.support_cells(j2)[-1]
-            (x0, x1), (y0, y1) = kv.cell_bounds(q1), kv.cell_bounds(q2)
+            q1, q2 = kv_support_cells(kv, j1)[0], kv_support_cells(kv, j2)[-1]
+            (x0, x1), (y0, y1) = kv_cell_bounds(kv, q1), kv_cell_bounds(kv, q2)
             piece = PolynomialPiece(lo=np.array([x0, y0]), hi=np.array([x1, y1]),
                                     coeffs=np.outer([x0, x1], [y0, y1]))
             assert piece.degrees == (1, 1)
@@ -432,12 +435,12 @@ class TestRefinementMatrix:
         fine = kv.refined()
         S = refinement_matrix(kv, fine)
         for l in range(fine.num_basis):
-            q = fine.support_cells(l)[0]
-            lo, hi = fine.cell_bounds(q)
+            q = kv_support_cells(fine, l)[0]
+            lo, hi = kv_cell_bounds(fine, q)
             qc = int(kv.find_cell(0.5 * (lo + hi)))
             for k in range(kv.num_basis):
                 piece = local_polynomial_1d(kv, k, qc)
-                a, b = kv.cell_bounds(qc)
+                a, b = kv_cell_bounds(kv, qc)
                 assert S[l, k] == pytest.approx(
                     dual_functional_1d(fine, l, piece, a, b), abs=1e-12)
 

@@ -6,23 +6,25 @@ import scipy.sparse as sp
 from hypothesis import given, reject, settings, strategies as st
 
 from webfem.geometry import (
-    Conjunction, Disk, ImplicitDomain, ResolutionError, box, classify_cells,
-    classify_indices,
+    Conjunction, Disk, ImplicitDomain, ResolutionError, annulus, box,
+    classify_cells, classify_indices,
 )
 from webfem.quadrature import build_quadrature
 from webfem.splines import (
     KnotVector, TensorGrid, graded_knots, nonzero_basis, uniform_knots,
 )
 from webfem.solvers import SolutionField
+from webfem.assembly import BasisTables
 from webfem.webbasis import (
     BasisError, BasisValues, build_extension, build_web_basis, eval_field,
     jackson_error, project, prolong,
 )
 
 from oracles import (
-    basis_values_point, deboor_fix, eval_field_loop, eval_tensor_bspline,
-    eval_web, extension_exact, extension_matrix_loop, interpolate_piece,
-    local_polynomial, project_loop,
+    BasisValuesPointColumns, basis_values_point, deboor_fix, eval_field_loop,
+    eval_tensor_bspline, eval_web, extension_exact, extension_matrix_loop,
+    grid_cell_bounds, grid_support_box, interpolate_piece, local_polynomial,
+    point_columns, project_loop,
 )
 from strategies import r_trees
 from test_geometry import knot_vector
@@ -150,7 +152,7 @@ class TestExtension:
                                   pts[:, :1] ** np.arange(m1 + 1),
                                   pts[:, 1:] ** np.arange(m2 + 1))
         for b, j in enumerate(idx.outer):
-            (x0, x1), (y0, y1) = grid.cell_bounds(idx.q_cell[b])
+            (x0, x1), (y0, y1) = grid_cell_bounds(grid, idx.q_cell[b])
             piece = interpolate_piece(P, (x0, y0), (x1, y1), grid.degrees)
             sel = idx.pair_outer == b
             terms = [e * deboor_fix(grid.kvs, i, piece) for i, e in
@@ -170,7 +172,7 @@ class TestExtension:
         lam = np.empty(basis.n_inner)
         for r, (i, cell) in enumerate(zip(basis.idx.inner,
                                           basis.idx.center_cell)):
-            (x0, x1), (y0, y1) = grid.cell_bounds(cell)
+            (x0, x1), (y0, y1) = grid_cell_bounds(grid, cell)
             piece = interpolate_piece(q, (x0, y0), (x1, y1), grid.degrees)
             lam[r] = deboor_fix(grid.kvs, i, piece)
         pts = []
@@ -238,9 +240,9 @@ class TestEvalWeb:
     def test_locality(self):
         basis = disk_basis(n_cells=10)
         i = basis.idx.inner[0]
-        lo, hi = basis.grid.support_box(i)
+        lo, hi = grid_support_box(basis.grid, i)
         for j in basis.idx.outer[basis.idx.pair_outer[basis.idx.pair_inner == 0]]:
-            jlo, jhi = basis.grid.support_box(j)
+            jlo, jhi = grid_support_box(basis.grid, j)
             lo = np.minimum(lo, jlo)
             hi = np.maximum(hi, jhi)
         # points outside the union box evaluate to exactly 0
@@ -323,13 +325,64 @@ class TestBasisValuesOracle:
             min_size=1, max_size=24))
         pts = np.array(pairs, dtype=float)
         got = BasisValues(basis, pts)
+        cols = point_columns(got)
         for q, p in enumerate(pts):
             idx, wb, wbx, wby = basis_values_point(basis, p)
-            assert np.array_equal(got.idx[q], idx)
+            assert np.array_equal(cols[q], idx)
             for have, want in ((got.wb, wb), (got.wbx, wbx), (got.wby, wby)):
                 scale = max(1.0, np.max(np.abs(want)))
                 np.testing.assert_allclose(have[q], want, rtol=0,
                                            atol=1e-14 * scale)
+
+
+class TestBasisValuesPointColumns:
+    """BasisValues (basis rows per span pair, tables filled in blocks of
+    points, fields contracted in blocks) against the kernel that stored the
+    columns of every point: equal tables, columns and fields, with blocks
+    of 77 points that cut through the runs of quadrature cells."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+    @pytest.mark.parametrize("node", [
+        Disk([0.03, -0.02], 0.97), annulus([0.0, 0.01], 0.35, 0.98),
+        box([-0.83, -0.91], [0.94, 0.77])], ids=["disk", "annulus", "box"])
+    def test_equals_point_column_kernel(self, node, graded, degree,
+                                        monkeypatch):
+        import webfem.webbasis as webbasis
+        monkeypatch.setattr(webbasis, "EVAL_CHUNK", 77)
+        kv = (graded_knots(-1.1, 1.1, 9, degree, 1.2) if graded
+              else uniform_knots(-1.1, 1.1, 8, degree))
+        dom = ImplicitDomain(node)
+        basis = build_web_basis(dom, TensorGrid(kv, kv))
+        quad = build_quadrature(dom, basis.grid, basis.cls, degree + 1, 3)
+        rng = np.random.default_rng(60 + degree)
+        # the rule's cell runs, then points over the whole grid core, some
+        # of whose B-splines lie outside the relevant set
+        pts = np.concatenate([quad.points,
+                              rng.uniform(-1.1, 1.1, size=(500, 2))])
+        c_full = np.append(rng.normal(size=basis.n_relevant), 0.0)
+        for nderiv in (0, 1):
+            got = BasisValues(basis, pts, nderiv=nderiv)
+            want = BasisValuesPointColumns(basis, pts, nderiv=nderiv)
+            cols = point_columns(got)
+            assert np.array_equal(cols, want.idx)
+            assert np.any(cols < 0)
+            for name in ("wb", "wbx", "wby")[:1 + 2 * nderiv]:
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            if nderiv:
+                (vals, grads), (rv, rg) = (v.field(c_full, grad=True)
+                                           for v in (got, want))
+                assert np.array_equal(grads, rg)
+            else:
+                vals, rv = (v.field(c_full) for v in (got, want))
+            assert np.array_equal(vals, rv)
+        tables = BasisTables(basis, quad)
+        want = BasisValuesPointColumns(basis, quad.points)
+        assert np.array_equal(point_columns(tables), want.idx)
+        assert np.array_equal(tables.cell_idx, want.idx[tables.segments.starts])
+        for name in ("wb", "wbx", "wby"):
+            assert np.array_equal(getattr(tables, name), getattr(want, name))
+        assert quad.num_points > 77 and tables.segments.counts.max() > 1
 
 
 class TestEvalFieldOracle:
@@ -344,7 +397,7 @@ class TestEvalFieldOracle:
         # the whole grid core: the corners hold points whose nonzero
         # B-splines are all outside the relevant set
         pts = rng.uniform(-1.6, 1.6, size=(4000, 2))
-        cols = BasisValues(basis, pts, nderiv=0).idx
+        cols = point_columns(BasisValues(basis, pts, nderiv=0))
         some_out = np.any(cols < 0, axis=1)
         all_out = np.all(cols < 0, axis=1)
         assert np.any(some_out & ~all_out) and np.any(all_out)
