@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import squared_norm
-from .webbasis import BasisValues
+from .webbasis import EVAL_CHUNK, BasisValues
 
 
 class AssemblyError(RuntimeError):
@@ -49,7 +49,8 @@ class CellSegments:
     (:func:`~webfem.quadrature.build_quadrature`). Each batch is a tuple
     ``(first_run, end_run, first_point, end_point, run_length)`` of runs of
     one length, so its points reshape to (runs, run_length, ...) without a
-    copy.
+    copy. A batch holds at most ``EVAL_CHUNK`` points, or one run if that is
+    longer.
     """
 
     def __init__(self, cell_ids):
@@ -64,8 +65,13 @@ class CellSegments:
         offsets = np.append(self.starts, n)
         first = np.flatnonzero(np.diff(self.counts, prepend=-1))
         ends = np.append(first[1:], self.counts.size)
-        self.batches = [(lo, hi, offsets[lo], offsets[hi], self.counts[lo])
-                        for lo, hi in zip(first.tolist(), ends.tolist())]
+        self.batches = []
+        for lo, hi in zip(first.tolist(), ends.tolist()):
+            k = self.counts[lo]
+            step = max(1, EVAL_CHUNK // k)
+            for a in range(lo, hi, step):
+                b = min(a + step, hi)
+                self.batches.append((a, b, offsets[a], offsets[b], k))
 
     @property
     def num_cells(self):

@@ -232,6 +232,11 @@ def _build_case(cfg):
             raise ConfigError(
                 f"case {name!r} solves a {case.kind!r} problem, but the "
                 f"config requests {prob['type']!r}")
+        if case.kind == "plap" and case.params["p"] != prob["p"]:
+            raise ConfigError(
+                f"case {name!r} solves the p-Laplacian at p = "
+                f"{case.params['p']}, but the config sets problem.p = "
+                f"{prob['p']}")
     else:
         defaults = {"vcpe": "disk_poisson", "plap": None,
                     "quasi_newtonian": "stokes_carreau",

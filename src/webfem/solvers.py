@@ -377,8 +377,8 @@ def estimate_infsup(basis, pspace, tables):
     B, Mp, g = pspace.blocks(tables)
     S = velocity_seminorm_gram(basis, tables)
     T = B @ spla.splu(S).solve(B.T.toarray())
-    Mpd = Mp.toarray()
-    N = sla.null_space((Mpd @ pspace.constant).reshape(1, -1))
-    lam = float(np.min(sla.eigh(N.T @ T @ N, N.T @ Mpd @ N,
+    # M_p-orthogonal to the constants: g = M_p 1 are the basis integrals
+    N = sla.null_space(g.reshape(1, -1))
+    lam = float(np.min(sla.eigh(N.T @ T @ N, N.T @ (Mp @ N),
                                 eigvals_only=True)))
     return float(np.sqrt(max(lam, 0.0)))

@@ -1,19 +1,19 @@
 """Univariate and tensor-product non-uniform B-splines.
 
-Provides the values and derivatives of the nonzero B-splines at many points
-at once (:func:`nonzero_basis`) on arbitrary nondecreasing knot sequences,
-the univariate polynomial piece of a B-spline on a cell (Bernstein form,
-:func:`local_polynomial_1d`), the tensor interpolants of a function on many
-cells at once (:func:`interpolate_pieces`), and the de Boor-Fix dual
-functionals that are bi-orthogonal to the B-spline basis. On polynomials a
-dual functional is the blossom at the interior knots of the support, so it
-is one de Casteljau pass over the Bernstein coefficients (:func:`dual_row`).
-The same functionals give the exact knot-refinement matrix
+One representation serves every univariate B-spline quantity: the piece of
+each B-spline on each cell in Bernstein form (:func:`local_polynomial_1d`,
+tabulated per knot vector by ``KnotVector.cell_pieces``).
+:func:`nonzero_basis` evaluates these pieces at many points at once, a k-th
+derivative from their k-th differences. The de Boor-Fix dual functionals,
+bi-orthogonal to the B-spline basis, are on polynomials the blossom at the
+interior knots of the support: one de Casteljau pass over the Bernstein
+coefficients (:func:`dual_row`). They give the exact knot-refinement matrix
 (:func:`refinement_matrix`) that writes coarse B-splines in fine ones.
+:func:`interpolate_pieces` gives tensor interpolants on many cells at once.
 
 Conventions:
-    * evaluation at interior knots is right-continuous; at the last knot
-      of a knot vector the value is taken as the limit from the left,
+    * evaluation at interior knots is right-continuous; at the right end
+      ``knots[num_basis]`` of the full-support region it is the left limit,
     * a "cell" is an interval bounded by two consecutive *distinct* knots
       (tensor products of such intervals in 2D).
 """
@@ -110,89 +110,6 @@ class KnotVector:
 
     def __repr__(self):
         return f"KnotVector(n={self.knots.size}, degree={self.degree})"
-
-
-def find_spans(kv, x):
-    """Largest i with knots[i] <= x < knots[i+1] for each point of ``x``
-    (the last nonempty span at x = end)."""
-    t = kv.knots
-    x = np.asarray(x, dtype=float)
-    s = np.searchsorted(t, x, side="right") - 1
-    last = int(np.searchsorted(t, t[-1], side="left")) - 1
-    return np.where(x >= t[-1], last, s)
-
-
-# ---------------------------------------------------------------------------
-# B-spline evaluation
-# ---------------------------------------------------------------------------
-
-def nonzero_basis(kv, x, nderiv=0):
-    """Values (and derivatives) of the nonvanishing B-splines at points ``x``.
-
-    At a point in span ``s`` the nonzero basis functions are
-    ``s - degree .. s``. Points must lie in the full-support region of the
-    knot vector, i.e. in ``[knots[degree], knots[num_basis]]``.
-
-    Parameters
-    ----------
-    kv : KnotVector
-    x : array_like
-        Evaluation points, shape (N,).
-    nderiv : int
-        Highest derivative order requested (0 or more).
-
-    Returns
-    -------
-    spans : int array, shape (N,)
-    ders : array, shape (nderiv+1, N, degree+1)
-        ``ders[k, q, a]`` is the k-th derivative of basis ``spans[q]-degree+a``
-        at ``x[q]``.
-    """
-    m = kv.degree
-    t = kv.knots
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = x.size
-    if x.size and (x.min() < t[m] - 1e-12 or x.max() > t[kv.num_basis] + 1e-12):
-        raise SplineError("evaluation points outside the full-support knot range")
-    # points exactly on the edge of the full-support region take the span
-    # inside it (left limit at the right edge); values agree for simple knots
-    spans = np.clip(find_spans(kv, x), m, kv.num_basis - 1)
-
-    # triangle of all lower-degree values (NURBS-book A2.2 style, vectorized)
-    ndu = np.zeros((m + 1, m + 1, n))
-    ndu[0, 0] = 1.0
-    left = np.empty((m + 1, n))
-    right = np.empty((m + 1, n))
-    for j in range(1, m + 1):
-        left[j] = x - t[spans + 1 - j]
-        right[j] = t[spans + j] - x
-        saved = np.zeros(n)
-        for r in range(j):
-            denom = right[r + 1] + left[j - r]
-            temp = np.where(denom != 0.0, ndu[j - 1, r] / np.where(denom == 0, 1, denom), 0.0)
-            ndu[j, r] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        ndu[j, j] = saved
-
-    out = np.zeros((nderiv + 1, n, m + 1))
-    out[0] = ndu[m].transpose()
-    for k in range(1, min(nderiv, m) + 1):
-        # k-th derivative from the degree m-k triangle row by repeated differencing
-        d = ndu[m - k].copy()  # shape (m+1, n); rows 0..m-k valid
-        for stage in range(m - k + 1, m + 1):
-            dn = np.zeros_like(d)
-            for r in range(stage + 1):
-                num = np.zeros(n)
-                if r > 0:
-                    den = t[spans + r] - t[spans + r - stage]
-                    num += np.where(den != 0, d[r - 1] / np.where(den == 0, 1, den), 0.0)
-                if r <= stage - 1:
-                    den = t[spans + r + 1] - t[spans + r + 1 - stage]
-                    num -= np.where(den != 0, d[r] / np.where(den == 0, 1, den), 0.0)
-                dn[r] = stage * num
-            d = dn
-        out[k] = d[:m + 1].transpose()
-    return spans, out
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +238,47 @@ def local_polynomial_1d(kv, index, cell_idx):
             level[..., 1:, :], np.where(on2, (t[i + k + 1] - a) / d2, 0.0),
             np.where(on2, -h / d2, 0.0))
     return _mono_to_bern(level[..., 0, :])
+
+
+def nonzero_basis(kv, x, nderiv=0):
+    """Values (and derivatives) of the nonvanishing B-splines at points ``x``.
+
+    At a point in span ``s`` the nonzero basis functions are
+    ``s - degree .. s``. Points must lie in the full-support region of the
+    knot vector, i.e. in ``[knots[degree], knots[num_basis]]``.
+
+    Parameters
+    ----------
+    kv : KnotVector
+    x : array_like
+        Evaluation points, shape (N,).
+    nderiv : int
+        Highest derivative order requested (0 or more).
+
+    Returns
+    -------
+    spans : int array, shape (N,)
+    ders : array, shape (nderiv+1, N, degree+1)
+        ``ders[k, q, a]`` is the k-th derivative of basis ``spans[q]-degree+a``
+        at ``x[q]``.
+    """
+    m = kv.degree
+    t, bp = kv.knots, kv.breakpoints
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.size and (x.min() < t[m] - 1e-12 or x.max() > t[kv.num_basis] + 1e-12):
+        raise SplineError("evaluation points outside the full-support knot range")
+    # points on the edge of the full-support region take the cell inside it
+    # (left limit at the right edge)
+    q = np.clip(kv.find_cell(x), np.searchsorted(bp, t[m]),
+                np.searchsorted(bp, t[kv.num_basis]) - 1)
+    first, c = kv.cell_pieces
+    h = np.diff(bp)
+    u = (x - bp[q]) / h[q]
+    out = np.zeros((nderiv + 1, x.size, m + 1))
+    for k in range(min(nderiv, m) + 1):
+        out[k] = np.einsum("nab,nb->na", c[q], _bern_row(m - k, u))
+        c = (m - k) * np.diff(c, axis=-1) / h[:, None, None]
+    return first[q] + m, out
 
 
 def interpolate_pieces(f, lo, hi, degrees):

@@ -17,6 +17,12 @@ Scalar references the library itself does not need:
 * ``eval_bspline``, ``eval_bspline_deriv`` and ``eval_tensor_bspline``:
   the Cox-de Boor recursion at one point, against which
   :func:`webfem.splines.nonzero_basis` is checked;
+* ``nonzero_basis_cox_de_boor`` (with ``find_spans``): the vectorised
+  Cox-de Boor triangle (NURBS book, A2.2/A2.3) that evaluated the nonzero
+  B-splines before :func:`webfem.splines.nonzero_basis` read the Bernstein
+  pieces; the library must reproduce its spans exactly and its values and
+  derivatives to rounding wherever the last knot of the core is simple (on
+  a repeated one the triangle reads an empty span and returns zeros);
 * ``local_polynomial`` (tensor piece of one B-spline on one cell, a
   ``PolynomialPiece``), ``deboor_fix`` (tensor de Boor-Fix functional of a
   piece) and ``dual_functional_1d`` (univariate de Boor-Fix functional of a
@@ -381,6 +387,85 @@ def _deriv_rec(t, i, k, x, order, t_end):
     if d2 > 0.0:
         val -= k / d2 * _deriv_rec(t, i + 1, k - 1, x, order - 1, t_end)
     return val
+
+
+def find_spans(kv, x):
+    """Largest i with knots[i] <= x < knots[i+1] for each point of ``x``
+    (the last nonempty span at x = end)."""
+    t = kv.knots
+    x = np.asarray(x, dtype=float)
+    s = np.searchsorted(t, x, side="right") - 1
+    last = int(np.searchsorted(t, t[-1], side="left")) - 1
+    return np.where(x >= t[-1], last, s)
+
+
+def nonzero_basis_cox_de_boor(kv, x, nderiv=0):
+    """Values (and derivatives) of the nonvanishing B-splines at points ``x``.
+
+    At a point in span ``s`` the nonzero basis functions are
+    ``s - degree .. s``. Points must lie in the full-support region of the
+    knot vector, i.e. in ``[knots[degree], knots[num_basis]]``.
+
+    Parameters
+    ----------
+    kv : KnotVector
+    x : array_like
+        Evaluation points, shape (N,).
+    nderiv : int
+        Highest derivative order requested (0 or more).
+
+    Returns
+    -------
+    spans : int array, shape (N,)
+    ders : array, shape (nderiv+1, N, degree+1)
+        ``ders[k, q, a]`` is the k-th derivative of basis ``spans[q]-degree+a``
+        at ``x[q]``.
+    """
+    m = kv.degree
+    t = kv.knots
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n = x.size
+    if x.size and (x.min() < t[m] - 1e-12 or x.max() > t[kv.num_basis] + 1e-12):
+        raise SplineError("evaluation points outside the full-support knot range")
+    # points exactly on the edge of the full-support region take the span
+    # inside it (left limit at the right edge); values agree for simple knots
+    spans = np.clip(find_spans(kv, x), m, kv.num_basis - 1)
+
+    # triangle of all lower-degree values (NURBS-book A2.2 style, vectorized)
+    ndu = np.zeros((m + 1, m + 1, n))
+    ndu[0, 0] = 1.0
+    left = np.empty((m + 1, n))
+    right = np.empty((m + 1, n))
+    for j in range(1, m + 1):
+        left[j] = x - t[spans + 1 - j]
+        right[j] = t[spans + j] - x
+        saved = np.zeros(n)
+        for r in range(j):
+            denom = right[r + 1] + left[j - r]
+            temp = np.where(denom != 0.0, ndu[j - 1, r] / np.where(denom == 0, 1, denom), 0.0)
+            ndu[j, r] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+
+    out = np.zeros((nderiv + 1, n, m + 1))
+    out[0] = ndu[m].transpose()
+    for k in range(1, min(nderiv, m) + 1):
+        # k-th derivative from the degree m-k triangle row by repeated differencing
+        d = ndu[m - k].copy()  # shape (m+1, n); rows 0..m-k valid
+        for stage in range(m - k + 1, m + 1):
+            dn = np.zeros_like(d)
+            for r in range(stage + 1):
+                num = np.zeros(n)
+                if r > 0:
+                    den = t[spans + r] - t[spans + r - stage]
+                    num += np.where(den != 0, d[r - 1] / np.where(den == 0, 1, den), 0.0)
+                if r <= stage - 1:
+                    den = t[spans + r + 1] - t[spans + r + 1 - stage]
+                    num -= np.where(den != 0, d[r] / np.where(den == 0, 1, den), 0.0)
+                dn[r] = stage * num
+            d = dn
+        out[k] = d[:m + 1].transpose()
+    return spans, out
 
 
 def eval_tensor_bspline(grid, multi_index, point, deriv=(0, 0)):

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, reject, settings, strategies as st
 
-from webfem import cli
+from webfem import assembly, cli
 from webfem.analysis import assembly_quadrature
 from webfem.assembly import (
     AssemblyError, BasisTables, CellSegments, CoercivityError, PressureSpace,
@@ -613,6 +613,36 @@ class TestTableMemory:
         assert peak - kept <= 0.5 * table_bytes
         outputs = vals.nbytes + grads.nbytes
         assert field_peak - before - outputs <= 0.3 * table_bytes
+
+
+class TestBatchBound:
+    """Batches of at most ``EVAL_CHUNK`` points (one run, if that is longer)
+    leave every cell's product as it is."""
+
+    def test_split_batches_reproduce_forms(self, tmp_path, monkeypatch):
+        *_, (study, basis, quad) = workload_rules("cutcell_deg3", tmp_path)
+        t = BasisTables(basis, quad)
+        c = np.random.default_rng(3).normal(size=t.num_points)
+        terms = [(c, t.wbx, t.wbx), (1.0, t.wb, t.wby)]
+        loads = [(c, t.wbx), (1.0, t.wb)]
+        ps = PressureSpace(basis.grid, quad, 1, macro=study.pressure_macro)
+
+        def forms(seg):
+            monkeypatch.setattr(t.plan, "segments", seg)
+            return (assembly._form_data(t.plan, t.qw, terms),
+                    linear_form(seg, t.cell_idx, t.qw, loads, t.n_cols),
+                    project_pressure(ps, quad, lambda p: np.sin(3.0 * p[:, 0])))
+
+        whole = forms(t.segments)
+        chunk = 40
+        monkeypatch.setattr(assembly, "EVAL_CHUNK", chunk)
+        seg = CellSegments(quad.cell_ids)
+        sizes = np.array([[p1 - p0, k] for _, _, p0, p1, k in seg.batches])
+        assert np.all(sizes[:, 0] <= np.maximum(chunk, sizes[:, 1]))
+        assert np.any(sizes[:, 1] > chunk) and np.any(sizes[:, 0] > sizes[:, 1])
+        assert len(seg.batches) > 2 * len(t.segments.batches)
+        for a, b in zip(forms(seg), whole):
+            assert np.array_equal(a, b)
 
 
 class TestSparsityPlan:

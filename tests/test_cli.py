@@ -267,6 +267,20 @@ class TestRun:
         assert main(["run", path, "--describe"]) == EXIT_CONFIG
         assert "no bundled p-Laplacian case" in capsys.readouterr().err
 
+    def test_p_contradicting_its_case_rejected(self, tmp_path, capsys):
+        # the study would run at the case's p = 3 while the report's
+        # effective config said 1.5
+        suite, out = tmp_path / "suite", tmp_path / "o"
+        suite.mkdir()
+        path = write_config(
+            suite, problem={"type": "plap", "case": "plap_p3", "p": 1.5},
+            grid={"kind": "uniform", "degree": 1, "cells": 4})
+        assert main(["run", path, "--out", str(out)]) == EXIT_CONFIG
+        assert main(["check", str(suite), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("at p = 3.0, but the config sets problem.p = 1.5") == 2
+        assert not out.exists() or not any(out.iterdir())
+
     def test_run_leaves_environment_unchanged(self, tmp_path):
         before = dict(os.environ)
         run(load_config(write_config(tmp_path)), out_dir=str(tmp_path / "o"))

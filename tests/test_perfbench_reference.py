@@ -4,11 +4,12 @@
 level's ``n_inner``, error norms (to 1e-6 relative) and quadrature point
 counts. Checking seeds 0 and 97 here, with the point counts traced the way
 ``perfbench/run.py`` traces them, makes a drift of the numerics fail a test
-instead of surfacing only as failed levels of a benchmark run. The two
-nonlinear workloads are also checked, untraced, at every stored seed: their
-finer levels start from the prolonged coarse solution, which moves their
-errors by up to a few 1e-7 relative, so each grid position must stay
-within the tolerance.
+instead of surfacing only as failed levels of a benchmark run. Every
+workload is also checked, untraced, at every stored seed: the finer levels
+of the two nonlinear ones start from the prolonged coarse solution, which
+moves their errors by up to a few 1e-7 relative, and a CG count of the
+cut-cell one can move by one with the rounding of the basis values, so
+each grid position must stay within the tolerance.
 """
 
 import sys
@@ -49,7 +50,7 @@ def _stored_seeds(workload):
 
 
 @pytest.mark.parametrize("workload, seed", [
-    (w, s) for w in ("plap_newton", "stokes_picard") for s in _stored_seeds(w)])
+    (w, s) for w in sorted(workloads.WORKLOADS) for s in _stored_seeds(w)])
 def test_nonlinear_workload_matches_reference_at_every_seed(workload, seed,
                                                             tmp_path):
     cfg = cli.load_config(workloads.write_config(workload, seed, tmp_path))

@@ -11,7 +11,7 @@ from oracles import (
     PolynomialPiece, deboor_fix, dual_functional_1d, eval_bspline,
     eval_bspline_deriv, eval_tensor_bspline, grid_cell_bounds,
     interpolate_piece, kv_cell_bounds, kv_support, kv_support_cells,
-    local_polynomial, local_polynomial_1d_loop,
+    local_polynomial, local_polynomial_1d_loop, nonzero_basis_cox_de_boor,
 )
 
 
@@ -33,6 +33,33 @@ def random_knot_vector(rng, degree, n_cells=6, lo=0.0, hi=1.0, max_ratio=4.0):
     left = core[0] - h0 * np.arange(degree, 0, -1)
     right = core[-1] + h1 * np.arange(1, degree + 1)
     return KnotVector(np.concatenate([left, core, right]), degree)
+
+
+@st.composite
+def core_knot_vectors(draw):
+    """Degree 1-4 knot vectors with uniform, graded or random cells in the
+    core, interior knots repeated up to multiplicity ``degree``, and ends
+    either extended by ``degree`` spans or clamped. The last knot of the
+    core stays simple from inside."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["uniform", "graded", "random"]))
+    if kind == "uniform":
+        core = np.linspace(0.0, 1.0, n + 1)
+    elif kind == "graded":
+        core = graded_knots(0.0, 1.0, n, m, draw(st.floats(0.5, 2.0)),
+                            draw(st.sampled_from(["min", "max"]))).knots[m:m + n + 1]
+    else:
+        w = np.cumsum(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        core = np.concatenate([[0.0], w / w[-1]])
+    lo, width = draw(st.floats(-2.0, 1.0)), draw(st.floats(0.1, 3.0))
+    core = lo + width * core
+    steps = (np.zeros(m) if draw(st.booleans())
+             else np.arange(1, m + 1) * draw(st.floats(0.1, 1.0)) * width / n)
+    mult = draw(st.lists(st.integers(1, m), min_size=n - 1, max_size=n - 1))
+    return KnotVector(np.concatenate([core[0] - steps[::-1], [core[0]],
+                                      np.repeat(core[1:-1], mult), [core[-1]],
+                                      core[-1] + steps]), m)
 
 
 def refinement_knot_vectors(degree):
@@ -179,6 +206,37 @@ class TestNonzeroBasis:
         spans, ders = nonzero_basis(kv, np.array([0.0, 1.0]), nderiv=0)
         assert abs(np.sum(ders[0, 0]) - 1.0) < 1e-14
         assert abs(np.sum(ders[0, 1]) - 1.0) < 1e-14
+
+    @settings(deadline=None, max_examples=200)
+    @given(kv=core_knot_vectors(), u=st.lists(st.floats(0.0, 1.0), max_size=20),
+           nderiv=st.integers(0, 5))
+    def test_matches_cox_de_boor_triangle(self, kv, u, nderiv):
+        # on random points, every breakpoint of the core and both core ends
+        m = kv.degree
+        a, b = kv.knots[m], kv.knots[kv.num_basis]
+        bp = kv.breakpoints
+        xs = np.concatenate([a + (b - a) * np.array(u, dtype=float),
+                             bp[(bp >= a) & (bp <= b)], [a, b]])
+        nderiv = min(nderiv, m + 1)
+        spans, ders = nonzero_basis(kv, xs, nderiv)
+        ref_spans, ref = nonzero_basis_cox_de_boor(kv, xs, nderiv)
+        assert ders.shape == ref.shape == (nderiv + 1, xs.size, m + 1)
+        assert np.array_equal(spans, ref_spans)
+        h = np.min(np.diff(bp))
+        assert np.max(np.abs(ders[0] - ref[0])) <= 1e-13
+        for k in range(1, nderiv + 1):
+            assert np.max(np.abs(ders[k] - ref[k])) <= 1e-10 * h ** -k
+        assert np.all(ders[m + 1:] == 0.0)
+
+    def test_left_limit_at_repeated_core_end(self):
+        # the last core knot 1.0 is doubled: the value there is the limit
+        # from the left, in the last nonempty span of the core
+        kv = KnotVector([-1.0, -0.5, 0.0, 0.5, 1.0, 1.0, 1.5, 2.0], 2)
+        assert kv.num_basis == 5 and kv.knots[kv.num_basis] == 1.0
+        spans, ders = nonzero_basis(kv, np.array([1.0, 1.0 - 1e-9]), 2)
+        assert spans.tolist() == [3, 3]
+        assert np.abs(np.sum(ders[0, 0]) - 1.0) < 1e-14
+        assert np.allclose(ders[:, 0], ders[:, 1], rtol=0.0, atol=1e-7)
 
 
 class TestTensor:
