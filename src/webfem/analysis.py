@@ -15,7 +15,7 @@ import numpy as np
 from .assembly import (
     BasisTables, PressureSpace, gram_condition_estimate, project_pressure,
 )
-from .geometry import CellLabel, GeometryError, domain_from_config, squared_norm
+from .geometry import GeometryError, domain_from_config, squared_norm
 from .quadrature import build_quadrature
 from .solvers import (
     SolveOptions, estimate_infsup, solve_plap, solve_quasi_newtonian,
@@ -55,40 +55,49 @@ def error_norms(field, case, norms, quad, p=None):
     The discrete and exact fields are sampled on ``quad`` once for all of
     ``norms``, which are either all scalar or all mixed norms.
     """
-    return _error_norms(field, case, norms, quad, lambda f: eval_fields(
-        f.basis, f.full_coeffs(), quad.points, grad=True), p)
+    def sample(f):
+        c_fulls = f.full_coeffs()
+        for sl, pts, w in quad.blocks():
+            yield (sl, pts, w, *eval_fields(f.basis, c_fulls, pts, grad=True))
+
+    return _error_norms(field, case, norms, quad, sample, p)
 
 
-def _shared_sampler(basis, tables, quad, err_quad):
-    """``sample`` for :func:`_error_norms` on ``err_quad`` that takes the
-    boundary cells, where both rules hold the same leaves, from the assembly
-    ``tables`` on ``quad`` and tabulates only the interior cells anew."""
-    boundary = basis.cls.labels.ravel() == CellLabel.BOUNDARY
-    shared, err_shared = boundary[quad.cell_ids], boundary[err_quad.cell_ids]
-    if not (np.array_equal(quad.points[shared], err_quad.points[err_shared])
-            and np.array_equal(quad.weights[shared],
-                               err_quad.weights[err_shared])):
-        raise AnalysisError("the error rule and the assembly rule differ on "
-                            "boundary cells; their tables cannot be shared")
-    rest = err_quad.points[~err_shared]
+def _shared_sampler(basis, tables, err_quad):
+    """``sample`` for :func:`_error_norms` on the composed rule ``err_quad``
+    (:class:`~webfem.quadrature.ComposedQuadrature`) whose base is the rule
+    of the assembly ``tables``: the points it reads from that rule take
+    their values from the tables, one slice at a time, and only the
+    interior points of each block are tabulated anew."""
 
     def sample(field):
         c_fulls = field.full_coeffs()
-        vals = np.empty((err_quad.num_points, len(c_fulls)))
-        grads = np.empty(vals.shape + (2,))
-        vals[~err_shared], grads[~err_shared] = eval_fields(
-            basis, c_fulls, rest, grad=True)
-        for k, c in enumerate(c_fulls):
-            v, g = tables.field(c, grad=True)
-            vals[err_shared, k], grads[err_shared, k] = v[shared], g[shared]
-        return vals, grads
+        for sl, pts, w in err_quad.blocks():
+            vals = np.empty((pts.shape[0], len(c_fulls)))
+            grads = np.empty(vals.shape + (2,))
+            own = np.ones(pts.shape[0], dtype=bool)
+            for lo, hi, s, from_base in err_quad.pieces(sl.start, sl.stop):
+                if from_base:
+                    own[lo:hi] = False
+                    span = slice(s, s + hi - lo)
+                    for k, c in enumerate(c_fulls):
+                        vals[lo:hi, k], grads[lo:hi, k] = tables.field(
+                            c, grad=True, span=span)
+            if own.any():
+                vals[own], grads[own] = eval_fields(basis, c_fulls, pts[own],
+                                                    grad=True)
+            yield sl, pts, w, vals, grads
 
     return sample
 
 
 def _error_norms(field, case, norms, quad, sample, p=None):
-    """:func:`error_norms` with ``sample(field)`` giving the values (N, k)
-    and gradients (N, k, 2) of the k components of a field on ``quad``."""
+    """:func:`error_norms` with ``sample(field)`` yielding, for each block
+    of ``quad.blocks()``, its (slice, points, weights) and the values (n, k)
+    and gradients (n, k, 2) of the k components of a field there.
+
+    Each norm fills one array of its integrand over the rule, block by
+    block, and sums it whole at the end."""
     for norm in norms:
         if norm not in _SCALAR_NORMS + _MIXED_NORMS:
             raise AnalysisError(f"unknown norm {norm!r}")
@@ -98,63 +107,63 @@ def _error_norms(field, case, norms, quad, sample, p=None):
             raise AnalysisError(
                 f"cannot take scalar and mixed norms together: {tuple(norms)}")
         return _mixed_norms(field, case, norms, quad, sample)
-    pts = quad.points
-    w = quad.weights
-    vals, grads = sample(field)
-    vals, grads = vals[:, 0], grads[:, 0]
-    inside = field.basis.domain.inside(pts)
-    exact_grad = case.gradient(pts)
-    ev = np.where(inside, case.solution(pts) - vals, 0.0)
-    eg = np.where(inside[:, None], exact_grad - grads, 0.0)
-    eg2 = squared_norm(eg)
     p = p if p is not None else case.params.get("p")
-    out = {}
     for norm in norms:
-        if norm == "L2":
-            out[norm] = float(np.sqrt(np.sum(w * ev ** 2)))
-        elif norm == "H1":
-            out[norm] = float(np.sqrt(np.sum(w * (ev ** 2 + eg2))))
-        elif norm == "W1p":
-            if p is None or p <= 1:
-                raise AnalysisError(f"W1p norm needs an exponent p > 1, got {p}")
-            s = eg2 ** (0.5 * p)
-            out[norm] = float(np.sum(w * s) ** (1.0 / p))
-        else:
-            if p is None or p <= 1:
-                raise AnalysisError(
-                    f"quasi-norm needs an exponent p > 1, got {p}")
-            gs = np.sqrt(squared_norm(exact_grad))
-            ge = np.sqrt(eg2)
-            base = gs + ge
-            weight = np.zeros_like(base)
-            pos = base > 0
-            weight[pos] = base[pos] ** (p - 2.0)
-            out[norm] = float(np.sqrt(np.sum(w * weight * ge ** 2)))
-    return out
+        if norm in ("W1p", "quasinorm") and (p is None or p <= 1):
+            name = "W1p norm" if norm == "W1p" else "quasi-norm"
+            raise AnalysisError(f"{name} needs an exponent p > 1, got {p}")
+    dens = {norm: np.empty(quad.num_points) for norm in norms}
+    for sl, pts, w, vals, grads in sample(field):
+        vals, grads = vals[:, 0], grads[:, 0]
+        inside = field.basis.domain.inside(pts)
+        exact_grad = case.gradient(pts)
+        ev = np.where(inside, case.solution(pts) - vals, 0.0)
+        eg = np.where(inside[:, None], exact_grad - grads, 0.0)
+        eg2 = squared_norm(eg)
+        for norm, d in dens.items():
+            if norm == "L2":
+                d[sl] = w * ev ** 2
+            elif norm == "H1":
+                d[sl] = w * (ev ** 2 + eg2)
+            elif norm == "W1p":
+                d[sl] = w * eg2 ** (0.5 * p)
+            else:
+                gs = np.sqrt(squared_norm(exact_grad))
+                ge = np.sqrt(eg2)
+                base = gs + ge
+                weight = np.zeros_like(base)
+                pos = base > 0
+                weight[pos] = base[pos] ** (p - 2.0)
+                d[sl] = w * weight * ge ** 2
+    return {norm: float(np.sum(d) ** (1.0 / p) if norm == "W1p"
+                        else np.sqrt(np.sum(d)))
+            for norm, d in dens.items()}
 
 
 def _mixed_norms(field, case, norms, quad, sample):
     velocity, pressure = field
-    pts = quad.points
-    w = quad.weights
-    inside = velocity.basis.domain.inside(pts)
+    inside = velocity.basis.domain.inside
     out = {}
     if "Xnorm" in norms or "combined" in norms:
-        vals, grads = sample(velocity)
-        ev = np.where(inside[:, None], case.velocity(pts) - vals, 0.0)
-        eg = np.where(inside[:, None, None],
-                      case.velocity_gradient(pts) - grads, 0.0)
-        x2 = np.sum(w * (squared_norm(ev) + squared_norm(eg)))
-        out["Xnorm"] = float(np.sqrt(x2))
+        x2 = np.empty(quad.num_points)
+        for sl, pts, w, vals, grads in sample(velocity):
+            ins = inside(pts)
+            ev = np.where(ins[:, None], case.velocity(pts) - vals, 0.0)
+            eg = np.where(ins[:, None, None],
+                          case.velocity_gradient(pts) - grads, 0.0)
+            x2[sl] = w * (squared_norm(ev) + squared_norm(eg))
+        out["Xnorm"] = float(np.sqrt(np.sum(x2)))
     if "pressure_L2" in norms or "combined" in norms:
-        pv = pressure(pts)
-        pe = case.pressure(pts)
+        weights, diff = np.empty(quad.num_points), np.empty(quad.num_points)
+        for sl, pts, w in quad.blocks():
+            weights[sl] = w
+            diff[sl] = np.where(inside(pts), case.pressure(pts) - pressure(pts),
+                                0.0)
         # align the quadrature means: the discrete pressure is mean zero with
         # respect to the cut rule, the exact one with respect to the true domain
-        area = float(np.sum(w))
-        diff = np.where(inside, pe - pv, 0.0)
-        diff = diff - np.sum(w * diff) / area
-        out["pressure_L2"] = float(np.sqrt(np.sum(w * diff ** 2)))
+        area = float(np.sum(weights))
+        diff -= np.sum(weights * diff) / area
+        out["pressure_L2"] = float(np.sqrt(np.sum(weights * diff ** 2)))
     if "combined" in norms:
         out["combined"] = out["Xnorm"] + out["pressure_L2"]
     return {norm: out[norm] for norm in norms}
@@ -259,9 +268,12 @@ class ConvergenceReport:
 
 
 def _resolve_targets(case, study):
+    """Rate target of each norm: a number, the study degree for "degree",
+    or None (reported as null) where no estimate applies."""
     out = {}
     for norm, target in case.rate_targets.items():
-        out[norm] = float(study.degree if target == "degree" else target)
+        out[norm] = None if target is None else float(
+            study.degree if target == "degree" else target)
     return out
 
 
@@ -332,21 +344,19 @@ def _run_level(case, domain, grid, study, level, opts, coarse=None):
     as the initial guess."""
     basis = build_web_basis(domain, grid, study.samples_per_axis)
     quad = assembly_quadrature(basis, study, level)
-    # errors use one Gauss order more on full cells; leaves keep the assembly
-    # order (their accuracy is capped by the geometric error regardless) and
-    # are the assembly rule's own, so the boundary cells of both rules hold
-    # the same points, and the norms read them from the assembly tables
-    g = study.gauss_order
-    err_quad = build_quadrature(domain, grid, basis.cls, g + 1,
-                                study.depth_at(level), study.gauss_leaf or g,
-                                leaves=quad.leaves)
+    # errors use one Gauss order more on interior cells; boundary cells keep
+    # the assembly rule's own runs (their accuracy is capped by the geometric
+    # error regardless), which the error rule reads in place and the norms
+    # take from the assembly tables
+    err_quad = build_quadrature(domain, grid, basis.cls, study.gauss_order + 1,
+                                study.depth_at(level), base=quad)
     rec = {"h": grid.meshsize, "n_inner": basis.n_inner,
            "basis": basis.summary(), "errors": {}}
     tables = sol = start = None
     if case.kind in ("vcpe", "plap", "quasi_newtonian"):
         tables = BasisTables(basis, quad)
         rec["basis"]["gram_condition"] = gram_condition_estimate(basis, tables)
-        sample = _shared_sampler(basis, tables, quad, err_quad)
+        sample = _shared_sampler(basis, tables, err_quad)
     if case.kind in ("plap", "quasi_newtonian"):
         if coarse is not None:
             start = prolong(coarse.basis, basis, coarse.coeffs)
@@ -392,10 +402,13 @@ def _run_level(case, domain, grid, study, level, opts, coarse=None):
 
 
 def pressure_projection_error(pspace, quad, p_exact):
-    """L2 error of the cell-wise projection Pi_h applied to ``p_exact``."""
+    """L2 error of the cell-wise projection Pi_h applied to ``p_exact``,
+    its integrand sampled one block of ``quad.blocks()`` at a time."""
     coeffs = project_pressure(pspace, quad, p_exact)
-    resid = pspace.evaluate(coeffs, quad.points) - p_exact(quad.points)
-    return float(np.sqrt(np.sum(quad.weights * resid ** 2)))
+    dens = np.empty(quad.num_points)
+    for sl, pts, w in quad.blocks():
+        dens[sl] = w * (pspace.evaluate(coeffs, pts) - p_exact(pts)) ** 2
+    return float(np.sqrt(np.sum(dens)))
 
 
 def level_csv(report):

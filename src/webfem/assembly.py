@@ -26,7 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import squared_norm
-from .webbasis import EVAL_CHUNK, BasisValues
+from .quadrature import block_slices
+from .webbasis import BasisValues, block_points
 
 
 class AssemblyError(RuntimeError):
@@ -49,11 +50,12 @@ class CellSegments:
     (:func:`~webfem.quadrature.build_quadrature`). Each batch is a tuple
     ``(first_run, end_run, first_point, end_point, run_length)`` of runs of
     one length, so its points reshape to (runs, run_length, ...) without a
-    copy. A batch holds at most ``EVAL_CHUNK`` points, or one run if that is
-    longer.
+    copy. A batch holds at most ``block_points(width)`` points, or one run
+    if that is longer: ``width`` floats a point is the widest operand the
+    batch forms (a table row).
     """
 
-    def __init__(self, cell_ids):
+    def __init__(self, cell_ids, width):
         cell_ids = np.asarray(cell_ids)
         n = cell_ids.size
         self.starts = np.flatnonzero(np.diff(cell_ids, prepend=cell_ids[:1] - 1))
@@ -68,7 +70,7 @@ class CellSegments:
         self.batches = []
         for lo, hi in zip(first.tolist(), ends.tolist()):
             k = self.counts[lo]
-            step = max(1, EVAL_CHUNK // k)
+            step = max(1, block_points(width) // k)
             for a in range(lo, hi, step):
                 b = min(a + step, hi)
                 self.batches.append((a, b, offsets[a], offsets[b], k))
@@ -201,11 +203,12 @@ def _local_matrices(seg, qw, terms):
     """
     local = None
     for c, fa, fb in terms:
-        wc = qw * c
+        scalar = np.ndim(c) == 0
         if local is None:
             local = np.zeros((seg.num_cells, fa.shape[1], fb.shape[1]))
         for lo, hi, p0, p1, k in seg.batches:
-            a = (wc[p0:p1, None] * fa[p0:p1]).reshape(hi - lo, k, -1)
+            wc = qw[p0:p1] * (c if scalar else c[p0:p1])
+            a = (wc[:, None] * fa[p0:p1]).reshape(hi - lo, k, -1)
             b = fb[p0:p1].reshape(hi - lo, k, -1)
             local[lo:hi] += np.matmul(a.transpose(0, 2, 1), b)
     return local
@@ -222,9 +225,10 @@ def linear_form(segments, cols, qw, terms, n_cols):
     """
     local = np.zeros(cols.shape)
     for c, fa in terms:
-        wc = qw * c
+        scalar = np.ndim(c) == 0
         for lo, hi, p0, p1, k in segments.batches:
-            local[lo:hi] += np.matmul(wc[p0:p1].reshape(hi - lo, 1, k),
+            wc = qw[p0:p1] * (c if scalar else c[p0:p1])
+            local[lo:hi] += np.matmul(wc.reshape(hi - lo, 1, k),
                                       fa[p0:p1].reshape(hi - lo, k, -1))[:, 0]
     return np.bincount(cols.ravel(), weights=local.ravel(), minlength=n_cols)
 
@@ -264,7 +268,7 @@ class BasisTables(BasisValues):
         self.basis = basis
         # all points of a cell activate the same basis row, which makes the
         # pattern a union of dense per-cell blocks fixed for the table's life
-        self.segments = CellSegments(quad.cell_ids)
+        self.segments = CellSegments(quad.cell_ids, self.wb.shape[1])
         starts = self.segments.starts
         if np.any(self.row_of != np.repeat(self.row_of[starts],
                                            self.segments.counts)):
@@ -282,6 +286,18 @@ class BasisTables(BasisValues):
     @property
     def num_points(self):
         return self.points.shape[0]
+
+    def sample(self, f, *shape):
+        """Values (N, *shape) of ``f`` at the points: a callable on (n, 2)
+        point arrays, evaluated one block of points at a time, or a
+        constant, broadcast without a copy."""
+        if not callable(f):
+            return np.broadcast_to(np.asarray(f, dtype=float),
+                                   (self.num_points, *shape))
+        out = np.empty((self.num_points, *shape))
+        for sl in block_slices(self.num_points):
+            out[sl] = f(self.points[sl])
+        return out
 
     @cached_property
     def web_plan(self):
@@ -323,12 +339,12 @@ class AssembledSystem:
 
 def assemble_vcpe(basis, a, f, tables):
     """Stiffness system for -div(a grad u) = f over the web basis."""
-    a_vals = a(tables.points) if callable(a) else np.full(tables.num_points, float(a))
+    a_vals = tables.sample(a)
     if np.any(a_vals <= 0.0):
         where = tables.points[np.argmin(a_vals)]
         raise CoercivityError("diffusion coefficient nonpositive at quadrature "
                               f"point {tuple(where.tolist())}")
-    f_vals = f(tables.points) if callable(f) else np.full(tables.num_points, float(f))
+    f_vals = tables.sample(f)
     A = tables.web_form([(a_vals, tables.wbx, tables.wbx),
                          (a_vals, tables.wby, tables.wby)])
     F = tables.web_load([(f_vals, tables.wb)])
@@ -518,7 +534,8 @@ class PressureSpace:
         :class:`CellSegments` (from ``cell_ids`` unless given), the dof
         columns (n_cells, ndof_cell) shared by the points of each run and
         the basis values (N, ndof_cell) at the points."""
-        seg = CellSegments(cell_ids) if segments is None else segments
+        seg = (CellSegments(cell_ids, self.ndof_cell) if segments is None
+               else segments)
         pos = self._pos[cell_ids[seg.starts]]
         if np.any(pos < 0):
             raise AssemblyError("quadrature point in a cell without pressure dofs")
@@ -576,16 +593,18 @@ def pressure_mass_and_integral(pspace, quad):
 
 def project_pressure(pspace, quad, p_exact):
     """Patch-wise L2 projection onto the pressure space."""
-    seg, cols, vals = pspace.rule(quad.points, quad.cell_ids)
-    p_vals = p_exact(quad.points) if callable(p_exact) else np.asarray(p_exact)
+    # read once each: a composed rule assembles them on every access
+    points, weights = quad.points, quad.weights
+    seg, cols, vals = pspace.rule(points, quad.cell_ids)
+    p_vals = p_exact(points) if callable(p_exact) else np.asarray(p_exact)
     nd = pspace.ndof_cell
     # the mass block of each patch: its cells' local masses summed in cell
     # order, entry (a, b) of the cell with columns cols at cols[a] * nd + b
-    local = _local_matrices(seg, quad.weights, [(1.0, vals, vals)])
+    local = _local_matrices(seg, weights, [(1.0, vals, vals)])
     blocks = np.bincount((cols[:, :, None] * nd + np.arange(nd)).ravel(),
                          weights=local.ravel(),
                          minlength=pspace.n_dofs * nd).reshape(-1, nd, nd)
-    rhs = linear_form(seg, cols, quad.weights, [(p_vals, vals)],
+    rhs = linear_form(seg, cols, weights, [(p_vals, vals)],
                       pspace.n_dofs).reshape(-1, nd)
     out = np.zeros_like(rhs)
     for c, (block, loc) in enumerate(zip(blocks, rhs)):
@@ -683,8 +702,7 @@ def assemble_mixed(basis, pspace, a_fn, coeffs_prev, phi, tables):
     Returns (A, B, Fv, Mp, g): velocity block A (2n x 2n), divergence block
     B (np x 2n), velocity load Fv, pressure mass Mp and pressure integrals g.
     """
-    phi_vals = phi(tables.points) if callable(phi) else np.broadcast_to(
-        np.asarray(phi, dtype=float), (tables.num_points, 2))
+    phi_vals = tables.sample(phi, 2)
     Fv = np.concatenate([tables.web_load([(phi_vals[:, k], tables.wb)])
                          for k in range(2)])
     B, Mp, g = pspace.blocks(tables)

@@ -10,6 +10,12 @@ cell as one run of points, the runs sorted by (point count, cell id), so
 that cells of equal point count sit next to each other (the batch order of
 :class:`~webfem.assembly.CellSegments`); within a cell, leaves come by
 level and then by child order.
+
+The error rule of a study level is composed rather than built: its
+interior cells at another Gauss order, merged with the boundary runs of the
+assembly rule, which it reads in place (:class:`ComposedQuadrature`).
+Per-point passes over a rule run over :meth:`DomainQuadrature.blocks` of at
+most ``BLOCK`` points.
 """
 
 from dataclasses import dataclass
@@ -22,6 +28,16 @@ from .geometry import CellLabel
 
 class QuadratureError(RuntimeError):
     """Non-finite integrand or invalid rule parameters."""
+
+
+# points per block of the per-point passes over a rule (error norms,
+# coefficient sampling): what such a pass holds beyond its outputs
+BLOCK = 4096
+
+
+def block_slices(n):
+    """Slices of consecutive blocks of at most ``BLOCK`` of ``n`` points."""
+    return [slice(p0, min(p0 + BLOCK, n)) for p0 in range(0, n, BLOCK)]
 
 
 @lru_cache(maxsize=32)
@@ -71,6 +87,12 @@ class DomainQuadrature:
     @property
     def num_points(self):
         return self.points.shape[0]
+
+    def blocks(self):
+        """(slice, points, weights) of consecutive blocks of at most
+        ``BLOCK`` points."""
+        for sl in block_slices(self.num_points):
+            yield sl, self.points[sl], self.weights[sl]
 
     def integrate(self, f):
         """Integral of ``f`` (callable on (N,2) arrays, or point values)."""
@@ -133,7 +155,116 @@ def _subdivide_boundary(domain, boxes, owner, depth):
     return np.concatenate(kept), np.concatenate(kept_owner)
 
 
-def build_quadrature(domain, grid, cls, g, depth, g_leaf=None, leaves=None):
+class ComposedQuadrature:
+    """The rule of ``base`` with its interior cells at ``g`` Gauss points
+    per axis, without a copy of ``base``'s boundary points.
+
+    Its runs are the interior cells (``g * g`` points each) and the boundary
+    runs of ``base``, in the (point count, cell id) order of
+    :func:`build_quadrature`, so it equals the rule that function builds on
+    ``base.leaves`` point for point. The runs form pieces, each a range of
+    points from one source: ``starts`` (P + 1,) bounds the pieces in this
+    rule, ``src`` (P,) is the first point of each in its source and
+    ``from_base`` (P,) tells the source: the points of ``base``, or the
+    interior rule (the interior cells ``cells`` in id order, one run of
+    ``g * g`` points each, generated on demand from their ``boxes``).
+    """
+
+    def __init__(self, base, cells, boxes, g):
+        self.base, self.cells, self.boxes, self.g = base, cells, boxes, g
+        ids = base.cell_ids
+        b_starts = np.flatnonzero(np.diff(ids, prepend=-1))
+        b_counts = np.diff(np.append(b_starts, ids.size))
+        keep = ~np.isin(ids[b_starts], cells)
+        gg = g * g
+        run_cell = np.concatenate([cells, ids[b_starts[keep]]])
+        count = np.concatenate([np.full(cells.size, gg), b_counts[keep]])
+        src = np.concatenate([np.arange(cells.size) * gg, b_starts[keep]])
+        from_base = np.repeat([False, True], [cells.size, keep.sum()])
+        order = np.lexsort((run_cell, count))
+        count, src, from_base = count[order], src[order], from_base[order]
+        # a run continues the piece before it if it reads on from the same
+        # source where that one stops
+        joins = np.zeros(count.size, dtype=bool)
+        joins[1:] = ((from_base[1:] == from_base[:-1])
+                     & (src[1:] == src[:-1] + count[:-1]))
+        head = np.flatnonzero(~joins)
+        self.starts = np.append((np.cumsum(count) - count)[head], count.sum())
+        self.src, self.from_base = src[head], from_base[head]
+
+    @property
+    def num_points(self):
+        return int(self.starts[-1])
+
+    def pieces(self, p0, p1):
+        """(lo, hi, src, from_base) of the pieces of points [p0, p1), with
+        ``lo``/``hi`` relative to ``p0`` and ``src`` the source point of
+        ``lo``."""
+        i0 = np.searchsorted(self.starts, p0, side="right") - 1
+        i1 = np.searchsorted(self.starts, p1, side="left")
+        st = self.starts[i0:i1]
+        lo = np.maximum(st, p0)
+        hi = np.minimum(self.starts[i0 + 1:i1 + 1], p1)
+        return zip((lo - p0).tolist(), (hi - p0).tolist(),
+                   (self.src[i0:i1] + lo - st).tolist(),
+                   self.from_base[i0:i1].tolist())
+
+    def _interior(self, a, b):
+        """Points, weights and cell ids of points [a, b) of the interior
+        rule, computed as :func:`_box_rules` computes them."""
+        cell, local = np.divmod(np.arange(a, b), self.g * self.g)
+        ref, w = gauss_2d(self.g)
+        box = self.boxes[cell]
+        size = box[:, 2:] - box[:, :2]
+        return (box[:, :2] + ref[local] * size,
+                w[local] * size[:, 0] * size[:, 1], self.cells[cell])
+
+    def take(self, p0, p1):
+        """Points, weights and cell ids of points [p0, p1)."""
+        n = p1 - p0
+        pts, w = np.empty((n, 2)), np.empty(n)
+        ids = np.empty(n, dtype=np.int64)
+        base = self.base
+        for lo, hi, s, from_base in self.pieces(p0, p1):
+            e = s + hi - lo
+            if from_base:
+                pts[lo:hi], w[lo:hi] = base.points[s:e], base.weights[s:e]
+                ids[lo:hi] = base.cell_ids[s:e]
+            else:
+                pts[lo:hi], w[lo:hi], ids[lo:hi] = self._interior(s, e)
+        return pts, w, ids
+
+    def blocks(self):
+        """(slice, points, weights) of consecutive blocks of at most
+        ``BLOCK`` points, see :meth:`DomainQuadrature.blocks`."""
+        for sl in block_slices(self.num_points):
+            pts, w, _ = self.take(sl.start, sl.stop)
+            yield sl, pts, w
+
+    # the whole rule, assembled on each access: for a consumer that needs it
+    # at once (the pressure projection) and for inspection
+    @property
+    def points(self):
+        return self.take(0, self.num_points)[0]
+
+    @property
+    def weights(self):
+        return self.take(0, self.num_points)[1]
+
+    @property
+    def cell_ids(self):
+        return self.take(0, self.num_points)[2]
+
+
+def _cell_boxes(grid, cells):
+    """(x0, y0, x1, y1) rows of grid cells by cell id (jx * ny + jy)."""
+    jx, jy = np.divmod(cells, grid.num_cells[1])
+    bx, by = grid.kvs[0].breakpoints, grid.kvs[1].breakpoints
+    return np.column_stack([bx[jx], by[jy], bx[jx + 1], by[jy + 1]])
+
+
+def build_quadrature(domain, grid, cls, g, depth, g_leaf=None, leaves=None,
+                     base=None):
     """Quadrature rule over all non-exterior cells of the grid.
 
     Parameters
@@ -152,17 +283,21 @@ def build_quadrature(domain, grid, cls, g, depth, g_leaf=None, leaves=None):
     leaves : (boxes, owners), optional
         The ``leaves`` of a rule built with the same domain, grid, cells and
         depth; its boundary cells are then not subdivided again.
+    base : DomainQuadrature, optional
+        A rule built with the same domain, grid, cells and depth. The result
+        is then the :class:`ComposedQuadrature` of its boundary runs (their
+        leaves and leaf order are ``base``'s; ``g_leaf`` and ``leaves`` are
+        not read) and the interior cells at order ``g``.
     """
     if depth < 0:
         raise QuadratureError(f"subdivision depth must be nonnegative, got {depth}")
     g_leaf = g if g_leaf is None else g_leaf
     nx, ny = grid.num_cells
-    bx = grid.kvs[0].breakpoints
-    by = grid.kvs[1].breakpoints
-    jx, jy = np.divmod(np.arange(nx * ny), ny)  # cell id = jx * ny + jy
-    cell_boxes = np.column_stack([bx[jx], by[jy], bx[jx + 1], by[jy + 1]])
     labels = cls.labels.ravel()
     interior = np.flatnonzero(labels == CellLabel.INTERIOR)
+    if base is not None:
+        return ComposedQuadrature(base, interior, _cell_boxes(grid, interior), g)
+    cell_boxes = _cell_boxes(grid, np.arange(nx * ny))
     if leaves is None:
         boundary = np.flatnonzero(labels == CellLabel.BOUNDARY)
         leaves = _subdivide_boundary(domain, cell_boxes[boundary],

@@ -159,7 +159,7 @@ def solve_plap(basis, p, f, tables, opts=None, start=None):
     if p <= 1.0:
         raise SolverError(f"admissible exponents are p in (1, inf), got {p}")
     opts = opts or SolveOptions()
-    f_vals = f(tables.points) if callable(f) else np.full(tables.num_points, float(f))
+    f_vals = tables.sample(f)
     schedule = opts.eps_schedule() if p != 2.0 else [0.0]
     if start is None:
         c = np.zeros(basis.n_inner)

@@ -170,10 +170,32 @@ def prolong(coarse, fine, coeffs):
 # evaluation
 # ---------------------------------------------------------------------------
 
-# points per block of the tabulation (BasisValues), the contraction
-# (BasisValues.field) and eval_fields; the memory a table needs beyond its
-# values is bounded by one block
+# points per block of the contraction (BasisValues.field) and eval_fields;
+# a Newton state contracts its table once, in as few blocks as this allows
 EVAL_CHUNK = 16384
+# bytes of one block of per-point rows: the tabulation fill and the form
+# operands of the assembly work on blocks of points whose widest per-point
+# array (``width`` floats a point) stays within it
+BLOCK_BYTES = 1 << 19
+
+
+def block_points(width):
+    """Points per block whose rows of ``width`` floats fit in BLOCK_BYTES
+    (at least one)."""
+    return max(1, BLOCK_BYTES // (8 * width))
+
+
+def _index(a, top):
+    """``a`` as int32 if its values stay below ``top``, else as it is."""
+    return a.astype(np.int32) if top < 2 ** 31 else a
+
+
+def _axis_factors(kv, x, nderiv):
+    """The index of each coordinate of ``x`` among its distinct values, and
+    the spans and univariate factors (``nonzero_basis``) of those."""
+    coords, inv = np.unique(x, return_inverse=True)
+    return (_index(inv.reshape(-1), x.size),
+            *nonzero_basis(kv, coords, nderiv))
 
 
 class BasisValues:
@@ -191,67 +213,81 @@ class BasisValues:
     each axis, and each table entry is one product of separable factors:
     ``wb = (w Bx) (x) By``, ``wbx = (w_x Bx + w Bx') (x) By`` and
     ``wby = Bx (x) (w_y By + w By')``, written into the tables one block of
-    ``EVAL_CHUNK`` points at a time.
+    ``block_points(na)`` points at a time through buffers of one block.
+    Beyond its tables, a fill holds its int32 point maps and one block.
     """
 
     def __init__(self, basis, pts, nderiv=1):
         grid = basis.grid
         (m1, m2), (nbx, nby) = grid.degrees, grid.num_basis
-        per_axis = []
-        for ax, kv in enumerate(grid.kvs):
-            coords, inv = np.unique(pts[:, ax], return_inverse=True)
-            per_axis.append((inv, *nonzero_basis(kv, coords, nderiv)))
-        (ix, sx, dx), (iy, sy, dy) = per_axis
+        n = pts.shape[0]
+        (ix, sx, dx), (iy, sy, dy) = (_axis_factors(kv, pts[:, ax], nderiv)
+                                      for ax, kv in enumerate(grid.kvs))
         span_key = np.take(sx, ix) * nby + np.take(sy, iy)
         used = np.zeros(nbx * nby, dtype=bool)
         used[span_key] = True
-        self.row_of = (np.cumsum(used) - 1)[span_key]
+        self.row_of = _index((np.cumsum(used) - 1)[span_key], n)
+        del span_key
         kx, ky = np.divmod(np.flatnonzero(used), nby)
         self.rows = basis.kcol[
             (kx[:, None] - m1 + np.arange(m1 + 1))[:, :, None],
             (ky[:, None] - m2 + np.arange(m2 + 1))[:, None, :]].reshape(
                 kx.size, (m1 + 1) * (m2 + 1))
-        n = pts.shape[0]
         shape = (n, m1 + 1, m2 + 1)
         wb = np.empty(shape)
         if nderiv >= 1:
             wbx, wby = np.empty(shape), np.empty(shape)
-        for start in range(0, n, EVAL_CHUNK):
-            sl = slice(start, start + EVAL_CHUNK)
-            bx, by = np.take(dx, ix[sl], axis=1), np.take(dy, iy[sl], axis=1)
+        step = min(n, block_points((m1 + 1) * (m2 + 1))) or 1
+        # per axis, the univariate factors of one block and one product
+        bx = np.empty((nderiv + 2, step, m1 + 1))
+        by = np.empty((nderiv + 2, step, m2 + 1))
+        for start in range(0, n, step):
+            sl = slice(start, start + step)
+            k = ix[sl].size
+            for d in range(nderiv + 1):
+                np.take(dx[d], ix[sl], axis=0, out=bx[d, :k], mode="clip")
+                np.take(dy[d], iy[sl], axis=0, out=by[d, :k], mode="clip")
+            x0, x1, px = bx[0, :k], bx[1:-1, :k], bx[-1, :k]
+            y0, y1, py = by[0, :k], by[1:-1, :k], by[-1, :k]
             if nderiv == 0:
                 w = basis.domain.weight(pts[sl])[:, None]
             else:
                 w, gw = basis.domain.weight_and_gradient(pts[sl])
                 w = w[:, None]
-            np.einsum("ni,nj->nij", w * bx[0], by[0], out=wb[sl])
+            np.einsum("ni,nj->nij", np.multiply(w, x0, out=px), y0,
+                      out=wb[sl])
             if nderiv >= 1:
-                np.einsum("ni,nj->nij", gw[:, :1] * bx[0] + w * bx[1], by[0],
-                          out=wbx[sl])
-                np.einsum("ni,nj->nij", bx[0], gw[:, 1:] * by[0] + w * by[1],
-                          out=wby[sl])
+                # w_x Bx + w Bx' and w_y By + w By', each summed in place
+                np.multiply(gw[:, :1], x0, out=px)
+                np.add(px, np.multiply(w, x1[0], out=x1[0]), out=px)
+                np.einsum("ni,nj->nij", px, y0, out=wbx[sl])
+                np.multiply(gw[:, 1:], y0, out=py)
+                np.add(py, np.multiply(w, y1[0], out=y1[0]), out=py)
+                np.einsum("ni,nj->nij", x0, py, out=wby[sl])
         self.wb = wb.reshape(n, -1)
         if nderiv >= 1:
             self.wbx, self.wby = wbx.reshape(n, -1), wby.reshape(n, -1)
 
-    def field(self, c_full, grad=False):
-        """Field values (and gradient) of a full-basis coefficient vector,
-        contracted one block of points at a time.
+    def field(self, c_full, grad=False, span=slice(None)):
+        """Field values (and gradient) of a full-basis coefficient vector at
+        the points of ``span`` (a slice, all points by default), contracted
+        one block of points at a time.
 
         A column of -1 reads ``c_full[-1]``; where ``rows`` has any, pass the
         vector with a trailing 0 so that those B-splines contribute nothing.
         """
         c_rows = c_full[self.rows]
-        n = self.row_of.size
-        vals = np.empty(n)
-        grads = np.empty((n, 2)) if grad else None
-        for start in range(0, n, EVAL_CHUNK):
-            sl = slice(start, start + EVAL_CHUNK)
+        a, b, _ = span.indices(self.row_of.size)
+        vals = np.empty(b - a)
+        grads = np.empty((b - a, 2)) if grad else None
+        for start in range(a, b, EVAL_CHUNK):
+            sl = slice(start, min(start + EVAL_CHUNK, b))
+            out = slice(sl.start - a, sl.stop - a)
             cw = np.take(c_rows, self.row_of[sl], axis=0)
-            np.einsum("na,na->n", cw, self.wb[sl], out=vals[sl])
+            np.einsum("na,na->n", cw, self.wb[sl], out=vals[out])
             if grad:
-                np.einsum("na,na->n", cw, self.wbx[sl], out=grads[sl, 0])
-                np.einsum("na,na->n", cw, self.wby[sl], out=grads[sl, 1])
+                np.einsum("na,na->n", cw, self.wbx[sl], out=grads[out, 0])
+                np.einsum("na,na->n", cw, self.wby[sl], out=grads[out, 1])
         return (vals, grads) if grad else vals
 
 
@@ -322,12 +358,18 @@ def jackson_error(basis, u, grad_u, quad):
     """H1(Omega) norm of u - P_h u by quadrature.
 
     ``u`` and ``grad_u`` are callables on (N, 2) point arrays; ``quad`` is a
-    :class:`~webfem.quadrature.DomainQuadrature`.
+    :class:`~webfem.quadrature.DomainQuadrature` or a composed rule. The
+    integrand is sampled one block of ``quad.blocks()`` at a time into one
+    array over the rule.
     """
-    coeffs = project(basis, u)
-    vals, grads = eval_field(basis, coeffs, quad.points, nderiv=1)
-    inside = basis.domain.inside(quad.points)
-    ev = np.where(inside, np.asarray(u(quad.points), dtype=float) - vals, 0.0)
-    eg = np.where(inside[:, None],
-                  np.asarray(grad_u(quad.points), dtype=float) - grads, 0.0)
-    return float(np.sqrt(np.sum(quad.weights * (ev ** 2 + squared_norm(eg)))))
+    c_full = basis.coupling_matrix().T @ project(basis, u)
+    dens = np.empty(quad.num_points)
+    for sl, pts, w in quad.blocks():
+        vals, grads = eval_fields(basis, [c_full], pts, grad=True)
+        inside = basis.domain.inside(pts)
+        ev = np.where(inside, np.asarray(u(pts), dtype=float) - vals[:, 0],
+                      0.0)
+        eg = np.where(inside[:, None],
+                      np.asarray(grad_u(pts), dtype=float) - grads[:, 0], 0.0)
+        dens[sl] = w * (ev ** 2 + squared_norm(eg))
+    return float(np.sqrt(np.sum(dens)))

@@ -59,7 +59,14 @@ Scalar references the library itself does not need:
   of the space must reproduce exactly;
 * ``project_pressure_mass_gather``: the pressure projection that gathers
   the patch blocks out of the assembled global mass, which
-  :func:`webfem.assembly.project_pressure` must reproduce exactly.
+  :func:`webfem.assembly.project_pressure` must reproduce exactly;
+* ``error_norms_full`` (with ``mixed_norms_full`` and the sampler
+  ``shared_sampler_full``), ``jackson_error_full`` and
+  ``pressure_projection_error_full``: the error norms on whole arrays over
+  an error rule built in full, each integrand formed at every point at
+  once; the blocked norms of :mod:`webfem.analysis` and
+  :func:`webfem.webbasis.jackson_error` on the composed error rule must
+  reproduce them exactly.
 """
 
 from dataclasses import dataclass
@@ -69,16 +76,18 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 
+from webfem.analysis import AnalysisError
 from webfem.assembly import (
     SLIVER_FRACTION, _mass_and_integral, bilinear_form, linear_form,
+    project_pressure,
 )
-from webfem.geometry import CellLabel, IndexSets, ResolutionError
+from webfem.geometry import CellLabel, IndexSets, ResolutionError, squared_norm
 from webfem.quadrature import build_quadrature, gauss_2d
 from webfem.splines import (
     SplineError, _bern_interp_matrix, _bern_row, _cheb_nodes, dual_row,
     local_polynomial_1d, nonzero_basis,
 )
-from webfem.webbasis import BasisError
+from webfem.webbasis import BasisError, eval_field, eval_fields, project
 
 
 # ---------------------------------------------------------------------------
@@ -978,3 +987,134 @@ def project_pressure_mass_gather(pspace, quad, p_exact):
         except np.linalg.LinAlgError:
             out[c] = np.linalg.lstsq(block, loc, rcond=None)[0]
     return out.ravel()
+
+
+# ---------------------------------------------------------------------------
+# error norms on whole arrays
+# ---------------------------------------------------------------------------
+
+_SCALAR_NORMS = ("L2", "H1", "W1p", "quasinorm")
+_MIXED_NORMS = ("Xnorm", "pressure_L2", "combined")
+
+
+def shared_sampler_full(basis, tables, quad, err_quad):
+    """``sample`` for :func:`_error_norms` on ``err_quad`` that takes the
+    boundary cells, where both rules hold the same leaves, from the assembly
+    ``tables`` on ``quad`` and tabulates only the interior cells anew."""
+    boundary = basis.cls.labels.ravel() == CellLabel.BOUNDARY
+    shared, err_shared = boundary[quad.cell_ids], boundary[err_quad.cell_ids]
+    if not (np.array_equal(quad.points[shared], err_quad.points[err_shared])
+            and np.array_equal(quad.weights[shared],
+                               err_quad.weights[err_shared])):
+        raise AnalysisError("the error rule and the assembly rule differ on "
+                            "boundary cells; their tables cannot be shared")
+    rest = err_quad.points[~err_shared]
+
+    def sample(field):
+        c_fulls = field.full_coeffs()
+        vals = np.empty((err_quad.num_points, len(c_fulls)))
+        grads = np.empty(vals.shape + (2,))
+        vals[~err_shared], grads[~err_shared] = eval_fields(
+            basis, c_fulls, rest, grad=True)
+        for k, c in enumerate(c_fulls):
+            v, g = tables.field(c, grad=True)
+            vals[err_shared, k], grads[err_shared, k] = v[shared], g[shared]
+        return vals, grads
+
+    return sample
+
+
+def error_norms_full(field, case, norms, quad, sample, p=None):
+    """:func:`error_norms` with ``sample(field)`` giving the values (N, k)
+    and gradients (N, k, 2) of the k components of a field on ``quad``."""
+    for norm in norms:
+        if norm not in _SCALAR_NORMS + _MIXED_NORMS:
+            raise AnalysisError(f"unknown norm {norm!r}")
+    mixed = [norm in _MIXED_NORMS for norm in norms]
+    if any(mixed):
+        if not all(mixed):
+            raise AnalysisError(
+                f"cannot take scalar and mixed norms together: {tuple(norms)}")
+        return mixed_norms_full(field, case, norms, quad, sample)
+    pts = quad.points
+    w = quad.weights
+    vals, grads = sample(field)
+    vals, grads = vals[:, 0], grads[:, 0]
+    inside = field.basis.domain.inside(pts)
+    exact_grad = case.gradient(pts)
+    ev = np.where(inside, case.solution(pts) - vals, 0.0)
+    eg = np.where(inside[:, None], exact_grad - grads, 0.0)
+    eg2 = squared_norm(eg)
+    p = p if p is not None else case.params.get("p")
+    out = {}
+    for norm in norms:
+        if norm == "L2":
+            out[norm] = float(np.sqrt(np.sum(w * ev ** 2)))
+        elif norm == "H1":
+            out[norm] = float(np.sqrt(np.sum(w * (ev ** 2 + eg2))))
+        elif norm == "W1p":
+            if p is None or p <= 1:
+                raise AnalysisError(f"W1p norm needs an exponent p > 1, got {p}")
+            s = eg2 ** (0.5 * p)
+            out[norm] = float(np.sum(w * s) ** (1.0 / p))
+        else:
+            if p is None or p <= 1:
+                raise AnalysisError(
+                    f"quasi-norm needs an exponent p > 1, got {p}")
+            gs = np.sqrt(squared_norm(exact_grad))
+            ge = np.sqrt(eg2)
+            base = gs + ge
+            weight = np.zeros_like(base)
+            pos = base > 0
+            weight[pos] = base[pos] ** (p - 2.0)
+            out[norm] = float(np.sqrt(np.sum(w * weight * ge ** 2)))
+    return out
+
+
+def mixed_norms_full(field, case, norms, quad, sample):
+    velocity, pressure = field
+    pts = quad.points
+    w = quad.weights
+    inside = velocity.basis.domain.inside(pts)
+    out = {}
+    if "Xnorm" in norms or "combined" in norms:
+        vals, grads = sample(velocity)
+        ev = np.where(inside[:, None], case.velocity(pts) - vals, 0.0)
+        eg = np.where(inside[:, None, None],
+                      case.velocity_gradient(pts) - grads, 0.0)
+        x2 = np.sum(w * (squared_norm(ev) + squared_norm(eg)))
+        out["Xnorm"] = float(np.sqrt(x2))
+    if "pressure_L2" in norms or "combined" in norms:
+        pv = pressure(pts)
+        pe = case.pressure(pts)
+        # align the quadrature means: the discrete pressure is mean zero with
+        # respect to the cut rule, the exact one with respect to the true domain
+        area = float(np.sum(w))
+        diff = np.where(inside, pe - pv, 0.0)
+        diff = diff - np.sum(w * diff) / area
+        out["pressure_L2"] = float(np.sqrt(np.sum(w * diff ** 2)))
+    if "combined" in norms:
+        out["combined"] = out["Xnorm"] + out["pressure_L2"]
+    return {norm: out[norm] for norm in norms}
+
+
+def jackson_error_full(basis, u, grad_u, quad):
+    """H1(Omega) norm of u - P_h u by quadrature.
+
+    ``u`` and ``grad_u`` are callables on (N, 2) point arrays; ``quad`` is a
+    :class:`~webfem.quadrature.DomainQuadrature`.
+    """
+    coeffs = project(basis, u)
+    vals, grads = eval_field(basis, coeffs, quad.points, nderiv=1)
+    inside = basis.domain.inside(quad.points)
+    ev = np.where(inside, np.asarray(u(quad.points), dtype=float) - vals, 0.0)
+    eg = np.where(inside[:, None],
+                  np.asarray(grad_u(quad.points), dtype=float) - grads, 0.0)
+    return float(np.sqrt(np.sum(quad.weights * (ev ** 2 + squared_norm(eg)))))
+
+
+def pressure_projection_error_full(pspace, quad, p_exact):
+    """L2 error of the cell-wise projection Pi_h applied to ``p_exact``."""
+    coeffs = project_pressure(pspace, quad, p_exact)
+    resid = pspace.evaluate(coeffs, quad.points) - p_exact(quad.points)
+    return float(np.sqrt(np.sum(quad.weights * resid ** 2)))

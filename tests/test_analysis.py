@@ -10,14 +10,18 @@ from webfem.analysis import (
     AnalysisError, StudyConfig, eoc, error_norm, error_norms, level_csv,
     pressure_projection_error, run_convergence,
 )
+from webfem.cli import evaluate_floors
 from webfem.assembly import BasisTables, PressureSpace
 from webfem.cases import get_case
 from webfem.geometry import CellLabel, domain_from_config
 from webfem.quadrature import build_quadrature
 from webfem.solvers import PressureField, SolutionField
 from webfem.splines import TensorGrid, uniform_knots
-from webfem.webbasis import build_web_basis, project
+from webfem.webbasis import (
+    build_web_basis, eval_fields, jackson_error, project,
+)
 
+import oracles
 from oracles import eval_field_loop
 
 
@@ -362,8 +366,8 @@ class TestQuasinormCea:
 
 
 class TestSharedTables:
-    """Norms on the error rule that read boundary cells from the assembly
-    tables equal those of the separate per-point evaluation path."""
+    """Norms on the composed error rule that read its boundary runs from the
+    assembly tables equal those of the separate per-point evaluation path."""
 
     @staticmethod
     def level(name, components=1, degree=2, n_cells=8, gauss_leaf=None):
@@ -374,22 +378,22 @@ class TestSharedTables:
         basis = build_web_basis(dom, grid)
         g = degree + 1
         quad = build_quadrature(dom, grid, basis.cls, g, 5, gauss_leaf)
-        err_quad = build_quadrature(dom, grid, basis.cls, g + 1, 5,
-                                    gauss_leaf or g)
+        err_quad = build_quadrature(dom, grid, basis.cls, g + 1, 5, base=quad)
         tables = BasisTables(basis, quad)
         coeffs = np.random.default_rng(11).normal(
             scale=0.1, size=components * basis.n_inner)
         field = SolutionField(basis=basis, coeffs=coeffs)
-        shared = analysis._shared_sampler(basis, tables, quad, err_quad)
+        shared = analysis._shared_sampler(basis, tables, err_quad)
         return case, field, err_quad, shared
 
     def check(self, case, field, err_quad, shared, norms):
         def oracle(f):
-            outs = [eval_field_loop(f.basis, f.component(k), err_quad.points,
-                                    nderiv=1)
-                    for k in range(f.num_components)]
-            return (np.stack([v for v, _ in outs], axis=1),
-                    np.stack([g for _, g in outs], axis=1))
+            for sl, pts, w in err_quad.blocks():
+                outs = [eval_field_loop(f.basis, f.component(k), pts,
+                                        nderiv=1)
+                        for k in range(f.num_components)]
+                yield (sl, pts, w, np.stack([v for v, _ in outs], axis=1),
+                       np.stack([g for _, g in outs], axis=1))
 
         got = analysis._error_norms(field, case, norms, err_quad, shared)
         ref = analysis._error_norms(field, case, norms, err_quad, oracle)
@@ -416,7 +420,7 @@ class TestSharedTables:
     def test_mixed(self):
         case, velocity, err_quad, shared = self.level(
             "stokes_carreau", components=2, gauss_leaf=2)
-        pspace = PressureSpace(velocity.basis.grid, err_quad, 0)
+        pspace = PressureSpace(velocity.basis.grid, err_quad.base, 0)
         pressure = PressureField(space=pspace, coeffs=np.random.default_rng(
             12).normal(size=pspace.n_dofs))
         self.check(case, (velocity, pressure), err_quad, shared,
@@ -425,7 +429,11 @@ class TestSharedTables:
     def test_samples_match_oracle_pointwise(self):
         case, field, err_quad, shared = self.level(
             "stokes_carreau", components=2, degree=3, gauss_leaf=3)
-        vals, grads = shared(field)
+        blocks = list(shared(field))
+        assert [sl for sl, *_ in blocks] == [sl for sl, *_ in
+                                             err_quad.blocks()]
+        vals = np.concatenate([v for *_, v, _ in blocks])
+        grads = np.concatenate([g for *_, g in blocks])
         for k in range(2):
             rv, rg = eval_field_loop(field.basis, field.component(k),
                                      err_quad.points, nderiv=1)
@@ -434,27 +442,8 @@ class TestSharedTables:
             np.testing.assert_allclose(grads[:, k], rg, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(rg)))
 
-    def test_run_level_rejects_a_moved_boundary_point(self, monkeypatch):
-        real = analysis.build_quadrature
-        calls = []
-
-        def patched(domain, grid, cls, g, depth, g_leaf=None, leaves=None):
-            quad = real(domain, grid, cls, g, depth, g_leaf, leaves)
-            calls.append(g)
-            if len(calls) % 2 == 0:  # the error rule, built second
-                k = np.flatnonzero(cls.labels.ravel()[quad.cell_ids]
-                                   == CellLabel.BOUNDARY)[0]
-                quad.points[k, 0] = np.nextafter(quad.points[k, 0], np.inf)
-            return quad
-
-        monkeypatch.setattr(analysis, "build_quadrature", patched)
-        study = StudyConfig(degree=1, levels=1, base_cells=6, depth=3)
-        with pytest.raises(AnalysisError, match="differ on boundary cells"):
-            run_convergence(get_case("disk_poisson"), study)
-        assert calls == [2, 3]
-
     def test_run_level_subdivides_once(self, monkeypatch):
-        # the error rule is built on the assembly rule's leaves
+        # the error rule is composed from the assembly rule's boundary runs
         real = quadrature._subdivide_boundary
         calls = []
 
@@ -466,6 +455,103 @@ class TestSharedTables:
         study = StudyConfig(degree=1, levels=2, base_cells=6, depth=3)
         rep = run_convergence(get_case("disk_poisson"), study)
         assert len(calls) == len(rep.levels) == 2
+
+
+class TestBlockedNorms:
+    """The norms in blocks of 77 points, which cut through the runs of the
+    composed error rule, equal exactly the whole-array norms over the error
+    rule built in full (``tests/oracles.py``)."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "BLOCK", 77)
+
+    @staticmethod
+    def level(name, degree=2, n_cells=8, gauss_leaf=None, depth=5):
+        case = get_case(name)
+        dom = domain_from_config(case.domain_config)
+        kv = uniform_knots(-1.1, 1.1, n_cells, degree)
+        grid = TensorGrid(kv, kv)
+        basis = build_web_basis(dom, grid)
+        g = degree + 1
+        quad = build_quadrature(dom, grid, basis.cls, g, depth, gauss_leaf)
+        err = build_quadrature(dom, grid, basis.cls, g + 1, depth, base=quad)
+        built = build_quadrature(dom, grid, basis.cls, g + 1, depth,
+                                 gauss_leaf or g, leaves=quad.leaves)
+        return case, basis, quad, err, built
+
+    @staticmethod
+    def field(basis, components=1, seed=11):
+        return SolutionField(basis=basis, coeffs=np.random.default_rng(
+            seed).normal(scale=0.1, size=components * basis.n_inner))
+
+    def check(self, field, case, norms, basis, quad, err, built):
+        tables = BasisTables(basis, quad)
+        got = analysis._error_norms(field, case, norms, err,
+                                    analysis._shared_sampler(basis, tables,
+                                                             err))
+        want = oracles.error_norms_full(
+            field, case, norms, built,
+            oracles.shared_sampler_full(basis, tables, quad, built))
+        assert got == want
+        # the public path, on the composed and on the built rule
+        full = oracles.error_norms_full(
+            field, case, norms, built, lambda f: eval_fields(
+                f.basis, f.full_coeffs(), built.points, grad=True))
+        assert error_norms(field, case, norms, err) == full
+        assert error_norms(field, case, norms, built) == full
+
+    @pytest.mark.parametrize("degree, gauss_leaf", [(2, None), (3, 2)])
+    def test_vcpe(self, degree, gauss_leaf):
+        case, basis, quad, err, built = self.level(
+            "disk_poisson", degree=degree, gauss_leaf=gauss_leaf)
+        assert err.num_points > 10 * 77
+        self.check(self.field(basis), case, ("L2", "H1"), basis, quad, err,
+                   built)
+
+    def test_plap(self):
+        case, basis, quad, err, built = self.level("plap_p15_w2p")
+        self.check(self.field(basis), case, ("L2", "H1", "W1p", "quasinorm"),
+                   basis, quad, err, built)
+
+    def test_mixed(self):
+        case, basis, quad, err, built = self.level("stokes_carreau",
+                                                   gauss_leaf=2)
+        pspace = PressureSpace(basis.grid, quad, 1)
+        pressure = PressureField(space=pspace, coeffs=np.random.default_rng(
+            12).normal(size=pspace.n_dofs))
+        self.check((self.field(basis, components=2), pressure), case,
+                   ("Xnorm", "pressure_L2", "combined"), basis, quad, err,
+                   built)
+
+    def test_projector(self):
+        case, basis, quad, err, built = self.level("disk_bump", degree=1)
+        assert jackson_error(basis, case.solution, case.gradient, err) == (
+            oracles.jackson_error_full(basis, case.solution, case.gradient,
+                                       built))
+
+    def test_pressure_projection(self):
+        case, basis, quad, err, built = self.level("pressure_xy", degree=2,
+                                                   gauss_leaf=1)
+        pspace = PressureSpace(basis.grid, quad, 1, macro=2)
+        assert pressure_projection_error(pspace, err, case.pressure) == (
+            oracles.pressure_projection_error_full(pspace, built,
+                                                   case.pressure))
+
+
+class TestRateTargets:
+    def test_case_without_an_estimate_reports_null(self, tmp_path):
+        case = replace(get_case("disk_poisson"),
+                       rate_targets={"H1": None, "L2": "degree"})
+        study = StudyConfig(degree=1, levels=2, base_cells=6, depth=3)
+        rep = run_convergence(case, study)
+        assert rep.targets == {"H1": None, "L2": 1.0}
+        assert json.loads(rep.to_json())["targets"]["H1"] is None
+        # floors read the EOC table, not the targets
+        floors = {"floors": [{"norm": "H1", "min_eoc": 0.5}]}
+        assert evaluate_floors(floors, rep) == []
+        floors["floors"][0]["min_eoc"] = 5.0
+        assert len(evaluate_floors(floors, rep)) == 1
 
 
 class TestAnnulus:

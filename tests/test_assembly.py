@@ -8,8 +8,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, reject, settings, strategies as st
 
-from webfem import assembly, cli
-from webfem.analysis import assembly_quadrature
+from webfem import assembly, cli, webbasis
+from webfem.analysis import assembly_quadrature, run_convergence
 from webfem.assembly import (
     AssemblyError, BasisTables, CellSegments, CoercivityError, PressureSpace,
     SparsityPlan, WebReductionPlan, assemble_mass, assemble_mixed,
@@ -576,7 +576,8 @@ class TestLinearForm:
                 # the premise of the per-cell reduction: the columns of each
                 # point, tabulated as a run of its own, are its run's
                 _, point_cols, _ = ps.rule(quad.points, quad.cell_ids,
-                                           CellSegments(np.arange(t.num_points)))
+                                           CellSegments(np.arange(t.num_points),
+                                                        ps.ndof_cell))
                 assert np.array_equal(point_cols, cols)
                 _, g = pressure_mass_and_integral(ps, quad)
                 self.assert_rounding(g, linear_form_points(
@@ -591,7 +592,8 @@ class TestLinearForm:
 class TestTableMemory:
     """The tables of a rule with many points per cell (the finest level of
     the cut-cell benchmark workload: deep dyadic subdivision) cost their
-    three value arrays and, beyond them, about one block of points."""
+    three value arrays and, beyond them, about one block of points; a study
+    level holds its rule, its tables and one block."""
 
     def test_tables_and_field_bound_their_memory(self, tmp_path):
         *_, (_, basis, quad) = workload_rules("cutcell_deg3", tmp_path)
@@ -610,14 +612,35 @@ class TestTableMemory:
             tracemalloc.stop()
         table_bytes = tables.wb.nbytes + tables.wbx.nbytes + tables.wby.nbytes
         assert kept <= 1.1 * table_bytes
-        assert peak - kept <= 0.5 * table_bytes
+        assert peak - kept <= 0.15 * table_bytes
         outputs = vals.nbytes + grads.nbytes
         assert field_peak - before - outputs <= 0.3 * table_bytes
 
+    def test_study_level_holds_rule_tables_and_one_block(self, tmp_path):
+        # the whole study, traced: assembly, solve, Gram estimate and error
+        # norms of the finest level stay within 1.2 x what the level must
+        # hold (its three tables and its assembly rule)
+        *_, (study, basis, quad) = workload_rules("cutcell_deg3", tmp_path)
+        na = (study.degree + 1) ** 2
+        held = quad.num_points * (3 * na * 8 + quad.points.itemsize * 2
+                                  + quad.weights.itemsize
+                                  + quad.cell_ids.itemsize)
+        cfg = cli.load_config(workloads.write_config("cutcell_deg3", 0,
+                                                     tmp_path))
+        case = cli._build_case(cfg)
+        del basis, quad
+        tracemalloc.start()
+        try:
+            run_convergence(case, study)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * held
+
 
 class TestBatchBound:
-    """Batches of at most ``EVAL_CHUNK`` points (one run, if that is longer)
-    leave every cell's product as it is."""
+    """Batches of at most ``block_points(width)`` points (one run, if that
+    is longer) leave every cell's product as it is."""
 
     def test_split_batches_reproduce_forms(self, tmp_path, monkeypatch):
         *_, (study, basis, quad) = workload_rules("cutcell_deg3", tmp_path)
@@ -635,8 +658,9 @@ class TestBatchBound:
 
         whole = forms(t.segments)
         chunk = 40
-        monkeypatch.setattr(assembly, "EVAL_CHUNK", chunk)
-        seg = CellSegments(quad.cell_ids)
+        na = t.wb.shape[1]
+        monkeypatch.setattr(webbasis, "BLOCK_BYTES", chunk * 8 * na)
+        seg = CellSegments(quad.cell_ids, na)
         sizes = np.array([[p1 - p0, k] for _, _, p0, p1, k in seg.batches])
         assert np.all(sizes[:, 0] <= np.maximum(chunk, sizes[:, 1]))
         assert np.any(sizes[:, 1] > chunk) and np.any(sizes[:, 0] > sizes[:, 1])
@@ -821,7 +845,7 @@ class TestSparsityPlan:
 
     def test_runs_not_sorted_by_length_rejected(self):
         basis, quad, _ = disk_setup(n_cells=6)
-        seg = CellSegments(quad.cell_ids)
+        seg = CellSegments(quad.cell_ids, 1)
         assert seg.counts[0] < seg.counts[-1]
         # the same runs, longest first
         order = np.concatenate([np.arange(a, a + n) for a, n in

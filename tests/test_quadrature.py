@@ -6,7 +6,7 @@ from webfem.geometry import (
     CellLabel, Disk, ImplicitDomain, box, classify_cells,
 )
 from webfem.quadrature import QuadratureError, build_quadrature
-from webfem.splines import TensorGrid, uniform_knots
+from webfem.splines import TensorGrid, graded_knots, uniform_knots
 
 from oracles import cell_rule, grid_cell_bounds, integrate
 from strategies import r_trees
@@ -243,6 +243,48 @@ class TestBatchedSubdivision:
         assert np.array_equal(quad.cell_ids[shared], err.cell_ids[err_shared])
         n_interior = np.count_nonzero(cls.labels == CellLabel.INTERIOR)
         assert np.count_nonzero(~err_shared) == (g + 1) ** 2 * n_interior
+
+    @settings(deadline=None, max_examples=40)
+    @given(tree=r_trees(3), n_cells=st.integers(4, 12),
+           half=st.floats(1.0, 1.2), ratio=st.floats(1.0, 1.3),
+           depth=st.integers(0, 6), g=st.integers(1, 4),
+           g_leaf=st.one_of(st.none(), st.integers(1, 3)),
+           cuts=st.lists(st.floats(0.0, 1.0), max_size=6))
+    def test_composed_error_rule_equals_built_rule(self, tree, n_cells, half,
+                                                   ratio, depth, g, g_leaf,
+                                                   cuts):
+        # the error rule composed of the interior cells at g + 1 and the
+        # assembly rule's boundary runs is the rule built on its leaves,
+        # point for point and weight for weight, in the same order
+        dom = ImplicitDomain(tree)
+        kv = graded_knots(-half, half, n_cells, 1, ratio)
+        grid = TensorGrid(kv, kv)
+        cls = classify_cells(dom, grid)
+        quad = build_quadrature(dom, grid, cls, g, depth, g_leaf)
+        built = build_quadrature(dom, grid, cls, g + 1, depth, g_leaf or g,
+                                 leaves=quad.leaves)
+        err = build_quadrature(dom, grid, cls, g + 1, depth, base=quad)
+        assert err.num_points == built.num_points
+        assert np.array_equal(err.points, built.points)
+        assert np.array_equal(err.weights, built.weights)
+        assert np.array_equal(err.cell_ids, built.cell_ids)
+        # any point range, cut anywhere through the runs
+        n = built.num_points
+        bounds = sorted({0, n, *(int(c * n) for c in cuts)})
+        for a, b in zip(bounds, bounds[1:]):
+            pts, w, ids = err.take(a, b)
+            assert np.array_equal(pts, built.points[a:b])
+            assert np.array_equal(w, built.weights[a:b])
+            assert np.array_equal(ids, built.cell_ids[a:b])
+        # the pieces read from the assembly rule are its boundary runs
+        read = np.zeros(n, dtype=bool)
+        for lo, hi, s, from_base in err.pieces(0, n):
+            if from_base:
+                read[lo:hi] = True
+                assert np.array_equal(built.points[lo:hi],
+                                      quad.points[s:s + hi - lo])
+        labels = cls.labels.ravel()[built.cell_ids]
+        assert np.array_equal(read, labels == CellLabel.BOUNDARY)
 
     def test_empty_domain_gives_empty_rule(self):
         dom = ImplicitDomain(Disk([5.0, 5.0], 0.5))

@@ -350,6 +350,9 @@ class TestBasisValuesPointColumns:
                                         monkeypatch):
         import webfem.webbasis as webbasis
         monkeypatch.setattr(webbasis, "EVAL_CHUNK", 77)
+        monkeypatch.setattr(webbasis, "BLOCK_BYTES",
+                            77 * 8 * (degree + 1) ** 2)
+        assert webbasis.block_points((degree + 1) ** 2) == 77
         kv = (graded_knots(-1.1, 1.1, 9, degree, 1.2) if graded
               else uniform_knots(-1.1, 1.1, 8, degree))
         dom = ImplicitDomain(node)
