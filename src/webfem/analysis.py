@@ -9,6 +9,7 @@ levels, and the theoretical targets of the case's regularity class.
 import json
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,11 +19,11 @@ from .assembly import (
 from .geometry import GeometryError, domain_from_config, squared_norm
 from .quadrature import build_quadrature
 from .solvers import (
-    SolveOptions, estimate_infsup, solve_plap, solve_quasi_newtonian,
-    solve_vcpe,
+    SolutionField, SolveOptions, estimate_infsup, solve_plap,
+    solve_quasi_newtonian, solve_vcpe,
 )
 from .splines import KnotVector, TensorGrid, graded_knots, uniform_knots
-from .webbasis import build_web_basis, eval_fields, jackson_error, prolong
+from .webbasis import build_web_basis, eval_fields, project, prolong
 
 
 class AnalysisError(ValueError):
@@ -49,55 +50,16 @@ def error_norm(field, case, norm, quad, p=None):
     return error_norms(field, case, (norm,), quad, p)[norm]
 
 
-def error_norms(field, case, norms, quad, p=None):
+def error_norms(field, case, norms, quad, p=None, tables=None):
     """Dict of the named norms of (exact - discrete), see :func:`error_norm`.
 
-    The discrete and exact fields are sampled on ``quad`` once for all of
-    ``norms``, which are either all scalar or all mixed norms.
+    ``norms`` are either all scalar or all mixed norms. One pass over
+    ``quad.blocks()`` samples the fields (see :func:`_sample`; ``tables``
+    are the assembly tables of a composed ``quad``'s base rule) and fills
+    one integrand array per norm over the rule, summed whole at the end. A
+    scalar field is a field of one component: L2 integrates |e|^2, H1 and
+    Xnorm |e|^2 + |grad e|^2.
     """
-    def sample(f):
-        c_fulls = f.full_coeffs()
-        for sl, pts, w in quad.blocks():
-            yield (sl, pts, w, *eval_fields(f.basis, c_fulls, pts, grad=True))
-
-    return _error_norms(field, case, norms, quad, sample, p)
-
-
-def _shared_sampler(basis, tables, err_quad):
-    """``sample`` for :func:`_error_norms` on the composed rule ``err_quad``
-    (:class:`~webfem.quadrature.ComposedQuadrature`) whose base is the rule
-    of the assembly ``tables``: the points it reads from that rule take
-    their values from the tables, one slice at a time, and only the
-    interior points of each block are tabulated anew."""
-
-    def sample(field):
-        c_fulls = field.full_coeffs()
-        for sl, pts, w in err_quad.blocks():
-            vals = np.empty((pts.shape[0], len(c_fulls)))
-            grads = np.empty(vals.shape + (2,))
-            own = np.ones(pts.shape[0], dtype=bool)
-            for lo, hi, s, from_base in err_quad.pieces(sl.start, sl.stop):
-                if from_base:
-                    own[lo:hi] = False
-                    span = slice(s, s + hi - lo)
-                    for k, c in enumerate(c_fulls):
-                        vals[lo:hi, k], grads[lo:hi, k] = tables.field(
-                            c, grad=True, span=span)
-            if own.any():
-                vals[own], grads[own] = eval_fields(basis, c_fulls, pts[own],
-                                                    grad=True)
-            yield sl, pts, w, vals, grads
-
-    return sample
-
-
-def _error_norms(field, case, norms, quad, sample, p=None):
-    """:func:`error_norms` with ``sample(field)`` yielding, for each block
-    of ``quad.blocks()``, its (slice, points, weights) and the values (n, k)
-    and gradients (n, k, 2) of the k components of a field there.
-
-    Each norm fills one array of its integrand over the rule, block by
-    block, and sums it whole at the end."""
     for norm in norms:
         if norm not in _SCALAR_NORMS + _MIXED_NORMS:
             raise AnalysisError(f"unknown norm {norm!r}")
@@ -106,67 +68,102 @@ def _error_norms(field, case, norms, quad, sample, p=None):
         if not all(mixed):
             raise AnalysisError(
                 f"cannot take scalar and mixed norms together: {tuple(norms)}")
-        return _mixed_norms(field, case, norms, quad, sample)
-    p = p if p is not None else case.params.get("p")
-    for norm in norms:
-        if norm in ("W1p", "quasinorm") and (p is None or p <= 1):
-            name = "W1p norm" if norm == "W1p" else "quasi-norm"
-            raise AnalysisError(f"{name} needs an exponent p > 1, got {p}")
-    dens = {norm: np.empty(quad.num_points) for norm in norms}
-    for sl, pts, w, vals, grads in sample(field):
-        vals, grads = vals[:, 0], grads[:, 0]
+        field, pressure = field
+        exact, exact_grad = case.velocity, case.velocity_gradient
+        # combined is the sum of the other two
+        parts = [n for n in ("Xnorm", "pressure_L2")
+                 if n in norms or "combined" in norms]
+        weights = np.empty(quad.num_points)
+    else:
+        exact = lambda pts: case.solution(pts)[:, None]
+        exact_grad = lambda pts: case.gradient(pts)[:, None]
+        p = p if p is not None else case.params.get("p")
+        for norm in norms:
+            if norm in ("W1p", "quasinorm") and (p is None or p <= 1):
+                name = "W1p norm" if norm == "W1p" else "quasi-norm"
+                raise AnalysisError(f"{name} needs an exponent p > 1, got {p}")
+        parts = norms
+    dens = {part: np.empty(quad.num_points) for part in parts}
+    for sl, pts, w, vals, grads in _sample(field, quad, tables):
         inside = field.basis.domain.inside(pts)
-        exact_grad = case.gradient(pts)
-        ev = np.where(inside, case.solution(pts) - vals, 0.0)
-        eg = np.where(inside[:, None], exact_grad - grads, 0.0)
-        eg2 = squared_norm(eg)
+        xg = exact_grad(pts)
+        ev2 = squared_norm(np.where(inside[:, None], exact(pts) - vals, 0.0))
+        eg2 = squared_norm(np.where(inside[:, None, None], xg - grads, 0.0))
         for norm, d in dens.items():
             if norm == "L2":
-                d[sl] = w * ev ** 2
-            elif norm == "H1":
-                d[sl] = w * (ev ** 2 + eg2)
+                d[sl] = w * ev2
+            elif norm in ("H1", "Xnorm"):
+                d[sl] = w * (ev2 + eg2)
             elif norm == "W1p":
                 d[sl] = w * eg2 ** (0.5 * p)
-            else:
-                gs = np.sqrt(squared_norm(exact_grad))
+            elif norm == "quasinorm":
+                gs = np.sqrt(squared_norm(xg))
                 ge = np.sqrt(eg2)
                 base = gs + ge
                 weight = np.zeros_like(base)
                 pos = base > 0
                 weight[pos] = base[pos] ** (p - 2.0)
                 d[sl] = w * weight * ge ** 2
-    return {norm: float(np.sum(d) ** (1.0 / p) if norm == "W1p"
-                        else np.sqrt(np.sum(d)))
-            for norm, d in dens.items()}
-
-
-def _mixed_norms(field, case, norms, quad, sample):
-    velocity, pressure = field
-    inside = velocity.basis.domain.inside
+            else:
+                weights[sl] = w
+                d[sl] = np.where(inside, case.pressure(pts) - pressure(pts),
+                                 0.0)
     out = {}
-    if "Xnorm" in norms or "combined" in norms:
-        x2 = np.empty(quad.num_points)
-        for sl, pts, w, vals, grads in sample(velocity):
-            ins = inside(pts)
-            ev = np.where(ins[:, None], case.velocity(pts) - vals, 0.0)
-            eg = np.where(ins[:, None, None],
-                          case.velocity_gradient(pts) - grads, 0.0)
-            x2[sl] = w * (squared_norm(ev) + squared_norm(eg))
-        out["Xnorm"] = float(np.sqrt(np.sum(x2)))
-    if "pressure_L2" in norms or "combined" in norms:
-        weights, diff = np.empty(quad.num_points), np.empty(quad.num_points)
-        for sl, pts, w in quad.blocks():
-            weights[sl] = w
-            diff[sl] = np.where(inside(pts), case.pressure(pts) - pressure(pts),
-                                0.0)
-        # align the quadrature means: the discrete pressure is mean zero with
-        # respect to the cut rule, the exact one with respect to the true domain
-        area = float(np.sum(weights))
-        diff -= np.sum(weights * diff) / area
-        out["pressure_L2"] = float(np.sqrt(np.sum(weights * diff ** 2)))
+    for norm, d in dens.items():
+        if norm == "W1p":
+            out[norm] = float(np.sum(d) ** (1.0 / p))
+        elif norm == "pressure_L2":
+            # align the quadrature means: the discrete pressure is mean zero
+            # with respect to the cut rule, the exact one with respect to the
+            # true domain
+            area = float(np.sum(weights))
+            d -= np.sum(weights * d) / area
+            out[norm] = float(np.sqrt(np.sum(weights * d ** 2)))
+        else:
+            out[norm] = float(np.sqrt(np.sum(d)))
     if "combined" in norms:
         out["combined"] = out["Xnorm"] + out["pressure_L2"]
     return {norm: out[norm] for norm in norms}
+
+
+def _sample(field, quad, tables=None):
+    """(slice, points, weights) of each block of ``quad.blocks()`` with the
+    values (n, k) and gradients (n, k, 2) of the k components of ``field``
+    there. Without ``tables`` every point is tabulated anew. With the
+    :class:`~webfem.assembly.BasisTables` of the base rule of a composed
+    ``quad`` (:class:`~webfem.quadrature.ComposedQuadrature`), the points it
+    reads from that rule take their values from the tables, one slice at a
+    time, and only the interior points of each block are tabulated anew."""
+    c_fulls = field.full_coeffs()
+    for sl, pts, w in quad.blocks():
+        vals = np.empty((pts.shape[0], len(c_fulls)))
+        grads = np.empty(vals.shape + (2,))
+        own = np.ones(pts.shape[0], dtype=bool)
+        pieces = () if tables is None else quad.pieces(sl.start, sl.stop)
+        for lo, hi, s, from_base in pieces:
+            if from_base:
+                own[lo:hi] = False
+                span = slice(s, s + hi - lo)
+                for k, c in enumerate(c_fulls):
+                    vals[lo:hi, k], grads[lo:hi, k] = tables.field(
+                        c, grad=True, span=span)
+        if own.any():
+            vals[own], grads[own] = eval_fields(field.basis, c_fulls,
+                                                pts[own], grad=True)
+        yield sl, pts, w, vals, grads
+
+
+def jackson_error(basis, u, grad_u, quad):
+    """H1(Omega) norm of u - P_h u by quadrature, the H1 norm of
+    :func:`error_norms` of the quasi-interpolant ``P_h u``
+    (:func:`~webfem.webbasis.project`).
+
+    ``u`` and ``grad_u`` are callables on (N, 2) point arrays; ``quad`` is a
+    :class:`~webfem.quadrature.DomainQuadrature` or a composed rule.
+    """
+    exact = SimpleNamespace(solution=u, gradient=grad_u, params={})
+    field = SolutionField(basis=basis, coeffs=project(basis, u))
+    return error_norms(field, exact, ("H1",), quad)["H1"]
 
 
 def eoc(errors, hs):
@@ -356,7 +353,6 @@ def _run_level(case, domain, grid, study, level, opts, coarse=None):
     if case.kind in ("vcpe", "plap", "quasi_newtonian"):
         tables = BasisTables(basis, quad)
         rec["basis"]["gram_condition"] = gram_condition_estimate(basis, tables)
-        sample = _shared_sampler(basis, tables, err_quad)
     if case.kind in ("plap", "quasi_newtonian"):
         if coarse is not None:
             start = prolong(coarse.basis, basis, coarse.coeffs)
@@ -366,15 +362,17 @@ def _run_level(case, domain, grid, study, level, opts, coarse=None):
         a = case.diffusion if case.diffusion is not None else 1.0
         u = solve_vcpe(basis, a, case.source, tables, opts)
         rec["iterations"] = u.params["iterations"]
-        rec["errors"] = _error_norms(u, case, ("L2", "H1"), err_quad, sample)
+        rec["errors"] = error_norms(u, case, ("L2", "H1"), err_quad,
+                                    tables=tables)
     elif case.kind == "plap":
         sol = solve_plap(basis, case.params["p"], case.source, tables, opts,
                          start)
         rec["iterations"] = sol.params["iterations"]
         rec["residual_history"] = [s["residuals"] for s in sol.params["stages"]]
         rec["converged"] = [s["converged"] for s in sol.params["stages"]]
-        rec["errors"] = _error_norms(
-            sol, case, ("L2", "H1", "W1p", "quasinorm"), err_quad, sample)
+        rec["errors"] = error_norms(
+            sol, case, ("L2", "H1", "W1p", "quasinorm"), err_quad,
+            tables=tables)
     elif case.kind == "quasi_newtonian":
         pspace = PressureSpace(grid, quad, study.pressure_degree,
                                macro=study.pressure_macro)
@@ -384,9 +382,9 @@ def _run_level(case, domain, grid, study, level, opts, coarse=None):
         rec["residual_history"] = [info["residuals"]]
         rec["converged"] = [info["converged"]]
         rec["incompressibility"] = info["incompressibility"]
-        rec["errors"] = _error_norms(
+        rec["errors"] = error_norms(
             (sol, pres), case, ("Xnorm", "pressure_L2", "combined"), err_quad,
-            sample)
+            tables=tables)
         rec["infsup"] = estimate_infsup(basis, pspace, tables)
     elif case.kind == "projector":
         rec["errors"]["H1"] = jackson_error(basis, case.solution,

@@ -249,9 +249,11 @@ def _build_case(cfg):
                 raise ConfigError(
                     "no bundled p-Laplacian case for this p; set problem.case")
         case = _build_case({"problem": {**prob, "case": name}})
-    if "tree" in cfg.get("domain", {}) and cfg["domain"]["tree"] is not None \
-            and cfg["domain"] != DEFAULTS["domain"] and case.domain_config:
-        case.domain_config = cfg["domain"]
+    # a domain key that differs from its default overrides the case's own:
+    # a tree replaces its tree, an exponent weights whichever tree it has
+    for key, value in cfg.get("domain", {}).items():
+        if case.domain_config and value != DEFAULTS["domain"].get(key):
+            case.domain_config = {**case.domain_config, key: value}
     return case
 
 

@@ -74,15 +74,12 @@ class DomainQuadrature:
     ``cell_ids`` maps every point to the (jx, jy) grid cell it came from,
     encoded as jx * ny + jy. Each cell is one contiguous run of points, and
     the runs are sorted by their length, then by cell id; within a cell,
-    subdivision leaves keep a fixed traversal order. ``leaves`` holds the
-    kept leaf boxes (x0, y0, x1, y1) of the boundary cells and their cell
-    ids, for a rule of another Gauss order on the same leaves.
+    subdivision leaves keep a fixed traversal order.
     """
 
     points: np.ndarray      # (N, 2)
     weights: np.ndarray     # (N,)
     cell_ids: np.ndarray    # (N,) int
-    leaves: tuple           # ((L, 4) boxes, (L,) int cell ids)
 
     @property
     def num_points(self):
@@ -161,13 +158,14 @@ class ComposedQuadrature:
 
     Its runs are the interior cells (``g * g`` points each) and the boundary
     runs of ``base``, in the (point count, cell id) order of
-    :func:`build_quadrature`, so it equals the rule that function builds on
-    ``base.leaves`` point for point. The runs form pieces, each a range of
-    points from one source: ``starts`` (P + 1,) bounds the pieces in this
-    rule, ``src`` (P,) is the first point of each in its source and
-    ``from_base`` (P,) tells the source: the points of ``base``, or the
-    interior rule (the interior cells ``cells`` in id order, one run of
-    ``g * g`` points each, generated on demand from their ``boxes``).
+    :func:`build_quadrature`, so it equals point for point the rule that
+    function builds anew at order ``g``, with ``base``'s depth and Gauss
+    order on the leaves. The runs form pieces, each a range of points from
+    one source: ``starts`` (P + 1,) bounds the pieces in this rule, ``src``
+    (P,) is the first point of each in its source and ``from_base`` (P,)
+    tells the source: the points of ``base``, or the interior rule (the
+    interior cells ``cells`` in id order, one run of ``g * g`` points each,
+    generated on demand from their ``boxes``).
     """
 
     def __init__(self, base, cells, boxes, g):
@@ -263,8 +261,7 @@ def _cell_boxes(grid, cells):
     return np.column_stack([bx[jx], by[jy], bx[jx + 1], by[jy + 1]])
 
 
-def build_quadrature(domain, grid, cls, g, depth, g_leaf=None, leaves=None,
-                     base=None):
+def build_quadrature(domain, grid, cls, g, depth, g_leaf=None, base=None):
     """Quadrature rule over all non-exterior cells of the grid.
 
     Parameters
@@ -280,14 +277,11 @@ def build_quadrature(domain, grid, cls, g, depth, g_leaf=None, leaves=None,
         Gauss points per axis on subdivision leaves (default: same as g).
         The leaves carry an O(leaf^2) geometric error anyway, so a lower
         order there trades nothing measurable for a large point-count cut.
-    leaves : (boxes, owners), optional
-        The ``leaves`` of a rule built with the same domain, grid, cells and
-        depth; its boundary cells are then not subdivided again.
     base : DomainQuadrature, optional
         A rule built with the same domain, grid, cells and depth. The result
         is then the :class:`ComposedQuadrature` of its boundary runs (their
-        leaves and leaf order are ``base``'s; ``g_leaf`` and ``leaves`` are
-        not read) and the interior cells at order ``g``.
+        leaves and leaf order are ``base``'s; ``g_leaf`` is not read) and
+        the interior cells at order ``g``.
     """
     if depth < 0:
         raise QuadratureError(f"subdivision depth must be nonnegative, got {depth}")
@@ -298,11 +292,9 @@ def build_quadrature(domain, grid, cls, g, depth, g_leaf=None, leaves=None,
     if base is not None:
         return ComposedQuadrature(base, interior, _cell_boxes(grid, interior), g)
     cell_boxes = _cell_boxes(grid, np.arange(nx * ny))
-    if leaves is None:
-        boundary = np.flatnonzero(labels == CellLabel.BOUNDARY)
-        leaves = _subdivide_boundary(domain, cell_boxes[boundary],
-                                     boundary.astype(np.int64), depth)
-    leaf_boxes, leaf_owner = leaves
+    boundary = np.flatnonzero(labels == CellLabel.BOUNDARY)
+    leaf_boxes, leaf_owner = _subdivide_boundary(
+        domain, cell_boxes[boundary], boundary.astype(np.int64), depth)
     # boxes in (cell point count, cell id) order (stable: a cell keeps its
     # leaf order) and the offset of each box's points in the rule; each
     # group of boxes is then written straight to its slots, with no
@@ -321,5 +313,4 @@ def build_quadrature(domain, grid, cls, g, depth, g_leaf=None, leaves=None,
         slots = (start[part, None] + np.arange(gg * gg)).ravel()
         points[slots], weights[slots] = _box_rules(boxes, gg)
         cell_ids[slots] = np.repeat(owner[part], gg * gg)
-    return DomainQuadrature(points=points, weights=weights, cell_ids=cell_ids,
-                            leaves=leaves)
+    return DomainQuadrature(points=points, weights=weights, cell_ids=cell_ids)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import classify_cells, classify_indices, squared_norm
+from .geometry import classify_cells, classify_indices
 from .splines import (
     dual_row, interpolate_pieces, nonzero_basis, refinement_matrix,
 )
@@ -352,24 +352,3 @@ def project(basis, f):
     rx = dual_row(kx, idx.inner[:, 0], lo[:, 0], hi[:, 0])
     ry = dual_row(ky, idx.inner[:, 1], lo[:, 1], hi[:, 1])
     return basis.w_center * (rx[:, None, :] @ pieces @ ry[:, :, None])[:, 0, 0]
-
-
-def jackson_error(basis, u, grad_u, quad):
-    """H1(Omega) norm of u - P_h u by quadrature.
-
-    ``u`` and ``grad_u`` are callables on (N, 2) point arrays; ``quad`` is a
-    :class:`~webfem.quadrature.DomainQuadrature` or a composed rule. The
-    integrand is sampled one block of ``quad.blocks()`` at a time into one
-    array over the rule.
-    """
-    c_full = basis.coupling_matrix().T @ project(basis, u)
-    dens = np.empty(quad.num_points)
-    for sl, pts, w in quad.blocks():
-        vals, grads = eval_fields(basis, [c_full], pts, grad=True)
-        inside = basis.domain.inside(pts)
-        ev = np.where(inside, np.asarray(u(pts), dtype=float) - vals[:, 0],
-                      0.0)
-        eg = np.where(inside[:, None],
-                      np.asarray(grad_u(pts), dtype=float) - grads[:, 0], 0.0)
-        dens[sl] = w * (ev ** 2 + squared_norm(eg))
-    return float(np.sqrt(np.sum(dens)))

@@ -64,9 +64,10 @@ Scalar references the library itself does not need:
   ``shared_sampler_full``), ``jackson_error_full`` and
   ``pressure_projection_error_full``: the error norms on whole arrays over
   an error rule built in full, each integrand formed at every point at
-  once; the blocked norms of :mod:`webfem.analysis` and
-  :func:`webfem.webbasis.jackson_error` on the composed error rule must
-  reproduce them exactly.
+  once; the blocked norms of :func:`webfem.analysis.error_norms` (through
+  which :func:`webfem.analysis.jackson_error` runs) and
+  :func:`webfem.analysis.pressure_projection_error` on the composed error
+  rule must reproduce them exactly.
 """
 
 from dataclasses import dataclass
@@ -998,7 +999,7 @@ _MIXED_NORMS = ("Xnorm", "pressure_L2", "combined")
 
 
 def shared_sampler_full(basis, tables, quad, err_quad):
-    """``sample`` for :func:`_error_norms` on ``err_quad`` that takes the
+    """``sample`` for :func:`error_norms_full` on ``err_quad`` that takes the
     boundary cells, where both rules hold the same leaves, from the assembly
     ``tables`` on ``quad`` and tabulates only the interior cells anew."""
     boundary = basis.cls.labels.ravel() == CellLabel.BOUNDARY

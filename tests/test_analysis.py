@@ -7,8 +7,8 @@ import pytest
 import webfem.analysis as analysis
 import webfem.quadrature as quadrature
 from webfem.analysis import (
-    AnalysisError, StudyConfig, eoc, error_norm, error_norms, level_csv,
-    pressure_projection_error, run_convergence,
+    AnalysisError, StudyConfig, eoc, error_norm, error_norms, jackson_error,
+    level_csv, pressure_projection_error, run_convergence,
 )
 from webfem.cli import evaluate_floors
 from webfem.assembly import BasisTables, PressureSpace
@@ -17,9 +17,7 @@ from webfem.geometry import CellLabel, domain_from_config
 from webfem.quadrature import build_quadrature
 from webfem.solvers import PressureField, SolutionField
 from webfem.splines import TensorGrid, uniform_knots
-from webfem.webbasis import (
-    build_web_basis, eval_fields, jackson_error, project,
-)
+from webfem.webbasis import build_web_basis, eval_fields, project
 
 import oracles
 from oracles import eval_field_loop
@@ -383,20 +381,18 @@ class TestSharedTables:
         coeffs = np.random.default_rng(11).normal(
             scale=0.1, size=components * basis.n_inner)
         field = SolutionField(basis=basis, coeffs=coeffs)
-        shared = analysis._shared_sampler(basis, tables, err_quad)
-        return case, field, err_quad, shared
+        return case, field, err_quad, tables
 
-    def check(self, case, field, err_quad, shared, norms):
+    def check(self, case, field, err_quad, tables, norms):
         def oracle(f):
-            for sl, pts, w in err_quad.blocks():
-                outs = [eval_field_loop(f.basis, f.component(k), pts,
-                                        nderiv=1)
-                        for k in range(f.num_components)]
-                yield (sl, pts, w, np.stack([v for v, _ in outs], axis=1),
-                       np.stack([g for _, g in outs], axis=1))
+            outs = [eval_field_loop(f.basis, f.component(k), err_quad.points,
+                                    nderiv=1)
+                    for k in range(f.num_components)]
+            return (np.stack([v for v, _ in outs], axis=1),
+                    np.stack([g for _, g in outs], axis=1))
 
-        got = analysis._error_norms(field, case, norms, err_quad, shared)
-        ref = analysis._error_norms(field, case, norms, err_quad, oracle)
+        got = error_norms(field, case, norms, err_quad, tables=tables)
+        ref = oracles.error_norms_full(field, case, norms, err_quad, oracle)
         assert list(got) == list(norms)
         for norm in norms:
             assert got[norm] == pytest.approx(ref[norm], rel=1e-12, abs=0)
@@ -408,28 +404,28 @@ class TestSharedTables:
     @pytest.mark.parametrize("degree, gauss_leaf", [(1, None), (2, None),
                                                     (3, 3)])
     def test_vcpe(self, degree, gauss_leaf):
-        case, field, err_quad, shared = self.level(
+        case, field, err_quad, tables = self.level(
             "disk_poisson", degree=degree, gauss_leaf=gauss_leaf)
-        self.check(case, field, err_quad, shared, ("L2", "H1"))
+        self.check(case, field, err_quad, tables, ("L2", "H1"))
 
     def test_plap(self):
-        case, field, err_quad, shared = self.level("plap_p15_w2p")
-        self.check(case, field, err_quad, shared,
+        case, field, err_quad, tables = self.level("plap_p15_w2p")
+        self.check(case, field, err_quad, tables,
                    ("L2", "H1", "W1p", "quasinorm"))
 
     def test_mixed(self):
-        case, velocity, err_quad, shared = self.level(
+        case, velocity, err_quad, tables = self.level(
             "stokes_carreau", components=2, gauss_leaf=2)
         pspace = PressureSpace(velocity.basis.grid, err_quad.base, 0)
         pressure = PressureField(space=pspace, coeffs=np.random.default_rng(
             12).normal(size=pspace.n_dofs))
-        self.check(case, (velocity, pressure), err_quad, shared,
+        self.check(case, (velocity, pressure), err_quad, tables,
                    ("Xnorm", "pressure_L2", "combined"))
 
     def test_samples_match_oracle_pointwise(self):
-        case, field, err_quad, shared = self.level(
+        case, field, err_quad, tables = self.level(
             "stokes_carreau", components=2, degree=3, gauss_leaf=3)
-        blocks = list(shared(field))
+        blocks = list(analysis._sample(field, err_quad, tables))
         assert [sl for sl, *_ in blocks] == [sl for sl, *_ in
                                              err_quad.blocks()]
         vals = np.concatenate([v for *_, v, _ in blocks])
@@ -477,7 +473,7 @@ class TestBlockedNorms:
         quad = build_quadrature(dom, grid, basis.cls, g, depth, gauss_leaf)
         err = build_quadrature(dom, grid, basis.cls, g + 1, depth, base=quad)
         built = build_quadrature(dom, grid, basis.cls, g + 1, depth,
-                                 gauss_leaf or g, leaves=quad.leaves)
+                                 gauss_leaf or g)
         return case, basis, quad, err, built
 
     @staticmethod
@@ -487,9 +483,7 @@ class TestBlockedNorms:
 
     def check(self, field, case, norms, basis, quad, err, built):
         tables = BasisTables(basis, quad)
-        got = analysis._error_norms(field, case, norms, err,
-                                    analysis._shared_sampler(basis, tables,
-                                                             err))
+        got = error_norms(field, case, norms, err, tables=tables)
         want = oracles.error_norms_full(
             field, case, norms, built,
             oracles.shared_sampler_full(basis, tables, quad, built))

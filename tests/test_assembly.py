@@ -14,7 +14,8 @@ from webfem.assembly import (
     AssemblyError, BasisTables, CellSegments, CoercivityError, PressureSpace,
     SparsityPlan, WebReductionPlan, assemble_mass, assemble_mixed,
     PlapIterate, assemble_plap_jacobian_and_residual, assemble_vcpe,
-    bilinear_form, export_coo, linear_form, plap_energy,
+    bilinear_form, export_coo, gram_condition_estimate, linear_form,
+    plap_energy,
     pressure_mass_and_integral, project_pressure,
 )
 from webfem.geometry import (
@@ -130,6 +131,17 @@ class TestVcpe:
         assert np.all(hi0 < lo1) or np.all(hi1 < lo0) or \
                hi0[0] < lo1[0] or hi0[1] < lo1[1]
         assert A[0, -1] == 0.0
+
+
+class TestGramCondition:
+    @pytest.mark.parametrize("n_cells", [44, 48])
+    def test_equals_dense_eigenvalues(self, n_cells):
+        # 44 cells hold the dense branch (n <= 1500), 48 the Lanczos one
+        basis, quad, tables = disk_setup(n_cells=n_cells, depth=2)
+        assert (basis.n_inner <= 1500) == (n_cells == 44)
+        vals = np.linalg.eigvalsh(assemble_mass(basis, tables).toarray())
+        assert gram_condition_estimate(basis, tables) == pytest.approx(
+            vals[-1] / vals[0], rel=1e-10, abs=0)
 
 
 class TestDipole:
@@ -419,7 +431,7 @@ class TestPressure:
         ny = grid.num_cells[1]
         cell_ids = (np.arange(len(coverages)) + 1) * ny + 2
         quad = DomainQuadrature(points=None, weights=np.array(coverages),
-                                cell_ids=cell_ids, leaves=None)
+                                cell_ids=cell_ids)
         ps = PressureSpace(grid, quad, 1)
         TestPressure.assert_patches_match_loop(ps, grid, quad, 1, 1)
         return ps, cell_ids

@@ -12,8 +12,9 @@ import webfem
 from webfem.cli import (
     CONFIG_SCHEMA, CONFIG_VALIDATOR, EXIT_CHECK, EXIT_CONFIG, EXIT_OK,
     ConfigError, bundled_config_dir, describe, evaluate_floors, load_config,
-    main, run,
+    _build_case, main, run,
 )
+from webfem.cases import ANNULUS
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -178,6 +179,29 @@ class TestRun:
         info = describe(cfg)
         assert info["num_inner"] > 0
         assert info["num_relevant"] == info["num_inner"] + info["num_outer"]
+
+    def test_domain_exponent_keeps_the_case_tree(self, tmp_path):
+        # an exponent alone weights the case's own domain, the annulus, and
+        # leaves its tree (and so its inner indices) alone
+        problem = {"type": "vcpe", "case": "annulus_poisson"}
+        grid = {"kind": "uniform", "degree": 2, "cells": 8}
+        plain = load_config(write_config(tmp_path, problem=problem, grid=grid))
+        cfg = load_config(write_config(tmp_path, problem=problem, grid=grid,
+                                       domain={"exponent": 2.0}))
+        assert _build_case(cfg).domain_config == {**ANNULUS, "exponent": 2.0}
+        assert describe(cfg)["num_inner"] == describe(plain)["num_inner"]
+
+    def test_domain_tree_replaces_the_case_tree_unless_default(self,
+                                                               tmp_path):
+        problem = {"type": "vcpe", "case": "annulus_poisson"}
+        default = load_config(write_config(tmp_path, problem=problem, domain={
+            "tree": {"op": "disk", "center": [0.0, 0.0], "radius": 1.0}}))
+        assert _build_case(default).domain_config == ANNULUS
+        tree = {"op": "disk", "center": [0.0, 0.0], "radius": 0.9}
+        cfg = load_config(write_config(tmp_path, problem=problem,
+                                       domain={"tree": tree}))
+        assert _build_case(cfg).domain_config == {"exponent": 1.0,
+                                                  "tree": tree}
 
     def test_floor_violation_exit_code(self, tmp_path):
         path = write_config(tmp_path, floors=[{"norm": "H1", "min_eoc": 5.0}])

@@ -230,12 +230,6 @@ class TestBatchedSubdivision:
         cls = classify_cells(dom, grid)
         quad = build_quadrature(dom, grid, cls, g, depth, g_leaf)
         err = build_quadrature(dom, grid, cls, g + 1, depth, g_leaf or g)
-        # the error rule built on the assembly rule's leaves is the same rule
-        reused = build_quadrature(dom, grid, cls, g + 1, depth, g_leaf or g,
-                                  leaves=quad.leaves)
-        assert np.array_equal(reused.points, err.points)
-        assert np.array_equal(reused.weights, err.weights)
-        assert np.array_equal(reused.cell_ids, err.cell_ids)
         boundary = cls.labels.ravel() == CellLabel.BOUNDARY
         shared, err_shared = boundary[quad.cell_ids], boundary[err.cell_ids]
         assert np.array_equal(quad.points[shared], err.points[err_shared])
@@ -254,15 +248,14 @@ class TestBatchedSubdivision:
                                                    ratio, depth, g, g_leaf,
                                                    cuts):
         # the error rule composed of the interior cells at g + 1 and the
-        # assembly rule's boundary runs is the rule built on its leaves,
+        # assembly rule's boundary runs is the rule built anew at g + 1,
         # point for point and weight for weight, in the same order
         dom = ImplicitDomain(tree)
         kv = graded_knots(-half, half, n_cells, 1, ratio)
         grid = TensorGrid(kv, kv)
         cls = classify_cells(dom, grid)
         quad = build_quadrature(dom, grid, cls, g, depth, g_leaf)
-        built = build_quadrature(dom, grid, cls, g + 1, depth, g_leaf or g,
-                                 leaves=quad.leaves)
+        built = build_quadrature(dom, grid, cls, g + 1, depth, g_leaf or g)
         err = build_quadrature(dom, grid, cls, g + 1, depth, base=quad)
         assert err.num_points == built.num_points
         assert np.array_equal(err.points, built.points)

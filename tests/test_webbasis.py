@@ -14,10 +14,11 @@ from webfem.splines import (
     KnotVector, TensorGrid, graded_knots, nonzero_basis, uniform_knots,
 )
 from webfem.solvers import SolutionField
+from webfem.analysis import jackson_error
 from webfem.assembly import BasisTables
 from webfem.webbasis import (
     BasisError, BasisValues, build_extension, build_web_basis, eval_field,
-    jackson_error, project, prolong,
+    project, prolong,
 )
 
 from oracles import (
