@@ -131,25 +131,19 @@ def _sample(field, quad, tables=None):
     values (n, k) and gradients (n, k, 2) of the k components of ``field``
     there. Without ``tables`` every point is tabulated anew. With the
     :class:`~webfem.assembly.BasisTables` of the base rule of a composed
-    ``quad`` (:class:`~webfem.quadrature.ComposedQuadrature`), the points it
-    reads from that rule take their values from the tables, one slice at a
-    time, and only the interior points of each block are tabulated anew."""
+    ``quad`` (:class:`~webfem.quadrature.ComposedQuadrature`), only the
+    blocks of its interior head are; those of the tail it reads from that
+    rule are contracted from the tables."""
     c_fulls = field.full_coeffs()
     for sl, pts, w in quad.blocks():
-        vals = np.empty((pts.shape[0], len(c_fulls)))
-        grads = np.empty(vals.shape + (2,))
-        own = np.ones(pts.shape[0], dtype=bool)
-        pieces = () if tables is None else quad.pieces(sl.start, sl.stop)
-        for lo, hi, s, from_base in pieces:
-            if from_base:
-                own[lo:hi] = False
-                span = slice(s, s + hi - lo)
-                for k, c in enumerate(c_fulls):
-                    vals[lo:hi, k], grads[lo:hi, k] = tables.field(
-                        c, grad=True, span=span)
-        if own.any():
-            vals[own], grads[own] = eval_fields(field.basis, c_fulls,
-                                                pts[own], grad=True)
+        if tables is None or sl.start < quad.interior_points:
+            vals, grads = eval_fields(field.basis, c_fulls, pts, grad=True)
+        else:
+            span = slice(sl.start - quad.shift, sl.stop - quad.shift)
+            vals = np.empty((pts.shape[0], len(c_fulls)))
+            grads = np.empty(vals.shape + (2,))
+            for k, c in enumerate(c_fulls):
+                vals[:, k], grads[:, k] = tables.field(c, grad=True, span=span)
         yield sl, pts, w, vals, grads
 
 
@@ -342,7 +336,7 @@ def _run_level(case, domain, grid, study, level, opts, coarse=None):
     basis = build_web_basis(domain, grid, study.samples_per_axis)
     quad = assembly_quadrature(basis, study, level)
     # errors use one Gauss order more on interior cells; boundary cells keep
-    # the assembly rule's own runs (their accuracy is capped by the geometric
+    # the assembly rule's own tail (its accuracy is capped by the geometric
     # error regardless), which the error rule reads in place and the norms
     # take from the assembly tables
     err_quad = build_quadrature(domain, grid, basis.cls, study.gauss_order + 1,

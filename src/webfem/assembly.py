@@ -46,13 +46,12 @@ class CellSegments:
     """Quadrature points grouped into per-cell runs, batched by run length.
 
     A quadrature rule lists its points cell by cell, each grid cell one
-    contiguous run, with the runs sorted by length
-    (:func:`~webfem.quadrature.build_quadrature`). Each batch is a tuple
-    ``(first_run, end_run, first_point, end_point, run_length)`` of runs of
-    one length, so its points reshape to (runs, run_length, ...) without a
-    copy. A batch holds at most ``block_points(width)`` points, or one run
-    if that is longer: ``width`` floats a point is the widest operand the
-    batch forms (a table row).
+    contiguous run (:func:`~webfem.quadrature.build_quadrature`). Each batch
+    is a tuple ``(first_run, end_run, first_point, end_point, run_length)``
+    of consecutive runs of one length, so its points reshape to (runs,
+    run_length, ...) without a copy. A batch holds at most
+    ``block_points(width)`` points, or one run if that is longer: ``width``
+    floats a point is the widest operand the batch forms (a table row).
     """
 
     def __init__(self, cell_ids, width):
@@ -60,10 +59,6 @@ class CellSegments:
         n = cell_ids.size
         self.starts = np.flatnonzero(np.diff(cell_ids, prepend=cell_ids[:1] - 1))
         self.counts = np.diff(np.append(self.starts, n))
-        if np.any(np.diff(self.counts) < 0):
-            raise AssemblyError(
-                "quadrature cells are not sorted by point count; build the "
-                "rule with quadrature.build_quadrature")
         offsets = np.append(self.starts, n)
         first = np.flatnonzero(np.diff(self.counts, prepend=-1))
         ends = np.append(first[1:], self.counts.size)
@@ -123,23 +118,36 @@ class WebReductionPlan:
     def __init__(self, E, plan):
         Et = E.T.tocsr()
         deg = np.diff(Et.indptr)
-        i = np.repeat(np.arange(plan.shape[0]), np.diff(plan.indptr))
+        i = np.repeat(np.arange(plan.shape[0], dtype=plan.indptr.dtype),
+                      np.diff(plan.indptr))
         j = plan.indices
         # every full slot k = (i, j) pairs each web row r of Ebar[:, i] with
-        # each web column s of Ebar[:, j]: deg(i) * deg(j) contributions
-        ni, nj = deg[i], deg[j]
-        counts = ni * nj
-        k = np.repeat(np.arange(counts.size), counts)
-        t = np.arange(k.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        ri = Et.indptr[i[k]] + t // nj[k]
-        sj = Et.indptr[j[k]] + t % nj[k]
+        # each web column s of Ebar[:, j]: deg(i) * deg(j) contributions,
+        # numbered by t = 0 .. deg(i) deg(j) - 1 within the slot
+        counts = deg[i] * deg[j]
+        size = int(counts.sum())
+        dtype = np.int32 if max(size, Et.nnz) < 2 ** 31 else np.int64
+        k = np.repeat(np.arange(counts.size, dtype=dtype), counts)
+        t = np.arange(size, dtype=dtype)
+        t -= np.repeat((np.cumsum(counts) - counts).astype(dtype), counts)
+        ri, sj = np.divmod(t, deg[j][k])
+        del t
+        ri += Et.indptr[i[k]]
+        sj += Et.indptr[j[k]]
         n = E.shape[0]
         self.shape = (n, n)
-        slots, row = np.unique(Et.indices[ri].astype(np.int64) * n
-                               + Et.indices[sj], return_inverse=True)
+        keys = Et.indices[ri].astype(np.int64 if n * n >= 2 ** 31 else dtype,
+                                     copy=False)
+        keys *= n
+        keys += Et.indices[sj]
+        data = Et.data[ri] * Et.data[sj]
+        del ri, sj
+        slots, row = np.unique(keys, return_inverse=True)
+        del keys
         self.nnz = slots.size
         self.indices, self.indptr = _csr_pattern(slots, self.shape)
-        self.R = sp.csr_matrix((Et.data[ri] * Et.data[sj], (row, k)),
+        del slots
+        self.R = sp.csr_matrix((data, (row.astype(dtype), k)),
                                shape=(self.nnz, plan.nnz))
 
 
@@ -182,7 +190,7 @@ def bilinear_form(plan, qw, terms):
     ``terms`` is an iterable of (c, Fa, Fb) with c of shape (N,) or a
     scalar, and Fa, Fb of shapes (N, nr), (N, nc) matching the row and
     column blocks of ``plan``. The local matrices sum_t (c_t qw Fa_t)^T Fb_t
-    of all cells with the same point count come from one batched matmul;
+    of consecutive cells with one point count come from one batched matmul;
     the scatter into the shared pattern is a deterministic bincount.
     """
     return sp.csr_matrix((_form_data(plan, qw, terms), plan.indices,
@@ -593,7 +601,7 @@ def pressure_mass_and_integral(pspace, quad):
 
 def project_pressure(pspace, quad, p_exact):
     """Patch-wise L2 projection onto the pressure space."""
-    # read once each: a composed rule assembles them on every access
+    # read once each: a composed rule joins its two parts on every access
     points, weights = quad.points, quad.weights
     seg, cols, vals = pspace.rule(points, quad.cell_ids)
     p_vals = p_exact(points) if callable(p_exact) else np.asarray(p_exact)

@@ -203,6 +203,15 @@ def load_config(path):
         raise ConfigError(
             f"invalid config {path}: {where or 'top level'}: {exc.message}")
     cfg = _merge_defaults(raw)
+    kind, knots = cfg["grid"]["kind"], cfg["grid"]["knots"]
+    if kind == "explicit" and knots is None:
+        raise ConfigError(
+            f"invalid config {path}: grid.knots is required when grid.kind "
+            "is 'explicit'")
+    if kind != "explicit" and knots is not None:
+        raise ConfigError(
+            f"invalid config {path}: grid.knots is only read when grid.kind "
+            f"is 'explicit', but it is {kind!r}")
     p = cfg["problem"].get("p")
     if cfg["problem"]["type"] == "plap" and (p is None or not p > 1.0):
         raise ConfigError(

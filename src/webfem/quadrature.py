@@ -6,14 +6,16 @@ corner + center sample) are resolved immediately, straddling ones recurse
 until the depth limit, where leaves are kept or dropped by their center
 sample. Exterior cells contribute nothing. The subdivision runs level by
 level over the boxes of all boundary cells at once. The rule lists each
-cell as one run of points, the runs sorted by (point count, cell id), so
-that cells of equal point count sit next to each other (the batch order of
-:class:`~webfem.assembly.CellSegments`); within a cell, leaves come by
+cell as one run of points: first the interior cells in id order (the
+head), then the boundary cells by (leaf count, cell id) (the tail), so
+that cells of equal point count mostly sit next to each other (the batches
+of :class:`~webfem.assembly.CellSegments`); within a cell, leaves come by
 level and then by child order.
 
-The error rule of a study level is composed rather than built: its
-interior cells at another Gauss order, merged with the boundary runs of the
-assembly rule, which it reads in place (:class:`ComposedQuadrature`).
+The error rule of a study level is composed rather than built: a new head
+of the interior cells at another Gauss order, followed by the tail of the
+assembly rule, which it reads in place (:class:`ComposedQuadrature`). A
+rule for the boundary cells alone replaces the tail and nothing else.
 Per-point passes over a rule run over :meth:`DomainQuadrature.blocks` of at
 most ``BLOCK`` points.
 """
@@ -35,9 +37,10 @@ class QuadratureError(RuntimeError):
 BLOCK = 4096
 
 
-def block_slices(n):
-    """Slices of consecutive blocks of at most ``BLOCK`` of ``n`` points."""
-    return [slice(p0, min(p0 + BLOCK, n)) for p0 in range(0, n, BLOCK)]
+def block_slices(n, start=0):
+    """Slices of consecutive blocks of at most ``BLOCK`` of the points
+    [start, n)."""
+    return [slice(p0, min(p0 + BLOCK, n)) for p0 in range(start, n, BLOCK)]
 
 
 @lru_cache(maxsize=32)
@@ -72,23 +75,25 @@ class DomainQuadrature:
     """Flattened quadrature rule over all cells intersecting the domain.
 
     ``cell_ids`` maps every point to the (jx, jy) grid cell it came from,
-    encoded as jx * ny + jy. Each cell is one contiguous run of points, and
-    the runs are sorted by their length, then by cell id; within a cell,
-    subdivision leaves keep a fixed traversal order.
+    encoded as jx * ny + jy. Each cell is one contiguous run of points. The
+    first ``interior_points`` points are the interior cells in id order
+    (the head); the boundary cells follow by their leaf count, then by cell
+    id (the tail), each keeping the traversal order of its leaves.
     """
 
     points: np.ndarray      # (N, 2)
     weights: np.ndarray     # (N,)
     cell_ids: np.ndarray    # (N,) int
+    interior_points: int = 0
 
     @property
     def num_points(self):
         return self.points.shape[0]
 
-    def blocks(self):
+    def blocks(self, start=0):
         """(slice, points, weights) of consecutive blocks of at most
-        ``BLOCK`` points."""
-        for sl in block_slices(self.num_points):
+        ``BLOCK`` points, from point ``start`` on."""
+        for sl in block_slices(self.num_points, start):
             yield sl, self.points[sl], self.weights[sl]
 
     def integrate(self, f):
@@ -153,105 +158,38 @@ def _subdivide_boundary(domain, boxes, owner, depth):
 
 
 class ComposedQuadrature:
-    """The rule of ``base`` with its interior cells at ``g`` Gauss points
-    per axis, without a copy of ``base``'s boundary points.
+    """The interior rule ``head`` followed by the boundary tail of ``base``,
+    which it reads in place rather than copies.
 
-    Its runs are the interior cells (``g * g`` points each) and the boundary
-    runs of ``base``, in the (point count, cell id) order of
-    :func:`build_quadrature`, so it equals point for point the rule that
-    function builds anew at order ``g``, with ``base``'s depth and Gauss
-    order on the leaves. The runs form pieces, each a range of points from
-    one source: ``starts`` (P + 1,) bounds the pieces in this rule, ``src``
-    (P,) is the first point of each in its source and ``from_base`` (P,)
-    tells the source: the points of ``base``, or the interior rule (the
-    interior cells ``cells`` in id order, one run of ``g * g`` points each,
-    generated on demand from their ``boxes``).
+    Both parts keep the layout of :func:`build_quadrature`, so the rule
+    equals point for point the one that function builds anew with
+    ``head``'s Gauss order on the interior cells and ``base``'s depth and
+    leaf order on the boundary cells. Point ``i`` of the tail is point
+    ``i - shift`` of ``base``.
     """
 
-    def __init__(self, base, cells, boxes, g):
-        self.base, self.cells, self.boxes, self.g = base, cells, boxes, g
-        ids = base.cell_ids
-        b_starts = np.flatnonzero(np.diff(ids, prepend=-1))
-        b_counts = np.diff(np.append(b_starts, ids.size))
-        keep = ~np.isin(ids[b_starts], cells)
-        gg = g * g
-        run_cell = np.concatenate([cells, ids[b_starts[keep]]])
-        count = np.concatenate([np.full(cells.size, gg), b_counts[keep]])
-        src = np.concatenate([np.arange(cells.size) * gg, b_starts[keep]])
-        from_base = np.repeat([False, True], [cells.size, keep.sum()])
-        order = np.lexsort((run_cell, count))
-        count, src, from_base = count[order], src[order], from_base[order]
-        # a run continues the piece before it if it reads on from the same
-        # source where that one stops
-        joins = np.zeros(count.size, dtype=bool)
-        joins[1:] = ((from_base[1:] == from_base[:-1])
-                     & (src[1:] == src[:-1] + count[:-1]))
-        head = np.flatnonzero(~joins)
-        self.starts = np.append((np.cumsum(count) - count)[head], count.sum())
-        self.src, self.from_base = src[head], from_base[head]
-
-    @property
-    def num_points(self):
-        return int(self.starts[-1])
-
-    def pieces(self, p0, p1):
-        """(lo, hi, src, from_base) of the pieces of points [p0, p1), with
-        ``lo``/``hi`` relative to ``p0`` and ``src`` the source point of
-        ``lo``."""
-        i0 = np.searchsorted(self.starts, p0, side="right") - 1
-        i1 = np.searchsorted(self.starts, p1, side="left")
-        st = self.starts[i0:i1]
-        lo = np.maximum(st, p0)
-        hi = np.minimum(self.starts[i0 + 1:i1 + 1], p1)
-        return zip((lo - p0).tolist(), (hi - p0).tolist(),
-                   (self.src[i0:i1] + lo - st).tolist(),
-                   self.from_base[i0:i1].tolist())
-
-    def _interior(self, a, b):
-        """Points, weights and cell ids of points [a, b) of the interior
-        rule, computed as :func:`_box_rules` computes them."""
-        cell, local = np.divmod(np.arange(a, b), self.g * self.g)
-        ref, w = gauss_2d(self.g)
-        box = self.boxes[cell]
-        size = box[:, 2:] - box[:, :2]
-        return (box[:, :2] + ref[local] * size,
-                w[local] * size[:, 0] * size[:, 1], self.cells[cell])
-
-    def take(self, p0, p1):
-        """Points, weights and cell ids of points [p0, p1)."""
-        n = p1 - p0
-        pts, w = np.empty((n, 2)), np.empty(n)
-        ids = np.empty(n, dtype=np.int64)
-        base = self.base
-        for lo, hi, s, from_base in self.pieces(p0, p1):
-            e = s + hi - lo
-            if from_base:
-                pts[lo:hi], w[lo:hi] = base.points[s:e], base.weights[s:e]
-                ids[lo:hi] = base.cell_ids[s:e]
-            else:
-                pts[lo:hi], w[lo:hi], ids[lo:hi] = self._interior(s, e)
-        return pts, w, ids
+    def __init__(self, head, base):
+        self.head, self.base = head, base
+        self.interior_points = head.num_points
+        self.shift = head.num_points - base.interior_points
+        self.num_points = base.num_points + self.shift
 
     def blocks(self):
-        """(slice, points, weights) of consecutive blocks of at most
-        ``BLOCK`` points, see :meth:`DomainQuadrature.blocks`."""
-        for sl in block_slices(self.num_points):
-            pts, w, _ = self.take(sl.start, sl.stop)
-            yield sl, pts, w
+        """(slice, points, weights) of the blocks of ``head``, then of the
+        tail of ``base``; no block holds points of both."""
+        yield from self.head.blocks()
+        for sl, pts, w in self.base.blocks(self.base.interior_points):
+            yield slice(sl.start + self.shift, sl.stop + self.shift), pts, w
 
-    # the whole rule, assembled on each access: for a consumer that needs it
-    # at once (the pressure projection) and for inspection
-    @property
-    def points(self):
-        return self.take(0, self.num_points)[0]
+    def _joined(self, name):
+        return np.concatenate([getattr(self.head, name), getattr(
+            self.base, name)[self.base.interior_points:]])
 
-    @property
-    def weights(self):
-        return self.take(0, self.num_points)[1]
-
-    @property
-    def cell_ids(self):
-        return self.take(0, self.num_points)[2]
+    # the whole rule, joined on each access: for a consumer that needs it at
+    # once (the pressure projection) and for inspection
+    points = property(lambda self: self._joined("points"))
+    weights = property(lambda self: self._joined("weights"))
+    cell_ids = property(lambda self: self._joined("cell_ids"))
 
 
 def _cell_boxes(grid, cells):
@@ -279,38 +217,33 @@ def build_quadrature(domain, grid, cls, g, depth, g_leaf=None, base=None):
         order there trades nothing measurable for a large point-count cut.
     base : DomainQuadrature, optional
         A rule built with the same domain, grid, cells and depth. The result
-        is then the :class:`ComposedQuadrature` of its boundary runs (their
-        leaves and leaf order are ``base``'s; ``g_leaf`` is not read) and
-        the interior cells at order ``g``.
+        is then the :class:`ComposedQuadrature` of the interior cells at
+        order ``g`` and the boundary tail of ``base`` (its leaves and leaf
+        order; ``g_leaf`` is not read).
     """
     if depth < 0:
         raise QuadratureError(f"subdivision depth must be nonnegative, got {depth}")
-    g_leaf = g if g_leaf is None else g_leaf
-    nx, ny = grid.num_cells
     labels = cls.labels.ravel()
     interior = np.flatnonzero(labels == CellLabel.INTERIOR)
-    if base is not None:
-        return ComposedQuadrature(base, interior, _cell_boxes(grid, interior), g)
-    cell_boxes = _cell_boxes(grid, np.arange(nx * ny))
-    boundary = np.flatnonzero(labels == CellLabel.BOUNDARY)
-    leaf_boxes, leaf_owner = _subdivide_boundary(
-        domain, cell_boxes[boundary], boundary.astype(np.int64), depth)
-    # boxes in (cell point count, cell id) order (stable: a cell keeps its
-    # leaf order) and the offset of each box's points in the rule; each
-    # group of boxes is then written straight to its slots, with no
-    # point-level sort or copy
-    owner = np.concatenate([interior, leaf_owner])
-    sizes = np.repeat([g * g, g_leaf * g_leaf], [interior.size, leaf_owner.size])
-    cell_count = np.bincount(owner, weights=sizes, minlength=nx * ny)
-    order = np.lexsort((owner, cell_count[owner]))
-    start = np.empty_like(sizes)
-    start[order] = np.cumsum(sizes[order]) - sizes[order]
-    n = int(sizes.sum())
-    points, weights = np.empty((n, 2)), np.empty(n)
-    cell_ids = np.empty(n, dtype=np.int64)
-    for part, boxes, gg in ((slice(0, interior.size), cell_boxes[interior], g),
-                            (slice(interior.size, None), leaf_boxes, g_leaf)):
-        slots = (start[part, None] + np.arange(gg * gg)).ravel()
-        points[slots], weights[slots] = _box_rules(boxes, gg)
-        cell_ids[slots] = np.repeat(owner[part], gg * gg)
-    return DomainQuadrature(points=points, weights=weights, cell_ids=cell_ids)
+    # (cell id per box, boxes, Gauss order) of the head and of the tail
+    parts = [(interior, _cell_boxes(grid, interior), g)]
+    if base is None:
+        boundary = np.flatnonzero(labels == CellLabel.BOUNDARY)
+        boxes, owner = _subdivide_boundary(
+            domain, _cell_boxes(grid, boundary), boundary.astype(np.int64),
+            depth)
+        # boundary cells by (leaf count, cell id), stable so that a cell
+        # keeps its leaf order: the boxes are sorted, not their points
+        leaves = np.bincount(owner, minlength=labels.size)
+        order = np.lexsort((owner, leaves[owner]))
+        parts.append((owner[order], boxes[order],
+                      g if g_leaf is None else g_leaf))
+    ends = np.cumsum([owner.size * gg * gg for owner, _, gg in parts])
+    points, weights = np.empty((ends[-1], 2)), np.empty(ends[-1])
+    cell_ids = np.empty(ends[-1], dtype=np.int64)
+    for (owner, boxes, gg), p0, p1 in zip(parts, [0, *ends], ends):
+        points[p0:p1], weights[p0:p1] = _box_rules(boxes, gg)
+        cell_ids[p0:p1] = np.repeat(owner, gg * gg)
+    rule = DomainQuadrature(points=points, weights=weights, cell_ids=cell_ids,
+                            interior_points=int(ends[0]))
+    return rule if base is None else ComposedQuadrature(rule, base)

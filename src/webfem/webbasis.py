@@ -315,14 +315,6 @@ def eval_fields(basis, c_fulls, pts, grad=False):
     return vals, grads
 
 
-def eval_field(basis, coeffs, pts, nderiv=0):
-    """Values (N,) at ``pts`` (N, 2) of the web expansion with coefficients
-    ``coeffs`` (n_inner,); for ``nderiv == 1``, (vals, grads (N, 2))."""
-    c_full = basis.coupling_matrix().T @ np.asarray(coeffs, dtype=float)
-    vals, grads = eval_fields(basis, [c_full], pts, grad=bool(nderiv))
-    return (vals[:, 0], grads[:, 0]) if nderiv else vals[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # canonical projector
 # ---------------------------------------------------------------------------

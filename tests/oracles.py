@@ -88,7 +88,8 @@ from webfem.splines import (
     SplineError, _bern_interp_matrix, _bern_row, _cheb_nodes, dual_row,
     local_polynomial_1d, nonzero_basis,
 )
-from webfem.webbasis import BasisError, eval_field, eval_fields, project
+from webfem.solvers import SolutionField
+from webfem.webbasis import BasisError, eval_fields, project
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +182,7 @@ def eval_web(basis, i, x, deriv=(0, 0)):
 def eval_field_loop(basis, coeffs, pts, nderiv=0, chunk=200000):
     """Values (and gradients) of a web expansion, tabulated block by block.
 
-    Same contract as :func:`webfem.webbasis.eval_field`: B-splines outside
+    Same contract as :class:`webfem.solvers.SolutionField`: B-splines outside
     the relevant set contribute 0.
     """
     grid = basis.grid
@@ -1106,7 +1107,8 @@ def jackson_error_full(basis, u, grad_u, quad):
     :class:`~webfem.quadrature.DomainQuadrature`.
     """
     coeffs = project(basis, u)
-    vals, grads = eval_field(basis, coeffs, quad.points, nderiv=1)
+    vals, grads = SolutionField(basis=basis, coeffs=coeffs)(quad.points,
+                                                            grad=True)
     inside = basis.domain.inside(quad.points)
     ev = np.where(inside, np.asarray(u(quad.points), dtype=float) - vals, 0.0)
     eg = np.where(inside[:, None],

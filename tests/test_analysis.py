@@ -52,12 +52,9 @@ class TestErrorNorm:
         field = SolutionField(basis=basis, coeffs=coeffs)
         # the projector is not interpolation, so compare against itself:
         # fabricate the case whose solution IS the discrete field
-        from webfem.webbasis import eval_field
-        exact_vals = lambda p: eval_field(basis, coeffs, p)
-        exact_grad = lambda p: eval_field(basis, coeffs, p, nderiv=1)[1]
         fake = type(case)(name="self", kind="vcpe",
-                          domain_config=case.domain_config,
-                          solution=exact_vals, gradient=exact_grad)
+                          domain_config=case.domain_config, solution=field,
+                          gradient=lambda p: field(p, grad=True)[1])
         for norm in ("L2", "H1"):
             assert error_norm(field, fake, norm, quad) <= 1e-10
 
@@ -72,7 +69,6 @@ class TestErrorNorm:
     def test_norm_axioms(self):
         case, basis, quad = disk_fixture(n_cells=8)
         rng = np.random.default_rng(50)
-        from webfem.webbasis import eval_field
         zero_case = type(case)(
             name="zero", kind="vcpe", domain_config=case.domain_config,
             solution=lambda p: np.zeros(p.shape[0]),
@@ -364,7 +360,7 @@ class TestQuasinormCea:
 
 
 class TestSharedTables:
-    """Norms on the composed error rule that read its boundary runs from the
+    """Norms on the composed error rule that read its boundary tail from the
     assembly tables equal those of the separate per-point evaluation path."""
 
     @staticmethod
@@ -439,7 +435,7 @@ class TestSharedTables:
                                        atol=1e-12 * np.max(np.abs(rg)))
 
     def test_run_level_subdivides_once(self, monkeypatch):
-        # the error rule is composed from the assembly rule's boundary runs
+        # the error rule is composed from the assembly rule's boundary tail
         real = quadrature._subdivide_boundary
         calls = []
 

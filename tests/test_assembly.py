@@ -628,6 +628,22 @@ class TestTableMemory:
         outputs = vals.nbytes + grads.nbytes
         assert field_peak - before - outputs <= 0.3 * table_bytes
 
+    def test_web_reduction_plan_build_bounds_its_memory(self, tmp_path):
+        # beyond the plan it keeps, the build holds int32 maps of the
+        # contributions and the sort of their keys: at most 4 x the bytes of R
+        *_, (_, basis, quad) = workload_rules("cutcell_deg3", tmp_path)
+        plan = BasisTables(basis, quad).plan
+        E = basis.coupling_matrix()
+        tracemalloc.start()
+        try:
+            R = WebReductionPlan(E, plan).R
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert R.nnz >= 30000
+        assert peak - kept <= 4 * (R.data.nbytes + R.indices.nbytes
+                                   + R.indptr.nbytes)
+
     def test_study_level_holds_rule_tables_and_one_block(self, tmp_path):
         # the whole study, traced: assembly, solve, Gram estimate and error
         # norms of the finest level stay within 1.2 x what the level must
@@ -855,18 +871,30 @@ class TestSparsityPlan:
         with pytest.raises(AssemblyError, match="outside the relevant set"):
             BasisTables(basis, corner)
 
-    def test_runs_not_sorted_by_length_rejected(self):
-        basis, quad, _ = disk_setup(n_cells=6)
-        seg = CellSegments(quad.cell_ids, 1)
-        assert seg.counts[0] < seg.counts[-1]
-        # the same runs, longest first
+    def test_reversed_runs_assemble_the_same_forms(self):
+        # the batches take consecutive runs of one length in any run order:
+        # the same runs listed last to first give the same forms
+        basis, quad, t = disk_setup(n_cells=6)
+        seg = t.segments
         order = np.concatenate([np.arange(a, a + n) for a, n in
                                 zip(seg.starts[::-1], seg.counts[::-1])])
-        longest_first = dataclasses.replace(
+        r = BasisTables(basis, dataclasses.replace(
             quad, points=quad.points[order], weights=quad.weights[order],
-            cell_ids=quad.cell_ids[order])
-        with pytest.raises(AssemblyError, match="not sorted by point count"):
-            BasisTables(basis, longest_first)
+            cell_ids=quad.cell_ids[order], interior_points=0))
+        assert np.any(np.diff(r.segments.counts) < 0)
+        assert np.array_equal(r.plan.indices, t.plan.indices)
+        assert np.array_equal(r.plan.indptr, t.plan.indptr)
+        c = np.random.default_rng(45).normal(size=t.num_points)
+
+        def forms(tab, c):
+            return (assembly._form_data(tab.plan, tab.qw, [
+                        (c, tab.wbx, tab.wbx), (1.0, tab.wb, tab.wby)]),
+                    linear_form(tab.segments, tab.cell_idx, tab.qw,
+                                [(c, tab.wbx), (1.0, tab.wb)], tab.n_cols))
+
+        for got, want in zip(forms(r, c[order]), forms(t, c)):
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
     def test_pressure_evaluate_matches_tables(self):
         basis, quad, tables = disk_setup(n_cells=8)

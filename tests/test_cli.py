@@ -155,6 +155,23 @@ class TestConfigValidation:
         with pytest.raises(SplineError):
             _study_from_config(cfg).base_grid()
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"kind": "explicit", "degree": 1},
+         "grid.knots is required when grid.kind is 'explicit'"),
+        ({"kind": "graded", "degree": 1, "cells": 6,
+          "knots": [[-1.1, 0.0, 1.1], [-1.1, 0.0, 1.1]]},
+         "grid.knots is only read when grid.kind is 'explicit', but it is "
+         "'graded'"),
+    ], ids=["explicit_without_knots", "knots_with_graded"])
+    @pytest.mark.parametrize("flags", [[], ["--describe"]])
+    def test_knots_must_match_the_grid_kind(self, tmp_path, capsys, grid,
+                                            message, flags):
+        path = write_config(tmp_path, grid=grid, levels=1)
+        assert main(["run", path, *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error")
+        assert message in err and "Traceback" not in err
+
     def test_defaults_materialized(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
         assert cfg["quadrature"]["gauss"] is None
@@ -419,6 +436,22 @@ class TestCheckSuite:
             assert re.search(rf"^{re.escape(name)}\s+{status}\s", summary,
                              re.M)
         assert "unknown primitive op 'blob'" in summary
+
+    def test_explicit_grid_without_knots_is_reported_in_the_summary(
+            self, tmp_path, capsys):
+        d = tmp_path / "suite"
+        d.mkdir()
+        write_config(tmp_path, name="suite/a_ok.json")
+        write_config(tmp_path, name="suite/b_no_knots.json",
+                     grid={"kind": "explicit", "degree": 1})
+        code = main(["check", str(d), "--out", str(tmp_path / "o")])
+        out = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        summary = out.out.split("\nconfig")[-1]
+        for name, status in (("a_ok.json", "ok"), ("b_no_knots.json", "FAIL")):
+            assert re.search(rf"^{re.escape(name)}\s+{status}\s", summary,
+                             re.M)
+        assert "grid.knots is required" in summary
 
     def test_suite_reports_each_violation_once(self, tmp_path, capsys):
         d = tmp_path / "suite"

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from webfem import quadrature
 from webfem.geometry import (
     CellLabel, Disk, ImplicitDomain, box, classify_cells,
 )
@@ -114,11 +117,13 @@ class TestIntegrate:
         assert np.array_equal(q1.weights, q2.weights)
 
 
-def batch_order(ids):
+def batch_order(ids, interior):
     """Stable order that lists the runs of a cell-by-cell rule with cell ids
-    ``ids`` by (point count, cell id), the order of ``build_quadrature``."""
+    ``ids`` in the layout of ``build_quadrature``: the runs of interior
+    cells (``interior``, a mask over the points) by cell id, then the others
+    by (point count, cell id)."""
     _, inv, counts = np.unique(ids, return_inverse=True, return_counts=True)
-    return np.lexsort((ids, counts[inv]))
+    return np.lexsort((ids, counts[inv], ~interior))
 
 
 def reference_quadrature(domain, grid, cls, g, depth, g_leaf=None):
@@ -197,7 +202,8 @@ class TestBatchedSubdivision:
         cls = classify_cells(dom, grid)
         quad = build_quadrature(dom, grid, cls, g, depth, g_leaf)
         pts, wts, ids = reference_quadrature(dom, grid, cls, g, depth, g_leaf)
-        order = batch_order(ids)
+        labels = cls.labels.ravel()
+        order = batch_order(ids, labels[ids] == CellLabel.INTERIOR)
         assert np.array_equal(quad.points, pts[order])
         assert np.array_equal(quad.weights, wts[order])
         assert np.array_equal(quad.cell_ids, ids[order])
@@ -205,10 +211,17 @@ class TestBatchedSubdivision:
         assert quad.cell_ids.dtype == np.int64
 
         assert np.all(quad.weights > 0)
-        # one run per cell, runs sorted by length
+        # one run per cell: the interior head, then the tail runs sorted by
+        # length
         starts = np.flatnonzero(np.diff(quad.cell_ids, prepend=-1))
         assert starts.size == np.unique(quad.cell_ids).size
-        assert np.all(np.diff(np.diff(np.append(starts, quad.num_points))) >= 0)
+        interior = labels[quad.cell_ids] == CellLabel.INTERIOR
+        assert quad.interior_points == g * g * np.count_nonzero(
+            labels == CellLabel.INTERIOR)
+        assert np.all(interior[:quad.interior_points])
+        assert not np.any(interior[quad.interior_points:])
+        tail = starts[starts >= quad.interior_points]
+        assert np.all(np.diff(np.diff(np.append(tail, quad.num_points))) >= 0)
         jx, jy = np.divmod(quad.cell_ids, grid.num_cells[1])
         assert not np.any(cls.labels[jx, jy] == CellLabel.EXTERIOR)
         b = kv.breakpoints
@@ -243,12 +256,12 @@ class TestBatchedSubdivision:
            half=st.floats(1.0, 1.2), ratio=st.floats(1.0, 1.3),
            depth=st.integers(0, 6), g=st.integers(1, 4),
            g_leaf=st.one_of(st.none(), st.integers(1, 3)),
-           cuts=st.lists(st.floats(0.0, 1.0), max_size=6))
+           block=st.integers(1, 64))
     def test_composed_error_rule_equals_built_rule(self, tree, n_cells, half,
                                                    ratio, depth, g, g_leaf,
-                                                   cuts):
+                                                   block):
         # the error rule composed of the interior cells at g + 1 and the
-        # assembly rule's boundary runs is the rule built anew at g + 1,
+        # assembly rule's boundary tail is the rule built anew at g + 1,
         # point for point and weight for weight, in the same order
         dom = ImplicitDomain(tree)
         kv = graded_knots(-half, half, n_cells, 1, ratio)
@@ -258,26 +271,27 @@ class TestBatchedSubdivision:
         built = build_quadrature(dom, grid, cls, g + 1, depth, g_leaf or g)
         err = build_quadrature(dom, grid, cls, g + 1, depth, base=quad)
         assert err.num_points == built.num_points
+        assert err.interior_points == built.interior_points
         assert np.array_equal(err.points, built.points)
         assert np.array_equal(err.weights, built.weights)
         assert np.array_equal(err.cell_ids, built.cell_ids)
-        # any point range, cut anywhere through the runs
-        n = built.num_points
-        bounds = sorted({0, n, *(int(c * n) for c in cuts)})
-        for a, b in zip(bounds, bounds[1:]):
-            pts, w, ids = err.take(a, b)
-            assert np.array_equal(pts, built.points[a:b])
-            assert np.array_equal(w, built.weights[a:b])
-            assert np.array_equal(ids, built.cell_ids[a:b])
-        # the pieces read from the assembly rule are its boundary runs
-        read = np.zeros(n, dtype=bool)
-        for lo, hi, s, from_base in err.pieces(0, n):
-            if from_base:
-                read[lo:hi] = True
-                assert np.array_equal(built.points[lo:hi],
-                                      quad.points[s:s + hi - lo])
+        # block by block, in blocks that cut through the runs: the head
+        # blocks, then the tail blocks read in place from the assembly rule
+        end = 0
+        with mock.patch.object(quadrature, "BLOCK", block):
+            for sl, pts, w in err.blocks():
+                assert sl.start == end and 0 < sl.stop - sl.start <= block
+                end = sl.stop
+                assert np.array_equal(pts, built.points[sl])
+                assert np.array_equal(w, built.weights[sl])
+                tail = sl.start >= err.interior_points
+                assert tail or sl.stop <= err.interior_points
+                assert tail == np.shares_memory(pts, quad.points)
+                assert tail == np.shares_memory(w, quad.weights)
+        assert end == err.num_points
         labels = cls.labels.ravel()[built.cell_ids]
-        assert np.array_equal(read, labels == CellLabel.BOUNDARY)
+        assert np.array_equal(np.arange(end) >= err.interior_points,
+                              labels == CellLabel.BOUNDARY)
 
     def test_empty_domain_gives_empty_rule(self):
         dom = ImplicitDomain(Disk([5.0, 5.0], 0.5))

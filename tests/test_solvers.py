@@ -18,7 +18,7 @@ from webfem.solvers import (
     SaddleMatrix, SolveOptions, SolverError, _saddle_solve, carreau_viscosity,
     estimate_infsup, solve_plap, solve_quasi_newtonian, solve_vcpe,
 )
-from webfem.webbasis import build_web_basis, eval_field
+from webfem.webbasis import build_web_basis
 
 
 def disk_setup(n_cells=10, degree=2, depth=5):
@@ -59,7 +59,7 @@ class TestVcpeSolver:
         basis, quad, tables = disk_setup(n_cells=16, depth=8)
         sol = solve_vcpe(basis, 1.0, 4.0, tables, SolveOptions(linear_tol=1e-12))
         inside = basis.domain.phi(quad.points) > 0
-        vals = eval_field(basis, sol.coeffs, quad.points[inside])
+        vals = sol(quad.points[inside])
         exact = 1 - quad.points[inside, 0] ** 2 - quad.points[inside, 1] ** 2
         assert np.max(np.abs(vals - exact)) <= 5e-3
 
@@ -130,7 +130,7 @@ class TestPlapSolver:
         inside = basis.domain.phi(quad.points) > 1e-3
         pts = quad.points[inside]
         r = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
-        vals = eval_field(basis, sol.coeffs, pts)
+        vals = sol(pts)
         err = np.max(np.abs(vals - (1.0 - r ** beta)))
         assert err <= 0.05  # coarse grid; rates are checked in the analysis tests
 

@@ -17,8 +17,8 @@ from webfem.solvers import SolutionField
 from webfem.analysis import jackson_error
 from webfem.assembly import BasisTables
 from webfem.webbasis import (
-    BasisError, BasisValues, build_extension, build_web_basis, eval_field,
-    project, prolong,
+    BasisError, BasisValues, build_extension, build_web_basis, project,
+    prolong,
 )
 
 from oracles import (
@@ -66,7 +66,8 @@ def disk_grids(draw):
 
 
 def eval_eb_combo(basis, coeffs, pts):
-    """Unweighted eb-spline expansion (test helper, independent of eval_field)."""
+    """Unweighted eb-spline expansion (test helper, independent of the
+    library's evaluation)."""
     grid = basis.grid
     m1, m2 = grid.degrees
     c_full = basis.extension_matrix().T @ coeffs
@@ -218,8 +219,8 @@ class TestEvalWeb:
         basis = disk_basis()
         for ang in np.linspace(0.0, 2 * np.pi, 500, endpoint=False):
             p = np.array([np.cos(ang), np.sin(ang)])
-            coeffs = np.ones(basis.n_inner)
-            assert abs(eval_field(basis, coeffs, p[None, :])[0]) <= 1e-12
+            field = SolutionField(basis=basis, coeffs=np.ones(basis.n_inner))
+            assert abs(field(p[None, :])[0]) <= 1e-12
 
     def test_gradient_finite_difference(self):
         basis = disk_basis(n_cells=10)
@@ -269,7 +270,7 @@ class TestEvalWeb:
             if basis.domain.phi(p[None, :])[0] > 0.01:
                 pts.append(p)
         pts = np.array(pts)
-        vals, grads = eval_field(basis, coeffs, pts, nderiv=1)
+        vals, grads = SolutionField(basis=basis, coeffs=coeffs)(pts, grad=True)
         for q, p in enumerate(pts):
             ref = sum(c * eval_web(basis, i, p)
                       for c, i in zip(coeffs, basis.idx.inner))
@@ -390,7 +391,7 @@ class TestBasisValuesPointColumns:
 
 
 class TestEvalFieldOracle:
-    """eval_field (one tabulation kernel shared with the assembly tables)
+    """SolutionField (one tabulation kernel shared with the assembly tables)
     against the per-block loop it replaced."""
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -405,14 +406,15 @@ class TestEvalFieldOracle:
         some_out = np.any(cols < 0, axis=1)
         all_out = np.all(cols < 0, axis=1)
         assert np.any(some_out & ~all_out) and np.any(all_out)
-        vals, grads = eval_field(basis, coeffs, pts, nderiv=1)
+        field = SolutionField(basis=basis, coeffs=coeffs)
+        vals, grads = field(pts, grad=True)
         rv, rg = eval_field_loop(basis, coeffs, pts, nderiv=1)
         np.testing.assert_allclose(vals, rv, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(rv)))
         np.testing.assert_allclose(grads, rg, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(rg)))
         assert np.all(vals[all_out] == 0.0) and np.all(grads[all_out] == 0.0)
-        assert np.array_equal(eval_field(basis, coeffs, pts), vals)
+        assert np.array_equal(field(pts), vals)
 
     def test_chunks_and_components(self, monkeypatch):
         import webfem.webbasis as webbasis
@@ -440,7 +442,7 @@ class TestProjector:
     def test_reproduces_single_web_spline(self):
         basis = disk_basis(n_cells=10)
         i0 = basis.n_inner // 2
-        f = lambda pts: eval_field(basis, np.eye(basis.n_inner)[i0], pts)
+        f = SolutionField(basis=basis, coeffs=np.eye(basis.n_inner)[i0])
         coeffs = project(basis, f)
         expect = np.zeros(basis.n_inner)
         expect[i0] = 1.0
@@ -463,14 +465,14 @@ class TestProjector:
             if basis.domain.phi(p[None, :])[0] > 1e-3:
                 pts.append(p)
         pts = np.array(pts)
-        vals = eval_field(basis, coeffs, pts)
+        vals = SolutionField(basis=basis, coeffs=coeffs)(pts)
         assert np.max(np.abs(vals - f(pts))) <= 1e-8
 
     def test_idempotence(self):
         basis = disk_basis(n_cells=8)
         f = lambda pts: basis.domain.weight(pts) * np.exp(pts[:, 0])
         c1 = project(basis, f)
-        c2 = project(basis, lambda pts: eval_field(basis, c1, pts))
+        c2 = project(basis, SolutionField(basis=basis, coeffs=c1))
         assert np.max(np.abs(c2 - c1)) <= 1e-10
 
 
@@ -545,11 +547,12 @@ def check_prolongation(coarse, fine, components, seed):
     for k in range(components):
         ck = c[k * coarse.n_inner:(k + 1) * coarse.n_inner]
         gk = got[k * fine.n_inner:(k + 1) * fine.n_inner]
-        ref = project(fine, lambda x: eval_field(coarse, ck, x))
+        coarse_k = SolutionField(basis=coarse, coeffs=ck)
+        ref = project(fine, coarse_k)
         assert np.max(np.abs(gk - ref)) <= 1e-12 * np.max(np.abs(ref))
-        want = eval_field(coarse, ck, pts)
-        assert np.max(np.abs(eval_field(fine, gk, pts) - want)) <= \
-            1e-12 * np.max(np.abs(want))
+        want = coarse_k(pts)
+        got_k = SolutionField(basis=fine, coeffs=gk)(pts)
+        assert np.max(np.abs(got_k - want)) <= 1e-12 * np.max(np.abs(want))
     return pts.shape[0]
 
 
@@ -597,19 +600,20 @@ class TestJackson:
         basis = disk_basis(n_cells=10, degree=2)
         quad = build_quadrature(basis.domain, basis.grid, basis.cls, 3, 5)
         c0 = project(basis, self.u)
-        uh = lambda pts: eval_field(basis, c0, pts)
-        guh = lambda pts: eval_field(basis, c0, pts, nderiv=1)[1]
+        uh = SolutionField(basis=basis, coeffs=c0)
+        guh = lambda pts: uh(pts, grad=True)[1]
         assert jackson_error(basis, uh, guh, quad) <= 1e-8
         # and the projector indeed reproduced the formula inside the domain
         inside = basis.domain.phi(quad.points) > 0
-        vals = eval_field(basis, c0, quad.points[inside])
+        vals = uh(quad.points[inside])
         assert np.max(np.abs(vals - self.u(quad.points[inside]))) <= 1e-12
 
     def test_equals_the_axis_sum(self):
         basis = disk_basis(n_cells=8)
         quad = build_quadrature(basis.domain, basis.grid, basis.cls, 3, 4)
         pts = quad.points
-        vals, grads = eval_field(basis, project(basis, self.u), pts, nderiv=1)
+        field = SolutionField(basis=basis, coeffs=project(basis, self.u))
+        vals, grads = field(pts, grad=True)
         inside = basis.domain.inside(pts)
         ev = np.where(inside, self.u(pts) - vals, 0.0)
         eg = np.where(inside[:, None], self.grad_u(pts) - grads, 0.0)
